@@ -12,6 +12,7 @@ import (
 
 	alps "repro"
 	"repro/internal/baseline"
+	"repro/internal/experiments"
 	"repro/internal/objects/buffer"
 	"repro/internal/objects/crossobj"
 	"repro/internal/objects/dict"
@@ -586,6 +587,28 @@ func BenchmarkGuardScanWidth(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkGuardScanDeep is the deep counterpart of GuardScanWidth: the
+// Sched16 fixture keeps ~1000 calls pending across 16 guarded entries, so
+// one committed call costs one selection over entries x pending — a when
+// per pending call and a pri per eligible one. ns/op is the manager's
+// scan-plus-commit time per call (the callers only queue).
+func BenchmarkGuardScanDeep(b *testing.B) {
+	b.ReportAllocs()
+	s, err := experiments.NewSched16()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	bad, err := s.Run(int64(b.N))
+	b.StopTimer()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if bad != 0 {
+		b.Fatalf("Sched16: %d grants violated a guard (negative=%d out-of-order=%d)", bad, s.Negative, s.OutOfOrder)
 	}
 }
 

@@ -2,7 +2,10 @@
 
 package core
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // Allocation regression tests for the pooled call pipeline (PR 2). Limits
 // are set with modest headroom over the measured steady state so genuine
@@ -126,5 +129,92 @@ func TestAllocsGuardLoopCombining(t *testing.T) {
 	const limit = 16.0
 	if avg > limit {
 		t.Errorf("guard-loop pair: %.1f allocs/op, want <= %.0f", avg, limit)
+	}
+}
+
+func TestAllocsAsyncCompletionRecycles(t *testing.T) {
+	// The completion queue is a double buffer: the array a drain walked
+	// becomes the next swap's doneq. One call per run makes every run one
+	// non-empty drain plus the dispatcher's trailing empty one — the
+	// sequence that once aliased the two buffers (TestCallAsyncDrainIdleBurst).
+	// A queue that stopped recycling would allocate a fresh array per drain.
+	o, err := New("X", WithEntry(EntrySpec{Name: "P", Body: func(*Invocation) error { return nil }}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, o)
+	settled := make(chan struct{}, 1)
+	done := func([]Value, error) { settled <- struct{}{} }
+	call := func() {
+		if !o.CallAsync("P", nil, done) {
+			t.Fatal("CallAsync refused")
+		}
+		<-settled
+	}
+	for i := 0; i < 64; i++ { // warm the record pool and both buffers
+		call()
+	}
+	// Steady state is exactly 2: the wait-queue append and the body's
+	// goroutine closure. A third is the completion queue growing afresh.
+	if avg := testing.AllocsPerRun(500, call); avg > 2 {
+		t.Errorf("async call: %.2f allocs/op, want <= 2 (completion buffers not recycled)", avg)
+	}
+}
+
+func TestAllocsDeepScanIsZero(t *testing.T) {
+	// The selection kernel over 1024 attached calls — a when and a computed
+	// pri on every one, intercepted params re-sliced per call, plus a
+	// constant-pri guard over the same index — allocates nothing: no handle,
+	// no candidate list growth once the tie set has reached its size.
+	const n = 1024
+	var avg float64
+	scanned := make(chan struct{})
+	o, err := New("Deep",
+		WithEntry(EntrySpec{Name: "P", Params: 1, Array: n, Body: func(*Invocation) error { return nil }}),
+		WithManager(func(m *Mgr) {
+			defer close(scanned)
+			if !pollUntil(func() bool { return m.Pending("P") == n }) {
+				t.Errorf("callers did not all arrive")
+				return
+			}
+			threshold := 0
+			guards := []Guard{
+				OnAccept("P", func(*Accepted) {}).
+					When(func(a *Accepted) bool { return a.Params[0].(int) >= threshold }).
+					PriAccept(func(a *Accepted) int { return a.Params[0].(int) % 7 }), // ~n/7 tied at the minimum
+				OnAccept("P", func(*Accepted) {}).Pri(0),
+			}
+			o := m.obj
+			scan := func() {
+				if err := m.prepare(guards); err != nil {
+					t.Errorf("prepare: %v", err)
+				}
+				o.mu.Lock()
+				o.drainIntakeLocked()
+				m.scanLocked(guards)
+				_ = m.ties.pick(m.rot)
+				m.rot++
+				o.mu.Unlock()
+			}
+			scan() // size the tie set
+			avg = testing.AllocsPerRun(50, scan)
+		}, InterceptPR("P", 1, 0)),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(v int) {
+			defer wg.Done()
+			_, _ = o.Call("P", v) // ErrClosed: nothing is ever accepted
+		}(i)
+	}
+	<-scanned
+	mustClose(t, o)
+	wg.Wait()
+	if avg != 0 {
+		t.Errorf("deep scan: %.1f allocs per selection over %d attached calls, want 0", avg, n)
 	}
 }

@@ -121,14 +121,26 @@ type slot struct {
 	call  *callRecord
 
 	// listPos is this slot's position in the entry's attached or ready
-	// list, -1 when in neither. Exactly one list can contain a slot at a
+	// index, -1 when in neither. Exactly one index can contain a slot at a
 	// time (attached vs ready are disjoint states).
 	listPos int
 }
 
+// pend is one record of an entry's dense pending index: everything the
+// guard scan reads about a candidate, copied next to its neighbours so a
+// scan walks sequential memory instead of chasing *slot -> *callRecord for
+// each one. A record is written once, at enlist; the slot's call (and so
+// its id) cannot change while the slot stays listed.
+type pend struct {
+	s    *slot
+	call *callRecord
+	id   uint64 // call.id
+	idx  int    // s.index
+}
+
 // entry is the runtime representation of a procedure.
 //
-// The attached and ready lists address the implementation issue of §3: "a
+// The attached and ready indexes address the implementation issue of §3: "a
 // hidden procedure array P[1..N] may have only a small number of requests
 // attached to it on the average and it is wasteful to implement a guarded
 // command of the form (i:1..N) accept P[i]" by polling all N elements.
@@ -149,8 +161,8 @@ type entry struct {
 	watchSelf *watchSet
 
 	slots     []*slot
-	attached  []*slot       // slots in state slotAttached (accept candidates)
-	ready     []*slot       // slots in state slotReady (await candidates)
+	attached  []pend        // slots in state slotAttached (accept candidates)
+	ready     []pend        // slots in state slotReady (await candidates)
 	waitq     []*callRecord // calls waiting for a free element
 	attachRot int           // rotating scan offset for arbitrary slot choice
 	active    int           // bodies started and not yet finished
@@ -179,19 +191,19 @@ type EntryStats struct {
 	Active    int    // bodies started and not finished
 }
 
-// enlist appends s to list and records its position.
-func enlist(list []*slot, s *slot) []*slot {
+// enlist appends s (with its bound call) to list and records its position.
+func enlist(list []pend, s *slot) []pend {
 	s.listPos = len(list)
-	return append(list, s)
+	return append(list, pend{s: s, call: s.call, id: s.call.id, idx: s.index})
 }
 
-// delist removes s from list by swapping in the last element.
-func delist(list []*slot, s *slot) []*slot {
+// delist removes s from list by swapping in the last record.
+func delist(list []pend, s *slot) []pend {
 	i := s.listPos
 	last := len(list) - 1
 	list[i] = list[last]
-	list[i].listPos = i
-	list[last] = nil
+	list[i].s.listPos = i
+	list[last] = pend{}
 	s.listPos = -1
 	return list[:last]
 }

@@ -141,13 +141,51 @@ func (g Guard) PriMsg(f func(channel.Message) int) Guard {
 
 // candidate is one eligible (guard, datum) pair found during a scan. It is
 // a plain value — no handles, no closures — so scanning allocates nothing;
-// the winning candidate is materialized at commit time.
+// the winning candidate is materialized at commit time. s is the array
+// element of an accept or await alternative, nil for receive and cond.
 type candidate struct {
 	guardIdx int
-	pri      int
-	kind     guardKind
-	e        *entry
 	s        *slot
+}
+
+// tieSet is the scan's running answer: the smallest pri seen so far and the
+// alternatives tied at it, in scan order. Alternatives that lose are never
+// stored; a strictly smaller pri resets the set.
+type tieSet struct {
+	min int
+	c   []candidate
+}
+
+// offer considers one eligible alternative with priority pri.
+func (t *tieSet) offer(guardIdx int, s *slot, pri int) {
+	if len(t.c) > 0 {
+		if pri > t.min {
+			return
+		}
+		if pri < t.min {
+			t.c = t.c[:0]
+		}
+	}
+	t.min = pri
+	t.c = append(t.c, candidate{guardIdx: guardIdx, s: s})
+}
+
+// offerAll considers every record of list at one shared priority: the
+// alternatives of a guard with neither a condition nor a computed priority.
+func (t *tieSet) offerAll(guardIdx int, list []pend, pri int) {
+	if len(t.c) > 0 && pri > t.min {
+		return
+	}
+	for i := range list {
+		t.offer(guardIdx, list[i].s, pri)
+	}
+}
+
+// pick chooses among the tied alternatives by rotation: successive
+// selections over an unchanged tie set visit every member, so the selector
+// starves none (docs/SEMANTICS.md §2.3).
+func (t *tieSet) pick(rot int) candidate {
+	return t.c[rot%len(t.c)]
 }
 
 // Select evaluates the guards and executes exactly one eligible
@@ -178,24 +216,24 @@ func (m *Mgr) Select(guards ...Guard) (int, error) {
 		m.inScan = true
 		m.scanLocked(guards)
 		m.inScan = false
-		if len(m.cands) == 0 {
+		if len(m.ties.c) == 0 {
 			if err := m.blockLocked(); err != nil {
 				return -1, err
 			}
 			continue
 		}
-		c := pickCandidate(m.cands, m.rot)
+		c := m.ties.pick(m.rot)
 		m.rot++
 		g := &guards[c.guardIdx]
-		switch c.kind {
+		switch g.kind {
 		case guardAccept:
-			a := m.commitAcceptLocked(c.e, c.s)
+			a := m.commitAcceptLocked(g.res, c.s)
 			o.mu.Unlock()
 			o.seqPoint(SeqMgrAccept, a.Entry, a.id)
 			g.actAccept(a)
 			return c.guardIdx, nil
 		case guardAwait:
-			aw := m.commitAwaitLocked(c.e, c.s)
+			aw := m.commitAwaitLocked(g.res, c.s)
 			o.mu.Unlock()
 			o.seqPoint(SeqMgrAwait, aw.Entry, aw.id)
 			g.actAwait(aw)
@@ -293,46 +331,83 @@ func entryIn(list []*entry, e *entry) bool {
 	return false
 }
 
-// scanLocked refills m.cands with every eligible alternative. Called with
-// o.mu held. Acceptance conditions and run-time priorities are evaluated
-// against the manager's scratch handles; nothing is heap-allocated for a
-// candidate that does not win.
+// scanLocked is the guard-selection kernel: one pass over the guards, in
+// order, that leaves in m.ties the eligible alternatives tied at the
+// smallest pri. Called with o.mu held, on the manager goroutine.
+//
+// The evaluation contract (docs/SEMANTICS.md §2.4): for every guard and every
+// datum it ranges over — each attached call of an accept guard, each ready
+// call of an await guard, the frontmost matching message of a receive guard
+// — the acceptance condition runs exactly once per scan, and the pri
+// function exactly once iff the condition held.
+//
+// Accept and await guards walk the entry's dense pending index (a Slot(i)
+// guard walks the one-record window at the element's position), evaluating
+// against the manager's scratch handle. The handle's per-guard fields are
+// set once per guard, a guard with neither condition nor computed priority
+// never touches the handle, and nothing is stored or heap-allocated for an
+// alternative that does not tie the minimum.
 func (m *Mgr) scanLocked(guards []Guard) {
-	m.cands = m.cands[:0]
+	t := &m.ties
+	t.c = t.c[:0]
 	for gi := range guards {
 		g := &guards[gi]
 		switch g.kind {
 		case guardAccept:
-			// Iterate only attached slots (§3: polling all N elements of a
-			// hidden array would be wasteful).
 			e := g.res
-			if g.slotIdx >= 0 {
-				if s := e.slots[g.slotIdx]; s.state == slotAttached {
-					if pri, ok := m.acceptEligible(g, e, s); ok {
-						m.cands = append(m.cands, candidate{guardIdx: gi, pri: pri, kind: guardAccept, e: e, s: s})
-					}
-				}
+			list := g.window(e.attached, slotAttached)
+			when, pri := g.whenAccept, g.priAccept
+			if when == nil && pri == nil {
+				t.offerAll(gi, list, g.priConst)
 				continue
 			}
-			for _, s := range e.attached {
-				if pri, ok := m.acceptEligible(g, e, s); ok {
-					m.cands = append(m.cands, candidate{guardIdx: gi, pri: pri, kind: guardAccept, e: e, s: s})
+			// The handle's Params alias the call's parameters (capped, so
+			// appends cannot clobber the suffix); predicates must treat the
+			// handle as read-only and not retain it. It carries no call or
+			// slot — it names a datum, not an accepted call, and the manager
+			// primitives are off limits inside a predicate anyway (the scan
+			// holds o.mu) — so the inner loop stores two integers and no
+			// pointers.
+			a := &m.scratchA
+			a.m, a.Entry, a.Params = m, e.spec.Name, nil
+			ip := e.ipParams
+			for i := range list {
+				p := &list[i]
+				a.id, a.Slot = p.id, p.idx
+				if ip > 0 {
+					a.Params = p.call.params[:ip:ip]
 				}
+				if when != nil && !when(a) {
+					continue
+				}
+				v := g.priConst
+				if pri != nil {
+					v = pri(a)
+				}
+				t.offer(gi, p.s, v)
 			}
 		case guardAwait:
 			e := g.res
-			if g.slotIdx >= 0 {
-				if s := e.slots[g.slotIdx]; s.state == slotReady {
-					if pri, ok := m.awaitEligible(g, e, s); ok {
-						m.cands = append(m.cands, candidate{guardIdx: gi, pri: pri, kind: guardAwait, e: e, s: s})
-					}
-				}
+			list := g.window(e.ready, slotReady)
+			when, pri := g.whenAwait, g.priAwait
+			if when == nil && pri == nil {
+				t.offerAll(gi, list, g.priConst)
 				continue
 			}
-			for _, s := range e.ready {
-				if pri, ok := m.awaitEligible(g, e, s); ok {
-					m.cands = append(m.cands, candidate{guardIdx: gi, pri: pri, kind: guardAwait, e: e, s: s})
+			aw := &m.scratchAw
+			aw.m, aw.Entry = m, e.spec.Name
+			for i := range list {
+				p := &list[i]
+				aw.id, aw.Slot = p.id, p.idx
+				p.call.fillAwaited(aw, e.ipResults)
+				if when != nil && !when(aw) {
+					continue
 				}
+				v := g.priConst
+				if pri != nil {
+					v = pri(aw)
+				}
+				t.offer(gi, p.s, v)
 			}
 		case guardReceive:
 			msg, ok := g.ch.PeekWhere(g.whenMsg)
@@ -341,77 +416,49 @@ func (m *Mgr) scanLocked(guards []Guard) {
 			}
 			// Priority is computed from the peeked message (§2.4: one
 			// candidate per channel — the frontmost eligible message).
-			pri := g.priConst
+			v := g.priConst
 			if g.priMsg != nil {
-				pri = g.priMsg(msg)
+				v = g.priMsg(msg)
 			}
-			m.cands = append(m.cands, candidate{guardIdx: gi, pri: pri, kind: guardReceive})
+			t.offer(gi, nil, v)
 		case guardCond:
-			if !g.cond() {
-				continue
+			if g.cond() {
+				t.offer(gi, nil, g.priConst)
 			}
-			m.cands = append(m.cands, candidate{guardIdx: gi, pri: g.priConst, kind: guardCond})
 		}
 	}
 }
 
-// acceptEligible evaluates an accept guard's acceptance condition and
-// priority against an attached slot using the scratch handle. The handle's
-// Params alias the call's parameters (capped, so appends cannot clobber the
-// suffix); predicates must treat it as read-only and not retain it.
-func (m *Mgr) acceptEligible(g *Guard, e *entry, s *slot) (int, bool) {
-	if g.whenAccept == nil && g.priAccept == nil {
-		return g.priConst, true
+// window returns the records of index (the resolved entry's attached or
+// ready index, whose slots are in state want) that the guard ranges over:
+// all of them, or for a Slot(i) guard the one-record window at element i's
+// position — empty while that element is in another state.
+func (g *Guard) window(index []pend, want slotState) []pend {
+	if g.slotIdx < 0 {
+		return index
 	}
-	cr := s.call
-	a := &m.scratchA
-	a.m = m
-	a.call = cr
-	a.s = s
-	a.id = cr.id
-	a.Entry = e.spec.Name
-	a.Slot = s.index
-	a.Params = cr.params[:e.ipParams:e.ipParams]
-	if g.whenAccept != nil && !g.whenAccept(a) {
-		return 0, false
+	s := g.res.slots[g.slotIdx]
+	if s.state != want {
+		return nil
 	}
-	pri := g.priConst
-	if g.priAccept != nil {
-		pri = g.priAccept(a)
-	}
-	return pri, true
+	return index[s.listPos : s.listPos+1]
 }
 
-// awaitEligible is acceptEligible's counterpart for ready slots.
-func (m *Mgr) awaitEligible(g *Guard, e *entry, s *slot) (int, bool) {
-	if g.whenAwait == nil && g.priAwait == nil {
-		return g.priConst, true
-	}
-	cr := s.call
-	aw := &m.scratchAw
-	aw.m = m
-	aw.call = cr
-	aw.s = s
-	aw.id = cr.id
-	aw.Entry = e.spec.Name
-	aw.Slot = s.index
+// fillAwaited sets the handle fields that describe the body's outcome.
+// Results and Hidden alias the body's returned slices (body ownership ended
+// at return; the manager is their only consumer); a failed body presents
+// zeroed intercepted results.
+func (cr *callRecord) fillAwaited(aw *Awaited, ipResults int) {
 	aw.Hidden = cr.hiddenResults
 	aw.Err = cr.bodyErr
-	if cr.bodyErr == nil {
-		aw.Results = cr.bodyResults[:e.ipResults:e.ipResults]
-	} else if e.ipResults > 0 {
-		aw.Results = make([]Value, e.ipResults)
-	} else {
+	switch {
+	case cr.bodyErr == nil:
+		aw.Results = cr.bodyResults[:ipResults:ipResults]
+	case ipResults > 0:
+		aw.Results = make([]Value, ipResults)
+	default:
 		aw.Results = nil
 	}
-	if g.whenAwait != nil && !g.whenAwait(aw) {
-		return 0, false
-	}
-	pri := g.priConst
-	if g.priAwait != nil {
-		pri = g.priAwait(aw)
-	}
-	return pri, true
 }
 
 // commitAcceptLocked performs the accept state change for the selected slot
@@ -439,43 +486,14 @@ func (m *Mgr) commitAcceptLocked(e *entry, s *slot) *Accepted {
 }
 
 // commitAwaitLocked performs the await state change for the selected slot
-// and materializes the manager's handle. Results and Hidden alias the
-// body's returned slices (body ownership ended at return; the manager is
-// their only consumer).
+// and materializes the manager's handle.
 func (m *Mgr) commitAwaitLocked(e *entry, s *slot) *Awaited {
 	o := m.obj
 	cr := s.call
 	e.ready = delist(e.ready, s)
 	s.state = slotAwaited
-	aw := &Awaited{
-		m:      m,
-		call:   cr,
-		s:      s,
-		id:     cr.id,
-		Entry:  e.spec.Name,
-		Slot:   s.index,
-		Hidden: cr.hiddenResults,
-		Err:    cr.bodyErr,
-	}
-	if cr.bodyErr == nil {
-		aw.Results = cr.bodyResults[:e.ipResults:e.ipResults]
-	} else if e.ipResults > 0 {
-		aw.Results = make([]Value, e.ipResults)
-	}
+	aw := &Awaited{m: m, call: cr, s: s, id: cr.id, Entry: e.spec.Name, Slot: s.index}
+	cr.fillAwaited(aw, e.ipResults)
 	o.record(e.spec.Name, s.index, cr.id, trace.Awaited)
 	return aw
-}
-
-// pickCandidate selects the minimum-pri candidate. The scan starts at a
-// rotating offset and keeps the first minimum found, so equal-priority
-// alternatives are served fairly across successive selections.
-func pickCandidate(cands []candidate, rot int) candidate {
-	n := len(cands)
-	best := cands[rot%n]
-	for k := 1; k < n; k++ {
-		if c := cands[(rot+k)%n]; c.pri < best.pri {
-			best = c
-		}
-	}
-	return best
 }

@@ -17,7 +17,7 @@ import (
 type Mgr struct {
 	obj    *Object
 	pokeCh chan struct{}
-	rot    int // rotation counter for fair tie-breaking among equal-pri guards
+	rot    int // rotation counter for fair tie-breaking among minimum-pri alternatives
 
 	subs   map[*channel.Chan]*subRec
 	subGen uint64 // bumped per prepared guard set; stale subs are swept
@@ -51,10 +51,10 @@ type Mgr struct {
 	dirty atomic.Int32
 	idle  atomic.Int32
 
-	// Reused scan state (manager goroutine only): candidate slice, watch
-	// scratch, and the scratch handles guard predicates and priorities are
-	// evaluated against (nothing is materialized for losing candidates).
-	cands        []candidate
+	// Reused scan state (manager goroutine only): the running tie set,
+	// watch scratch, and the scratch handles guard predicates and priorities
+	// are evaluated against (nothing is materialized for losing candidates).
+	ties         tieSet
 	watchScratch []*entry
 	scratchA     Accepted
 	scratchAw    Awaited
@@ -309,7 +309,7 @@ func (m *Mgr) Accept(entryName string) (*Accepted, error) {
 		}
 		o.drainIntakeLocked()
 		if len(e.attached) > 0 {
-			a := m.commitAcceptLocked(e, e.attached[0])
+			a := m.commitAcceptLocked(e, e.attached[0].s)
 			o.mu.Unlock()
 			o.seqPoint(SeqMgrAccept, e.spec.Name, a.id)
 			return a, nil
@@ -409,7 +409,7 @@ func (m *Mgr) Await(entryName string) (*Awaited, error) {
 		}
 		o.drainIntakeLocked()
 		if len(e.ready) > 0 {
-			aw := m.commitAwaitLocked(e, e.ready[0])
+			aw := m.commitAwaitLocked(e, e.ready[0].s)
 			o.mu.Unlock()
 			o.seqPoint(SeqMgrAwait, e.spec.Name, aw.id)
 			return aw, nil
@@ -594,21 +594,8 @@ func (m *Mgr) Execute(a *Accepted, hidden ...Value) (*Awaited, error) {
 	cr.bodyErr = err
 	o.record(e.spec.Name, s.index, cr.id, trace.Ready)
 	o.record(e.spec.Name, s.index, cr.id, trace.Awaited)
-	aw := &Awaited{
-		m:      m,
-		call:   cr,
-		s:      s,
-		id:     cr.id,
-		Entry:  e.spec.Name,
-		Slot:   s.index,
-		Hidden: cr.hiddenResults,
-		Err:    cr.bodyErr,
-	}
-	if cr.bodyErr == nil {
-		aw.Results = cr.bodyResults[:e.ipResults:e.ipResults]
-	} else if e.ipResults > 0 {
-		aw.Results = make([]Value, e.ipResults)
-	}
+	aw := &Awaited{m: m, call: cr, s: s, id: cr.id, Entry: e.spec.Name, Slot: s.index}
+	cr.fillAwaited(aw, e.ipResults)
 	e.active--
 	switch {
 	case cr.bodyErr != nil:

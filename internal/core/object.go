@@ -429,15 +429,22 @@ func (o *Object) completionLoop() {
 // invokes their callbacks outside it. Only one drainer runs at a time
 // (the dispatcher while it lives, Close after it exits), so the spare
 // buffer needs no further synchronization.
+//
+// The two buffers must never share a backing array while a batch is being
+// walked outside the lock: an empty drain therefore returns before the
+// swap (doneq keeps its own array), and the spare is forgotten the moment
+// it becomes doneq, until the walked batch replaces it.
 func (o *Object) drainCompletions() {
 	for {
 		o.mu.Lock()
 		batch := o.doneq
-		o.doneq = o.doneSpare[:0]
-		o.mu.Unlock()
 		if len(batch) == 0 {
+			o.mu.Unlock()
 			return
 		}
+		o.doneq = o.doneSpare[:0]
+		o.mu.Unlock()
+		o.doneSpare = nil
 		for i := range batch {
 			d := &batch[i]
 			d.fn(d.results, d.err)

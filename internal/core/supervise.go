@@ -422,15 +422,16 @@ func (o *Object) shedOldestLocked(e *entry) bool {
 	}
 	// Attached calls are older than waiting ones (attachment is FIFO), so
 	// prefer the attached slot with the smallest call id.
-	var victim *slot
-	for _, s := range e.attached {
-		if victim == nil || s.call.id < victim.call.id {
-			victim = s
+	var victim *pend
+	for i := range e.attached {
+		if p := &e.attached[i]; victim == nil || p.id < victim.id {
+			victim = p
 		}
 	}
 	if victim != nil {
+		s := victim.s // freeSlotLocked delists: victim's record is overwritten
 		fail(victim.call)
-		o.freeSlotLocked(victim)
+		o.freeSlotLocked(s)
 		return true
 	}
 	if len(e.waitq) > 0 {
@@ -543,7 +544,7 @@ func (o *Object) runWatchdog(cfg WatchdogConfig) {
 
 // oldestPendingLocked finds the oldest pending (waiting or attached, not
 // yet accepted) call across all entries. Waiting queues are FIFO, so only
-// their heads need checking; attached lists are scanned in full (delist
+// their heads need checking; attached indexes are scanned in full (delist
 // breaks their order).
 func (o *Object) oldestPendingLocked(now time.Time) (StallInfo, bool) {
 	var best StallInfo
@@ -564,8 +565,8 @@ func (o *Object) oldestPendingLocked(now time.Time) (StallInfo, bool) {
 		if len(e.waitq) > 0 {
 			consider(e.waitq[0])
 		}
-		for _, s := range e.attached {
-			consider(s.call)
+		for i := range e.attached {
+			consider(e.attached[i].call)
 		}
 	}
 	if found {

@@ -141,3 +141,20 @@ func TestE9ShapeSSTF(t *testing.T) {
 		t.Fatalf("online SSTF travel %d not clearly below FIFO %d:\n%s", online, fifo, out)
 	}
 }
+
+// TestSched16RespectsGuards runs the deep guard-scan fixture briefly: every
+// grant must satisfy its when (free never negative) and its pri (no grant
+// overtakes an older call of its own class), and every caller must wind down.
+func TestSched16RespectsGuards(t *testing.T) {
+	s, err := NewSched16()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := s.Run(20000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad != 0 {
+		t.Fatalf("%d grants drove free negative, %d overtook an older call of their class", s.Negative, s.OutOfOrder)
+	}
+}

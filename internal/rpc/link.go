@@ -160,7 +160,7 @@ func newLink(conn net.Conn, res objectResolver, hooks linkHooks) *link {
 	// Flush the hello eagerly even if no frame ever follows: both sides
 	// read their peer's banner before decoding frames, and a gob-era or
 	// foreign peer should see our protocol announced before we kill its
-	// connection.
+	// connection (readLoop's version-skew path waits for this flush).
 	l.wg.Add(1)
 	go func() {
 		defer l.wg.Done()
@@ -472,7 +472,10 @@ func (l *link) readLoop() {
 	if err := wire.ReadHello(br); err != nil {
 		// Wrap with BOTH sentinels: callers check ErrLinkClosed for
 		// retry/teardown, operators check ErrVersionSkew to tell a
-		// mixed-version cluster from rotten bytes.
+		// mixed-version cluster from rotten bytes. Our own hello goes out
+		// first: its flush runs on another goroutine and would otherwise
+		// race this shutdown, leaving the peer a bare EOF to diagnose.
+		l.flushPending()
 		l.shutdown(fmt.Errorf("%w: %w", ErrLinkClosed, err))
 		return
 	}
