@@ -9,20 +9,16 @@
 //	alpsbench -run E3,E9      # selected experiments
 //	alpsbench -list           # list experiment IDs and titles
 //	alpsbench -format md -o results.md   # markdown, also appended to a file
-//	alpsbench -format json -scale quick -o BENCH.json   # machine-readable
 //
-// JSON mode additionally runs the micro benchmark suite (testing.Benchmark
-// equivalents of bench_test.go) and records ns/op, allocs/op and B/op per
-// case, so checked-in BENCH_*.json baselines can be compared across PRs.
+// Micro benchmarks live in `go test -bench` (root bench_test.go and the
+// owning packages); the gated end-to-end benchmark is bench/ (bench/README.md).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -42,10 +38,8 @@ func run(args []string) error {
 		runIDs    = fs.String("run", "all", "comma-separated experiment IDs (e.g. E1,E3) or 'all'")
 		scaleName = fs.String("scale", "full", "workload scale: quick or full")
 		list      = fs.Bool("list", false, "list experiments and exit")
-		format    = fs.String("format", "text", "output format: text, md or json")
-		outPath   = fs.String("o", "", "also append the output to this file (json: truncate and write only the file)")
-		label     = fs.String("label", "", "free-form label recorded in json output (e.g. baseline, pr2)")
-		noMicro   = fs.Bool("nomicro", false, "json: skip the micro benchmark suite")
+		format    = fs.String("format", "text", "output format: text or md")
+		outPath   = fs.String("o", "", "also append the output to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -82,11 +76,8 @@ func run(args []string) error {
 		}
 	}
 
-	if *format == "json" {
-		return runJSON(selected, scale, *scaleName, *label, *outPath, !*noMicro)
-	}
 	if *format != "text" && *format != "md" {
-		return fmt.Errorf("unknown format %q (want text, md or json)", *format)
+		return fmt.Errorf("unknown format %q (want text or md)", *format)
 	}
 	var out io.Writer = os.Stdout
 	if *outPath != "" {
@@ -120,62 +111,4 @@ func run(args []string) error {
 		fmt.Fprintf(out, "(%s in %v)\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	return nil
-}
-
-// benchJSON is the schema of the checked-in BENCH_*.json baselines.
-type benchJSON struct {
-	Label       string        `json:"label,omitempty"`
-	Scale       string        `json:"scale"`
-	GoVersion   string        `json:"go_version"`
-	Micro       []microResult `json:"micro,omitempty"`
-	Experiments []expJSON     `json:"experiments"`
-}
-
-type expJSON struct {
-	ID      string     `json:"id"`
-	Title   string     `json:"title"`
-	Seconds float64    `json:"seconds"`
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-}
-
-// runJSON runs the micro suite and the selected experiments, then writes
-// one JSON document to outPath (truncating) or stdout. Progress goes to
-// stderr so the JSON stream stays clean.
-func runJSON(selected []experiments.Experiment, scale experiments.Scale, scaleName, label, outPath string, micro bool) error {
-	doc := benchJSON{
-		Label:     label,
-		Scale:     scaleName,
-		GoVersion: runtime.Version(),
-	}
-	if micro {
-		doc.Micro = runMicro(func(name string) {
-			fmt.Fprintf(os.Stderr, "micro %s\n", name)
-		})
-	}
-	for _, e := range selected {
-		fmt.Fprintf(os.Stderr, "experiment %s: %s\n", e.ID, e.Title)
-		start := time.Now()
-		table, err := e.Run(scale)
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		doc.Experiments = append(doc.Experiments, expJSON{
-			ID:      e.ID,
-			Title:   e.Title,
-			Seconds: time.Since(start).Seconds(),
-			Columns: table.Columns,
-			Rows:    table.Cells(),
-		})
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outPath == "" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(outPath, data, 0o644)
 }

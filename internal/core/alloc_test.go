@@ -132,35 +132,6 @@ func TestAllocsGuardLoopCombining(t *testing.T) {
 	}
 }
 
-func TestAllocsAsyncCompletionRecycles(t *testing.T) {
-	// The completion queue is a double buffer: the array a drain walked
-	// becomes the next swap's doneq. One call per run makes every run one
-	// non-empty drain plus the dispatcher's trailing empty one — the
-	// sequence that once aliased the two buffers (TestCallAsyncDrainIdleBurst).
-	// A queue that stopped recycling would allocate a fresh array per drain.
-	o, err := New("X", WithEntry(EntrySpec{Name: "P", Body: func(*Invocation) error { return nil }}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mustClose(t, o)
-	settled := make(chan struct{}, 1)
-	done := func([]Value, error) { settled <- struct{}{} }
-	call := func() {
-		if !o.CallAsync("P", nil, done) {
-			t.Fatal("CallAsync refused")
-		}
-		<-settled
-	}
-	for i := 0; i < 64; i++ { // warm the record pool and both buffers
-		call()
-	}
-	// Steady state is exactly 2: the wait-queue append and the body's
-	// goroutine closure. A third is the completion queue growing afresh.
-	if avg := testing.AllocsPerRun(500, call); avg > 2 {
-		t.Errorf("async call: %.2f allocs/op, want <= 2 (completion buffers not recycled)", avg)
-	}
-}
-
 func TestAllocsDeepScanIsZero(t *testing.T) {
 	// The selection kernel over 1024 attached calls — a when and a computed
 	// pri on every one, intercepted params re-sliced per call, plus a

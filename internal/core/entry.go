@@ -264,10 +264,7 @@ type callRecord struct {
 	params    []Value // caller-supplied regular parameters (ownership transferred)
 	resultCh  chan callResult
 	delivered bool
-	// onDone, when set (CallAsync), routes delivery to the completion
-	// dispatcher instead of resultCh; cleared at delivery and on reuse.
-	onDone func([]Value, error)
-	slot   *slot // nil until attached
+	slot      *slot // nil until attached
 
 	mgrParams     []Value // intercepted prefix handed to the manager at accept
 	hiddenParams  []Value // supplied by the manager at start

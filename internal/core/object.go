@@ -80,17 +80,6 @@ type Object struct {
 	intakeClosed bool
 	intakeSpare  []*callRecord
 
-	// Asynchronous completion (CallAsync): deliverLocked queues settled
-	// async calls here instead of sending to a parked caller, and one
-	// lazily-started dispatcher goroutine invokes the callbacks outside
-	// o.mu. doneSig is allocated at New (capacity 1, coalescing signal);
-	// the dispatcher itself starts on the first CallAsync.
-	doneq        []asyncDone
-	doneSpare    []asyncDone // drained buffer kept for the next swap; dispatcher-only
-	doneSig      chan struct{}
-	dispatching  bool          // dispatcher started; guarded by o.mu
-	dispatchDone chan struct{} // closed when the dispatcher exits
-
 	// seq is the scheduling-decision hook (nil in production; see
 	// Sequencer). Immutable after New.
 	seq Sequencer
@@ -185,7 +174,6 @@ func New(name string, opts ...Option) (*Object, error) {
 		name:     name,
 		entries:  make(map[string]*entry, len(cfg.entries)),
 		closeCh:  make(chan struct{}),
-		doneSig:  make(chan struct{}, 1),
 		rec:      cfg.rec,
 		gate:     cfg.gate && cfg.mgrFn != nil,
 		mgrFn:    cfg.mgrFn,
@@ -357,103 +345,6 @@ func (o *Object) CallCtx(ctx context.Context, name string, params ...Value) ([]V
 	return o.awaitResult(ctx, cr)
 }
 
-// asyncDone is one settled asynchronous call awaiting its callback: the
-// outcome is copied out of the call record at delivery so the record can
-// recycle before the callback runs.
-type asyncDone struct {
-	fn      func([]Value, error)
-	results []Value
-	err     error
-}
-
-// CallAsync submits a call whose completion is delivered by invoking done
-// instead of parking the calling goroutine. It reports false — without
-// submitting — when the entry or the object's current state requires the
-// blocking path: unknown or local entries, intercepted entries (the
-// manager protocol owns their completion order), admission-bounded
-// entries (submission itself can block), journaled or sequenced objects
-// (settlement must wait on durability / the deterministic scheduler), a
-// configured call timeout, or a closed/poisoned object. The caller then
-// falls back to CallCtx, which reproduces the exact error semantics.
-//
-// For accepted calls, done is invoked exactly once, on the object's
-// completion dispatcher, after the entry body finishes (or with ErrClosed
-// if the object shuts down first). done must not block indefinitely: it
-// runs on a goroutine shared by every async caller of this object.
-func (o *Object) CallAsync(name string, params []Value, done func([]Value, error)) bool {
-	e, ok := o.entries[name]
-	if !ok || e.spec.Local || e.intercepted || e.maxPending > 0 ||
-		len(params) != e.spec.Params ||
-		o.journal != nil || o.seq != nil || o.sup.DefaultCallTimeout > 0 {
-		return false
-	}
-	o.mu.Lock()
-	if o.closed || o.poisoned {
-		o.mu.Unlock()
-		return false
-	}
-	if !o.dispatching {
-		o.dispatching = true
-		o.dispatchDone = make(chan struct{})
-		go o.completionLoop()
-	}
-	cr := o.acquireCall(e, params)
-	cr.onDone = done
-	e.calls++
-	o.record(name, -1, cr.id, trace.Arrived)
-	e.waitq = append(e.waitq, cr)
-	o.attachWaitingLocked(e)
-	o.mu.Unlock()
-	o.wakeManager(e)
-	return true
-}
-
-// completionLoop is the object's completion dispatcher: it drains the
-// async-done queue on each signal and exits at close, after a final
-// drain. Deliveries that land between its exit and the end of Close are
-// drained by Close itself.
-func (o *Object) completionLoop() {
-	for {
-		select {
-		case <-o.doneSig:
-			o.drainCompletions()
-		case <-o.closeCh:
-			o.drainCompletions()
-			close(o.dispatchDone)
-			return
-		}
-	}
-}
-
-// drainCompletions swaps the queued completions out under o.mu and
-// invokes their callbacks outside it. Only one drainer runs at a time
-// (the dispatcher while it lives, Close after it exits), so the spare
-// buffer needs no further synchronization.
-//
-// The two buffers must never share a backing array while a batch is being
-// walked outside the lock: an empty drain therefore returns before the
-// swap (doneq keeps its own array), and the spare is forgotten the moment
-// it becomes doneq, until the walked batch replaces it.
-func (o *Object) drainCompletions() {
-	for {
-		o.mu.Lock()
-		batch := o.doneq
-		if len(batch) == 0 {
-			o.mu.Unlock()
-			return
-		}
-		o.doneq = o.doneSpare[:0]
-		o.mu.Unlock()
-		o.doneSpare = nil
-		for i := range batch {
-			d := &batch[i]
-			d.fn(d.results, d.err)
-			*d = asyncDone{} // drop the references for GC
-		}
-		o.doneSpare = batch
-	}
-}
-
 // awaitResult blocks for the call's outcome, honouring cancellation, and
 // drops the caller's reference on the record when done. The uncancellable
 // case (context.Background and friends) skips the two-way select.
@@ -620,7 +511,6 @@ func (o *Object) acquireCall(e *entry, params []Value) *callRecord {
 	cr.entry = e
 	cr.params = params
 	cr.delivered = false
-	cr.onDone = nil
 	cr.slot = nil
 	cr.mgrParams = nil
 	cr.hiddenParams = nil
@@ -832,20 +722,6 @@ func (o *Object) deliverLocked(cr *callRecord, results []Value, err error) {
 		// crash-recovery replay must reapply them in (docs/DURABILITY.md).
 		cr.lsn = o.journal.RecordOutcome(cr.entry.spec.Name, cr.id, cr.params, results, err)
 	}
-	if cr.onDone != nil {
-		// Asynchronous completion: queue the outcome for the dispatcher
-		// instead of a parked caller. The caller's reference drops here —
-		// no awaitResult will — and the outcome is copied out so the
-		// record can recycle before the callback runs.
-		o.doneq = append(o.doneq, asyncDone{fn: cr.onDone, results: results, err: err})
-		cr.onDone = nil
-		cr.release(o)
-		select {
-		case o.doneSig <- struct{}{}:
-		default:
-		}
-		return
-	}
 	cr.resultCh <- callResult{results: results, err: err}
 }
 
@@ -956,14 +832,6 @@ func (o *Object) Close() error {
 			}
 		}
 	}
-	dispatching, dd := o.dispatching, o.dispatchDone
 	o.mu.Unlock()
-	if dispatching {
-		// The dispatcher exits on closeCh after its own final drain;
-		// completions delivered after that (late bodies, the sweep above)
-		// are flushed here, so every async caller hears its callback.
-		<-dd
-		o.drainCompletions()
-	}
 	return nil
 }

@@ -324,6 +324,10 @@ func (o *Object) poison(reason error) {
 	}
 	o.poisoned = true
 	o.poisonErr = perr
+	// Counted before any caller can observe the poison error.
+	if s := o.sup.Metrics; s != nil {
+		s.Poisons.Inc()
+	}
 	o.closeIntakeLocked()
 	for _, name := range o.order {
 		e := o.entries[name]
@@ -349,9 +353,6 @@ func (o *Object) poison(reason error) {
 	o.record("", -1, 0, trace.Poisoned)
 	o.mu.Unlock()
 	o.lifeCancel() // running bodies observe Invocation.Ctx cancellation
-	if s := o.sup.Metrics; s != nil {
-		s.Poisons.Inc()
-	}
 }
 
 // releaseAdmissionWaitersLocked wakes every caller blocked in admission

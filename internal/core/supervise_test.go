@@ -629,8 +629,8 @@ func TestWatchdogDetectsStall(t *testing.T) {
 					Threshold: 20 * time.Millisecond,
 					Interval:  5 * time.Millisecond,
 					OnStall: func(si StallInfo) {
+						info.Store(si) // before the count the test waits on
 						stalls.Add(1)
-						info.Store(si)
 					},
 				},
 			}),

@@ -185,16 +185,6 @@ func (t *Table) AddRow(cells ...any) {
 // Rows returns the number of data rows.
 func (t *Table) Rows() int { return len(t.rows) }
 
-// Cells returns a copy of the formatted data rows, for machine-readable
-// output (cmd/alpsbench -format json).
-func (t *Table) Cells() [][]string {
-	out := make([][]string, len(t.rows))
-	for i, row := range t.rows {
-		out[i] = append([]string(nil), row...)
-	}
-	return out
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Columns))

@@ -226,7 +226,7 @@ type peer struct {
 	matchIndex uint64
 
 	// Pipeline state. inflight counts outstanding frames (bounded by
-	// Config.PipelineWindow); epoch is bumped whenever a frame fails or
+	// pipelineWindow); epoch is bumped whenever a frame fails or
 	// conflicts, so acks for frames sent under an older view cannot
 	// double-apply a rewind. nextIndex advances optimistically at send
 	// time and is rewound by the epoch-guarded nack path — matchIndex
@@ -303,9 +303,19 @@ func (p *peer) requestVote(term uint64, candidate string, lastIdx, lastTerm uint
 	return g, t, nil
 }
 
-// maxBatch bounds entries per AppendEntries frame: catch-up streams in
-// chunks instead of one giant frame.
-const maxBatch = 64
+const (
+	// maxBatch bounds entries per AppendEntries frame: catch-up streams in
+	// chunks instead of one giant frame.
+	maxBatch = 64
+	// combineWindow bounds how many concurrent proposals one combining
+	// round carries into a single append+sync+replicate cycle. FIFO
+	// submission order is preserved.
+	combineWindow = maxBatch
+	// pipelineWindow bounds AppendEntries frames in flight per peer:
+	// follower RTT, leader fsync and frame encode overlap instead of
+	// serializing (1 would be stop-and-wait).
+	pipelineWindow = 4
+)
 
 // loop drives this peer's pipeline; kicked on appends, commit changes,
 // read rounds and the heartbeat tick.
@@ -343,7 +353,7 @@ func (p *peer) pump() {
 		pendingReads := len(r.reads) > 0
 
 		p.mu.Lock()
-		if p.inflight >= r.cfg.PipelineWindow {
+		if p.inflight >= pipelineWindow {
 			p.mu.Unlock()
 			r.mu.Unlock()
 			return

@@ -132,14 +132,6 @@ type Config struct {
 	// no fsync, no per-read replication (docs/REPLICATION.md §9). Nil
 	// routes every call through the log (the pre-PR 9 behaviour).
 	ReadOnly func(entry string) bool
-	// CombineWindow bounds how many concurrent proposals one combining
-	// round may carry into a single append+sync+replicate cycle
-	// (default 64). FIFO submission order is preserved.
-	CombineWindow int
-	// PipelineWindow bounds AppendEntries frames in flight per peer
-	// (default 4): follower RTT, leader fsync and frame encode overlap
-	// instead of serializing. 1 reproduces stop-and-wait.
-	PipelineWindow int
 	// Metrics, when non-nil, accumulates the replication counters
 	// (rpc.Metrics.Repl*): combining ratio, batch sizes, pipeline window
 	// occupancy, ReadIndex rounds.
@@ -163,12 +155,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.SnapshotThreshold <= 0 {
 		c.SnapshotThreshold = 1024
-	}
-	if c.CombineWindow <= 0 {
-		c.CombineWindow = maxBatch
-	}
-	if c.PipelineWindow <= 0 {
-		c.PipelineWindow = 4
 	}
 	if c.Dial == nil {
 		c.Dial = func(addr string) (net.Conn, error) {
@@ -408,8 +394,8 @@ func (r *Replica) combineRounds() {
 			r.propMu.Unlock()
 			return
 		}
-		if n > r.cfg.CombineWindow {
-			n = r.cfg.CombineWindow
+		if n > combineWindow {
+			n = combineWindow
 		}
 		batch = append(batch[:0], r.propQ[:n]...)
 		rest := copy(r.propQ, r.propQ[n:])

@@ -101,7 +101,7 @@ type groupOpts struct {
 	readOnly func(string) bool
 }
 
-func startMember(t *testing.T, nw *simnet.Network, id string, peers map[string]string, seed uint64, o groupOpts) *member {
+func startMember(t testing.TB, nw *simnet.Network, id string, peers map[string]string, seed uint64, o groupOpts) *member {
 	t.Helper()
 	obj := newKV()
 	rep, err := New(Config{
@@ -140,7 +140,7 @@ func startMember(t *testing.T, nw *simnet.Network, id string, peers map[string]s
 	return m
 }
 
-func startGroup(t *testing.T, nw *simnet.Network, ids []string, seed uint64, o groupOpts) []*member {
+func startGroup(t testing.TB, nw *simnet.Network, ids []string, seed uint64, o groupOpts) []*member {
 	t.Helper()
 	peers := make(map[string]string, len(ids))
 	for _, id := range ids {
@@ -188,7 +188,7 @@ func groupClient(t *testing.T, nw *simnet.Network, clientID string, addrs []stri
 	return rem
 }
 
-func waitLeader(t *testing.T, members []*member, patience time.Duration) *member {
+func waitLeader(t testing.TB, members []*member, patience time.Duration) *member {
 	t.Helper()
 	deadline := time.Now().Add(patience)
 	for time.Now().Before(deadline) {

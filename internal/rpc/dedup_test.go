@@ -158,7 +158,7 @@ func TestDuplicateWaitHonorsReplayWait(t *testing.T) {
 
 	nm := &Metrics{}
 	node := NewNodeWith("srv", NodeOptions{ReplayWait: 50 * time.Millisecond, Metrics: nm})
-	if err := node.PublishAs("Slow", obj); err != nil {
+	if err := node.PublishCallable("Slow", obj); err != nil {
 		t.Fatal(err)
 	}
 	addr, err := node.ListenAndServe("127.0.0.1:0")

@@ -48,23 +48,8 @@ const readBufSize = 64 << 10
 // objectResolver resolves object names to callable objects (the node's
 // registry on the serving side; empty on pure clients).
 type objectResolver interface {
-	lookup(name string) (callable, bool)
+	lookup(name string) (Callable, bool)
 	names() []string
-}
-
-// callable is the subset of core.Object the link needs (an interface so
-// tests can stub it).
-type callable interface {
-	CallCtx(ctx context.Context, entry string, params ...any) ([]any, error)
-}
-
-// asyncCallable is the optional fast-path surface of a published object:
-// core.Object implements it for plain (non-intercepted, unbounded,
-// unjournaled) entries. The read loop submits such calls directly and the
-// response is sent from the object's completion dispatcher — no serve
-// goroutine spawned, no goroutine parked per in-flight request.
-type asyncCallable interface {
-	CallAsync(entry string, params []any, done func([]any, error)) bool
 }
 
 // linkHooks are the owner-supplied callbacks of a link: a node wires in
@@ -505,15 +490,11 @@ func (l *link) readLoop() {
 		case frameRequest:
 			req := f
 			f = getFrame()
-			if l.serveInline(req) {
-				// Submitted straight into the object; the response will be
-				// sent from its completion dispatcher and the frame is now
-				// owned by that path.
-				continue
-			}
-			// Blocking path, on a detached goroutine: the drain gate (hooks
-			// begin/end) already accounts in-flight work for Node.Close,
-			// and link teardown must not wait out a long-running body.
+			// One detached goroutine per request (the paper's light-weight
+			// process per call, parked until the manager finishes it): the
+			// drain gate (hooks begin/end) already accounts in-flight work
+			// for Node.Close, and link teardown must not wait out a
+			// long-running body.
 			go func() {
 				l.serveRequest(req)
 				putFrame(req)
@@ -588,7 +569,7 @@ func (l *link) serveRequest(f *frame) {
 		defer l.hooks.end()
 	}
 
-	var obj callable
+	var obj Callable
 	ok := false
 	if l.res != nil {
 		obj, ok = l.res.lookup(f.Object)
@@ -736,153 +717,6 @@ func (l *link) replayDuplicate(id uint64, objName, entryName, client string, seq
 		_ = l.send(&resp)
 	case <-l.done:
 	}
-}
-
-// serveInline is the zero-goroutine request path: when the published
-// object supports asynchronous completion, the read loop submits the call
-// directly and the response is sent by the object's completion
-// dispatcher. It reports false — before taking the drain gate or touching
-// the dedup table — when the request needs the blocking path: durability
-// configured, unknown objects, objects without CallAsync. Returning true
-// transfers ownership of f: serveInline (or the work it spawned) recycles
-// the frame.
-func (l *link) serveInline(f *frame) bool {
-	if l.hooks.durable != nil || l.res == nil {
-		return false
-	}
-	obj, ok := l.res.lookup(f.Object)
-	if !ok {
-		return false
-	}
-	ac, isAsync := obj.(asyncCallable)
-	if !isAsync {
-		return false
-	}
-	if l.hooks.begin != nil && !l.hooks.begin() {
-		return false // draining: the blocking path re-checks and rejects
-	}
-	// The drain gate is held from here on: every path below must reach
-	// endServe exactly once, so falling back to serveRequest — which would
-	// take the gate a second time — is no longer an option.
-	id, objName, entryName := f.ID, f.Object, f.Entry
-	client, seq := f.Client, f.Seq
-	var entry *dedupEntry
-	if client != "" && l.hooks.dedup != nil {
-		var primary bool
-		entry, primary = l.hooks.dedup.begin(dedupKey{client, seq})
-		if !primary {
-			// Replays can block on the primary: their own goroutine. The
-			// frame is done — everything the wait needs is copied above.
-			putFrame(f)
-			go func() {
-				defer l.endServe()
-				l.replayDuplicate(id, objName, entryName, client, seq, entry)
-			}()
-			return true
-		}
-	}
-	params := l.resolveParams(f.Params)
-	done := func(results []any, err error) {
-		l.finishServe(id, client, seq, entry, results, err)
-		putFrame(f) // params (aliasing f) are dead once the body finished
-		l.endServe()
-	}
-	if ac.CallAsync(entryName, params, done) {
-		return true
-	}
-	// The object declined (intercepted entry, admission bound, journal,
-	// sequencer, closing): execute on the blocking path, with the gate and
-	// the dedup entry already held.
-	go func() {
-		defer l.endServe()
-		ctx := l.ctx
-		if entry != nil && l.hooks.serveCtx != nil {
-			ctx = l.hooks.serveCtx
-		}
-		results, err := obj.CallCtx(ctx, entryName, params...)
-		l.finishServe(id, client, seq, entry, results, err)
-		putFrame(f)
-	}()
-	return true
-}
-
-func (l *link) endServe() {
-	if l.hooks.end != nil {
-		l.hooks.end()
-	}
-}
-
-// finishServe turns a call outcome into the response frame: error
-// encoding and metrics, the at-most-once record for replays, then the
-// send — non-blocking first, since this runs on the object's shared
-// completion dispatcher, with a goroutine fallback when the link is
-// backpressured.
-func (l *link) finishServe(id uint64, client string, seq uint64, entry *dedupEntry, results []any, err error) {
-	r := frame{Kind: frameResponse, ID: id, Results: results}
-	if err != nil {
-		r.Results = nil
-		r.Err, r.ErrKind = encodeErr(err)
-		if m := l.hooks.metrics; m != nil {
-			switch r.ErrKind {
-			case errOverload:
-				m.Overloads.Inc()
-			case errPoisoned:
-				m.Poisons.Inc()
-			}
-		}
-	}
-	if entry != nil {
-		// Record the outcome even if the arrival link is already dead: the
-		// retry that replaces it replays from here — except not-leader
-		// rejections, which must not be pinned against the retried seq.
-		if r.ErrKind == errNotLeader {
-			l.hooks.dedup.forget(dedupKey{client, seq}, entry, r.Results, r.Err, r.ErrKind)
-		} else {
-			l.hooks.dedup.complete(dedupKey{client, seq}, entry, r.Results, r.Err, r.ErrKind)
-		}
-	}
-	if !l.trySendResponse(&r) {
-		go l.sendResponse(&r)
-	}
-}
-
-// trySendResponse queues r without ever blocking the caller: no
-// backpressure wait and no combining — one wedged peer must not stall the
-// completion dispatcher for every other caller of the object. It reports
-// false (frame not queued) when the queue is over budget or the frame
-// fails to encode; the caller retries on the blocking path. When the
-// append leaves no combiner active, a flusher goroutine is kicked — under
-// load a combiner is almost always draining, so the spawn is rare.
-func (l *link) trySendResponse(r *frame) bool {
-	buf := wire.GetBuf()
-	b, err := wire.AppendFrame(*buf, r, l.table)
-	if err != nil {
-		wire.PutBuf(buf)
-		return false // sendResponse downgrades to an encodable error frame
-	}
-	*buf = b
-	l.wmu.Lock()
-	if l.closedLocked() {
-		l.wmu.Unlock()
-		wire.PutBuf(buf)
-		return true // link dead: the response is undeliverable either way
-	}
-	if len(l.wbuf) >= maxQueued && l.writing {
-		l.wmu.Unlock()
-		wire.PutBuf(buf)
-		return false
-	}
-	l.wbuf = append(l.wbuf, b...)
-	if m := l.hooks.metrics; m != nil {
-		m.FramesSent.Inc()
-	}
-	writing := l.writing
-	l.wmu.Unlock()
-	wire.PutBuf(buf)
-	if !writing {
-		go l.flushQueued()
-	}
-	return true
 }
 
 func (l *link) closeReason() error {

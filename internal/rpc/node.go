@@ -31,7 +31,7 @@ type Node struct {
 	cancel context.CancelFunc
 
 	mu      sync.Mutex
-	objects map[string]callable
+	objects map[string]Callable
 	links   map[*link]struct{}
 	lis     net.Listener
 	closed  bool
@@ -39,7 +39,7 @@ type Node struct {
 	// objSnap is a copy-on-write snapshot of objects, rebuilt by publish.
 	// lookup runs once per request and reads the snapshot without taking
 	// n.mu, so the serve hot path never contends with accept/publish.
-	objSnap atomic.Pointer[map[string]callable]
+	objSnap atomic.Pointer[map[string]Callable]
 
 	draining atomic.Bool
 	inflight atomic.Int64
@@ -61,7 +61,7 @@ func NewNodeWith(name string, opts NodeOptions) *Node {
 		dedup:   newDedupCache(opts.DedupCap),
 		ctx:     ctx,
 		cancel:  cancel,
-		objects: make(map[string]callable),
+		objects: make(map[string]Callable),
 		links:   make(map[*link]struct{}),
 	}
 	if st := opts.Durable; st != nil {
@@ -105,13 +105,7 @@ func (n *Node) PublishCallable(name string, c Callable) error {
 	return n.publish(name, c)
 }
 
-// PublishAs makes any callable available under an explicit name (used for
-// wrapped objects and in tests).
-func (n *Node) PublishAs(name string, obj callable) error {
-	return n.publish(name, obj)
-}
-
-func (n *Node) publish(name string, obj callable) error {
+func (n *Node) publish(name string, obj Callable) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
@@ -121,7 +115,7 @@ func (n *Node) publish(name string, obj callable) error {
 		return fmt.Errorf("node %s: object %q already published", n.name, name)
 	}
 	n.objects[name] = obj
-	snap := make(map[string]callable, len(n.objects))
+	snap := make(map[string]Callable, len(n.objects))
 	for k, v := range n.objects {
 		snap[k] = v
 	}
@@ -259,7 +253,7 @@ func (n *Node) Close() {
 func (n *Node) Inflight() int64 { return n.inflight.Load() }
 
 // lookup implements objectResolver.
-func (n *Node) lookup(name string) (callable, bool) {
+func (n *Node) lookup(name string) (Callable, bool) {
 	snap := n.objSnap.Load()
 	if snap == nil {
 		return nil, false

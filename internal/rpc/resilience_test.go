@@ -16,11 +16,11 @@ import (
 
 // startSimNode publishes obj on a fresh simnet node named "srv" and
 // returns the network and node.
-func startSimNode(t *testing.T, cfg simnet.Config, obj callable, name string, nopts NodeOptions) (*simnet.Network, *Node) {
+func startSimNode(t *testing.T, cfg simnet.Config, obj Callable, name string, nopts NodeOptions) (*simnet.Network, *Node) {
 	t.Helper()
 	network := simnet.New(cfg)
 	node := NewNodeWith("srv", nopts)
-	if err := node.PublishAs(name, obj); err != nil {
+	if err := node.PublishCallable(name, obj); err != nil {
 		t.Fatal(err)
 	}
 	lis, err := network.Listen("srv")
@@ -241,7 +241,7 @@ func TestDrainGraceLetsInflightFinish(t *testing.T) {
 	defer obj.Close()
 
 	node := NewNodeWith("drain", NodeOptions{DrainGrace: 5 * time.Second})
-	if err := node.PublishAs("Slow", obj); err != nil {
+	if err := node.PublishCallable("Slow", obj); err != nil {
 		t.Fatal(err)
 	}
 	addr, err := node.ListenAndServe("127.0.0.1:0")
@@ -302,7 +302,7 @@ func TestDrainRejectsNewCalls(t *testing.T) {
 
 	metrics := &Metrics{}
 	node := NewNodeWith("drain2", NodeOptions{DrainGrace: 5 * time.Second, Metrics: metrics})
-	if err := node.PublishAs("Slow", obj); err != nil {
+	if err := node.PublishCallable("Slow", obj); err != nil {
 		t.Fatal(err)
 	}
 	addr, err := node.ListenAndServe("127.0.0.1:0")
