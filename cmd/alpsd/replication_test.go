@@ -3,12 +3,14 @@ package main
 import (
 	"fmt"
 	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	alps "repro"
 	"repro/internal/rpc"
+	"repro/internal/testutil"
 )
 
 // reservePorts grabs n distinct loopback ports by binding and releasing
@@ -117,6 +119,110 @@ func TestReplicationFlagValidation(t *testing.T) {
 		if err == nil {
 			srv.Close()
 			t.Errorf("newServer(%v) accepted a broken replication config", args)
+		}
+	}
+}
+
+// TestReplicaMemberRestartsPastStoreSnapshots: three members with data
+// dirs and -snapshot-every 64, enough writes that every store snapshots and
+// prunes several times, then one follower is stopped cleanly and started
+// again with -join over the same directory. Its consensus state must come
+// back from the store's checkpoint plus the records above it (before PR 18
+// the restart died with "append@N leaves a gap after 0": the snapshot had
+// pruned records no checkpoint covered), and it must rejoin and serve every
+// acknowledged write.
+func TestReplicaMemberRestartsPastStoreSnapshots(t *testing.T) {
+	addrs := reservePorts(t, 3)
+	ids := []string{"A", "B", "C"}
+	var peerParts []string
+	for i, id := range ids {
+		peerParts = append(peerParts, fmt.Sprintf("%s=%s", id, addrs[i]))
+	}
+	peers := strings.Join(peerParts, ",")
+	dirs := map[string]string{}
+	args := func(i int, extra ...string) []string {
+		return append([]string{
+			"-addr", addrs[i], "-name", ids[i],
+			"-replica-id", ids[i], "-peers", peers,
+			"-data-dir", dirs[ids[i]], "-snapshot-every", "64",
+			"-search-cost", "0s",
+		}, extra...)
+	}
+	// A peer dialing a reserved-but-not-yet-bound loopback port can
+	// self-connect and hold it for a moment; retry the bind.
+	boot := func(args []string) *server {
+		t.Helper()
+		for tries := 0; ; tries++ {
+			srv, _, err := newServer(args)
+			if err == nil {
+				t.Cleanup(srv.Close)
+				return srv
+			}
+			if tries == 40 || !strings.Contains(err.Error(), "address already in use") {
+				t.Fatalf("newServer%v: %v", args, err)
+			}
+			time.Sleep(25 * time.Millisecond)
+		}
+	}
+	servers := make(map[string]*server, 3)
+	for i, id := range ids {
+		dirs[id] = t.TempDir()
+		servers[id] = boot(args(i))
+	}
+	rem, err := rpc.DialMulti(addrs, rpc.DialOptions{
+		ClientID: "restart-test",
+		Retry: rpc.RetryPolicy{
+			Max:            200,
+			Backoff:        time.Millisecond,
+			MaxBackoff:     25 * time.Millisecond,
+			AttemptTimeout: time.Second,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rem.Close()
+	const writes = 400
+	last := map[string]string{} // every acknowledged key's final value
+	put := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			k, v := fmt.Sprintf("k%d", i%16), fmt.Sprintf("v%d", i)
+			if _, err := rem.Call("Registry", "Put", k, v); err != nil {
+				t.Fatalf("Put %d: %v", i, err)
+			}
+			last[k] = v
+		}
+	}
+	put(0, writes)
+
+	victim := -1
+	for i, id := range ids {
+		if role, _, _ := servers[id].rep.Status(); role != alps.ReplicaLeader {
+			victim = i
+			break
+		}
+	}
+	id := ids[victim]
+	if snaps, _ := filepath.Glob(filepath.Join(dirs[id], "snap-*.db")); len(snaps) == 0 {
+		t.Fatalf("member %s took no store snapshot in %d writes; the restart would not cross one", id, writes)
+	}
+	_, preTerm, _ := servers[id].rep.Status()
+	servers[id].Close()
+	put(writes, writes+50)
+
+	srv := boot(args(victim, "-join"))
+	if _, term, _ := srv.rep.Status(); term < preTerm {
+		t.Fatalf("%s restarted at term %d, below the term %d it held when stopped", id, term, preTerm)
+	}
+	testutil.WaitUntil(t, id+" to apply every acknowledged write after rejoining", func() bool { return srv.rep.Applied() >= writes+50 })
+	for k, want := range last {
+		res, err := srv.reg.Call("Get", k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0] != want {
+			t.Fatalf("restarted member holds %s = %v, want %q", k, res[0], want)
 		}
 	}
 }

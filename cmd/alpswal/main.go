@@ -4,13 +4,19 @@
 // divergence, the journals are the ground truth for which node executed,
 // extracted, installed or forgot what, and in which order.
 //
+// The dump never edits the evidence: wal.Open repairs what it opens (cuts a
+// torn tail, deletes stray snapshots, creates a segment), so it runs on a
+// private copy of DIR's segments and snapshots, removed on exit.
+//
 //	alpswal [-grep substr] DIR
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/wal"
@@ -23,25 +29,57 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: alpswal [-grep substr] DIR")
 		os.Exit(2)
 	}
-	log, recovered, err := wal.Open(flag.Arg(0), wal.Options{})
-	if err != nil {
+	if err := dump(os.Stdout, flag.Arg(0), *grep); err != nil {
 		fmt.Fprintf(os.Stderr, "alpswal: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+func dump(w io.Writer, dir, grep string) error {
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	scratch, err := os.MkdirTemp("", "alpswal-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(scratch)
+	for _, f := range files {
+		if ext := filepath.Ext(f.Name()); ext != ".log" && ext != ".db" {
+			continue // not a segment or a published snapshot
+		}
+		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(scratch, f.Name()), data, 0o600)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	log, recovered, err := wal.Open(scratch, wal.Options{})
+	if err != nil {
+		return err
+	}
 	defer log.Close()
-	if recovered.Snapshot != nil {
-		fmt.Printf("# snapshot floor lsn=%d\n", recovered.Snapshot.LSN)
+	if snap := recovered.Snapshot; snap != nil {
+		sizes := make(map[string]int, len(snap.Objects)) // fmt prints maps in key order
+		for name, blob := range snap.Objects {
+			sizes[name] = len(blob)
+		}
+		fmt.Fprintf(w, "# snapshot floor lsn=%d dedup=%d participant blob bytes=%v\n", snap.LSN, len(snap.Dedup), sizes)
 	}
 	if recovered.TornBytes > 0 {
-		fmt.Printf("# torn tail: %d bytes truncated\n", recovered.TornBytes)
+		fmt.Fprintf(w, "# torn tail: %d bytes (left in place)\n", recovered.TornBytes)
 	}
 	for _, rec := range recovered.Records {
 		line := render(rec)
-		if *grep != "" && !strings.Contains(line, *grep) {
+		if grep != "" && !strings.Contains(line, grep) {
 			continue
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 	}
+	return nil
 }
 
 func render(rec *wal.Record) string {

@@ -73,10 +73,8 @@ func (c *control) requestVote(params []any) ([]any, error) {
 	}
 	curTerm := r.term
 	r.mu.Unlock()
-	if lsn != 0 {
-		if err := r.waitSynced(lsn); err != nil {
-			return nil, fmt.Errorf("replica: RequestVote: persist: %w", err)
-		}
+	if err := r.waitSynced(lsn); err != nil {
+		return nil, fmt.Errorf("replica: RequestVote: persist: %w", err)
 	}
 	if grant {
 		r.logf("granted vote to %s for t%d", candidate, term)
@@ -150,16 +148,7 @@ func (c *control) appendEntries(params []any) ([]any, error) {
 	if prev < r.snapIndex {
 		trim := r.snapIndex - prev
 		if trim >= uint64(len(entries)) {
-			reply := []any{r.term, true, uint64(0)}
-			var lsn uint64
-			if stateDirty {
-				lsn = r.persistStateLocked()
-			}
-			r.mu.Unlock()
-			if lsn != 0 {
-				_ = r.waitSynced(lsn)
-			}
-			return reply, nil
+			return r.replyLocked(stateDirty, r.term, true, uint64(0))
 		}
 		entries = entries[trim:]
 		prev = r.snapIndex
@@ -168,16 +157,7 @@ func (c *control) appendEntries(params []any) ([]any, error) {
 	if prev > r.lastIndex() {
 		// We are missing everything before this batch: tell the leader
 		// where our log ends so it backs off in one hop.
-		reply := []any{r.term, false, r.lastIndex() + 1}
-		var lsn uint64
-		if stateDirty {
-			lsn = r.persistStateLocked()
-		}
-		r.mu.Unlock()
-		if lsn != 0 {
-			_ = r.waitSynced(lsn)
-		}
-		return reply, nil
+		return r.replyLocked(stateDirty, r.term, false, r.lastIndex()+1)
 	}
 	if t, ok := r.termAt(prev); !ok || t != prevTerm {
 		// Conflict at prev: hint the first index of the conflicting term
@@ -192,16 +172,7 @@ func (c *control) appendEntries(params []any) ([]any, error) {
 				conflict--
 			}
 		}
-		reply := []any{r.term, false, conflict}
-		var lsn uint64
-		if stateDirty {
-			lsn = r.persistStateLocked()
-		}
-		r.mu.Unlock()
-		if lsn != 0 {
-			_ = r.waitSynced(lsn)
-		}
-		return reply, nil
+		return r.replyLocked(stateDirty, r.term, false, conflict)
 	}
 
 	var lastLSN uint64
@@ -217,7 +188,7 @@ func (c *control) appendEntries(params []any) ([]any, error) {
 			// Conflicting suffix: ours loses. Persist the truncation so
 			// recovery rebuilds the same log shape, and fail any local
 			// waiters parked on the overwritten proposals.
-			lastLSN = r.persistTruncateLocked(idx)
+			lastLSN = r.persistLocked(subTruncate, idx)
 			r.truncateFromLocked(idx)
 		}
 		at := r.appendLocalLocked(e)
@@ -235,12 +206,22 @@ func (c *control) appendEntries(params []any) ([]any, error) {
 	}
 	curTerm := r.term
 	r.mu.Unlock()
-	if lastLSN != 0 {
-		if err := r.waitSynced(lastLSN); err != nil {
-			return nil, fmt.Errorf("replica: AppendEntries: persist: %w", err)
-		}
+	if err := r.waitSynced(lastLSN); err != nil {
+		return nil, fmt.Errorf("replica: AppendEntries: persist: %w", err)
 	}
 	return []any{curTerm, true, uint64(0)}, nil
+}
+
+// replyLocked answers an AppendEntries that appends nothing: release r.mu
+// and, when the frame raised our term, make that durable first.
+func (r *Replica) replyLocked(stateDirty bool, reply ...any) ([]any, error) {
+	var lsn uint64
+	if stateDirty {
+		lsn = r.persistStateLocked()
+	}
+	r.mu.Unlock()
+	_ = r.waitSynced(lsn)
+	return reply, nil
 }
 
 // heartbeat: params [term, leaderID, confirm], reply [term, ok, confirm].
@@ -282,12 +263,10 @@ func (c *control) heartbeat(params []any) ([]any, error) {
 	}
 	curTerm := r.term
 	r.mu.Unlock()
-	if lsn != 0 {
-		// The term bump is a promise (no votes below it); sync it before
-		// the reply leaves, like every other consensus acknowledgement.
-		if err := r.waitSynced(lsn); err != nil {
-			return nil, fmt.Errorf("replica: Heartbeat: persist: %w", err)
-		}
+	// The term bump is a promise (no votes below it); sync it before the
+	// reply leaves, like every other consensus acknowledgement.
+	if err := r.waitSynced(lsn); err != nil {
+		return nil, fmt.Errorf("replica: Heartbeat: persist: %w", err)
 	}
 	return []any{curTerm, true, confirm}, nil
 }
@@ -305,7 +284,7 @@ func (c *control) installSnapshot(params []any) ([]any, error) {
 	if err = firstErr(err, err2, err3, err4, err5); err != nil {
 		return nil, fmt.Errorf("replica: InstallSnapshot: %w", err)
 	}
-	snap, err := decodeSnapshot(blob)
+	snap, err := decodeGob[snapshotPayload](blob)
 	if err != nil {
 		return nil, fmt.Errorf("replica: InstallSnapshot: %w", err)
 	}
@@ -345,17 +324,15 @@ func (c *control) installSnapshot(params []any) ([]any, error) {
 	r.snapIndex, r.snapTerm, r.snapBlob = lastIdx, lastTerm, blob
 	r.commitIndex = lastIdx
 	r.pendingSnap = snap
-	lsn := r.persistSnapshotLocked(lastIdx, lastTerm, blob)
+	lsn := r.persistLocked(subSnapshot, lastIdx, lastTerm, blob)
 	if stateDirty {
 		lsn = r.persistStateLocked()
 	}
 	curTerm := r.term
 	r.applyCond.Signal()
 	r.mu.Unlock()
-	if lsn != 0 {
-		if err := r.waitSynced(lsn); err != nil {
-			return nil, fmt.Errorf("replica: InstallSnapshot: persist: %w", err)
-		}
+	if err := r.waitSynced(lsn); err != nil {
+		return nil, fmt.Errorf("replica: InstallSnapshot: persist: %w", err)
 	}
 	r.logf("accepted snapshot through %d/t%d from %s", lastIdx, lastTerm, leader)
 	return []any{curTerm}, nil

@@ -159,9 +159,7 @@ func (r *Replica) observeTerm(t uint64) {
 		lsn = r.persistStateLocked()
 	}
 	r.mu.Unlock()
-	if lsn != 0 {
-		_ = r.waitSynced(lsn)
-	}
+	_ = r.waitSynced(lsn)
 }
 
 // kickPeers nudges every replication pump: new entries to ship, a commit

@@ -18,10 +18,11 @@
 //     response at apply time, in log order, so a call retried against a
 //     NEW leader after a failover replays the recorded response instead of
 //     re-executing the entry body — exactly-once across the failover.
-//   - Each member's consensus state (term, vote, log, snapshot floors) is
-//     durable through the same wal.Store that journals objects and acks
-//     (wal.KindReplica records), so a kill -9'd member recovers its
-//     promises before rejoining.
+//   - Each member's consensus state (term, vote, log, snapshot floor) is
+//     durable through the same wal.Store that journals objects and acks,
+//     under the same contract — the group is a store participant named
+//     ControlName(group), storage.go — so a kill -9'd member recovers its
+//     promises before rejoining, however often the store pruned in between.
 //
 // Scheduling note: commits are applied to the live object SEQUENTIALLY, in
 // log order, which is what makes per-key FIFO trivial across a failover.
@@ -211,8 +212,9 @@ type readWait struct {
 // CallSession for deduplicated ones; Publish registers both plus the
 // consensus control endpoint.
 type Replica struct {
-	cfg Config
-	obj rpc.Callable
+	cfg     Config
+	obj     rpc.Callable
+	journal *wal.ObjectJournal // the group's seat in cfg.Store; nil when in-memory
 
 	mu       sync.Mutex
 	role     Role
@@ -444,7 +446,12 @@ func (r *Replica) commitRound(batch []proposal) {
 		r.waiters[idx] = append(r.waiters[idx], waiter{term: term, ch: batch[i].ch})
 	}
 	last := r.lastIndex()
-	lsn := r.persistAppendsLocked(first, r.log[first-r.snapIndex-1:])
+	var lsn uint64 // the run's highest: one WaitSynced, one group-committed fsync
+	for idx := first; idx <= last; idx++ {
+		if l := r.persistAppendLocked(idx, r.log[idx-r.snapIndex-1]); l != 0 {
+			lsn = l
+		}
+	}
 	r.mu.Unlock()
 
 	if err := r.waitSynced(lsn); err != nil {
@@ -770,7 +777,8 @@ func (r *Replica) installSnapshot(snap *snapshotPayload) {
 
 // compact takes a state snapshot at the applied frontier and drops the log
 // prefix it covers. The blob is retained for InstallSnapshot catch-up of
-// stragglers and journaled so recovery starts from it.
+// stragglers; it reaches disk with the group's next checkpoint, not as a
+// log record (storage.go).
 func (r *Replica) compact() {
 	state, err := r.cfg.Snapshot()
 	if err != nil {
@@ -787,7 +795,7 @@ func (r *Replica) compact() {
 		return
 	}
 	lastTerm, _ := r.termAt(last)
-	blob, err := encodeSnapshot(&snapshotPayload{
+	blob, err := encodeGob(&snapshotPayload{
 		LastIndex: last, LastTerm: lastTerm, State: state, Sessions: sessions,
 	})
 	if err != nil {
@@ -797,11 +805,7 @@ func (r *Replica) compact() {
 	}
 	r.log = append([]entry(nil), r.log[last-r.snapIndex:]...)
 	r.snapIndex, r.snapTerm, r.snapBlob = last, lastTerm, blob
-	lsn := r.persistSnapshotLocked(last, lastTerm, blob)
 	r.mu.Unlock()
-	if err := r.waitSynced(lsn); err != nil {
-		r.logf("snapshot sync: %v", err)
-	}
 	r.logf("compacted log through index %d", last)
 }
 

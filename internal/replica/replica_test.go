@@ -99,6 +99,7 @@ type groupOpts struct {
 	thresh   int // SnapshotThreshold; 0 = default
 	metrics  *rpc.Metrics
 	readOnly func(string) bool
+	logf     func(format string, args ...any)
 }
 
 func startMember(t testing.TB, nw *simnet.Network, id string, peers map[string]string, seed uint64, o groupOpts) *member {
@@ -119,6 +120,7 @@ func startMember(t testing.TB, nw *simnet.Network, id string, peers map[string]s
 		Restore:           obj.restore,
 		Metrics:           o.metrics,
 		ReadOnly:          o.readOnly,
+		Logf:              o.logf,
 	}, obj)
 	if err != nil {
 		t.Fatal(err)

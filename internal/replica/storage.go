@@ -8,24 +8,22 @@ import (
 	"repro/internal/wal"
 )
 
-// Consensus state rides the node's existing write-ahead log as
-// wal.KindReplica records, reusing the Record vocabulary instead of
-// inventing a sidecar file format: Object names the group, Entry the
-// sub-kind, Seq carries a term, CallID a log index. One wal.Store serves
-// the object journals, the ack ledger AND the consensus log, so a single
-// group-committed sync covers all three.
+// A group is an ordinary participant of the node's wal.Store, under its
+// control name: Append to journal, a checkpoint in every store snapshot,
+// Recover on restart — the contract a journaled object honours
+// (docs/REPLICATION.md §4). One store serves the object journals, the ack
+// ledger AND the consensus log, so one group-committed sync covers all
+// three, and pruning below a snapshot floor is safe: the checkpoint covers it.
 //
-// Sub-kinds:
+// Record vocabulary (entry = sub-kind):
 //
-//	"state"    — hard state: Seq=term, Client=votedFor
-//	"append"   — log entry at CallID: Seq=term,
-//	             Params=[entryName, client, seq, params]
-//	"truncate" — conflict truncation: entries >= CallID are dead
-//	"snapshot" — compaction floor: CallID=lastIndex, Seq=lastTerm,
-//	             Params=[blob]
-//
-// Recovery folds the records in LSN order, which replays exactly the
-// append/truncate/snapshot history the previous incarnation performed.
+//	"state"    — hard state: [term, votedFor]
+//	"append"   — log entry: [idx, term, entryName, client, seq, params]
+//	"truncate" — conflict truncation, entries >= idx are dead: [idx]
+//	"snapshot" — an InstallSnapshot replaced the log: [lastIdx, lastTerm,
+//	             blob]. Local compaction writes NO record: the next
+//	             checkpoint carries the floor; until then recovery replays
+//	             the longer log.
 const (
 	subState    = "state"
 	subAppend   = "append"
@@ -33,91 +31,42 @@ const (
 	subSnapshot = "snapshot"
 )
 
-// persistStateLocked journals term+vote; r.mu held. Returns the LSN to
-// sync through (0 when the member is in-memory only).
-func (r *Replica) persistStateLocked() uint64 {
-	if r.cfg.Store == nil {
+// checkpoint is the group's contribution to a store snapshot: everything
+// fold would rebuild from the records at or below the snapshot's floor.
+type checkpoint struct {
+	Term, SnapIndex, SnapTerm uint64
+	Vote                      string
+	SnapBlob                  []byte
+	Log                       []entry
+}
+
+// persistLocked journals one consensus record; r.mu held, so journal order
+// is the order the state changed. Returns the LSN to sync through — 0 when
+// in-memory only or the append failed (logged; the member keeps running
+// degraded rather than wedging the group).
+func (r *Replica) persistLocked(sub string, params ...any) uint64 {
+	if r.journal == nil {
 		return 0
 	}
-	lsn, err := r.cfg.Store.AppendReplica(&wal.Record{
-		Object: r.cfg.Group, Entry: subState, Seq: r.term, Client: r.votedFor,
-	})
+	lsn, err := r.journal.Append(sub, params)
 	if err != nil {
-		r.logf("persist state: %v", err)
+		r.logf("persist %s: %v", sub, err)
 		return 0
 	}
 	return lsn
+}
+
+func (r *Replica) persistStateLocked() uint64 {
+	return r.persistLocked(subState, r.term, r.votedFor)
 }
 
 func (r *Replica) persistAppendLocked(idx uint64, e entry) uint64 {
-	if r.cfg.Store == nil {
-		return 0
-	}
-	params := e.Params
-	if params == nil {
-		params = []any{}
-	}
-	lsn, err := r.cfg.Store.AppendReplica(&wal.Record{
-		Object: r.cfg.Group, Entry: subAppend, Seq: e.Term, CallID: idx,
-		Params: []any{e.Entry, e.Client, e.Seq, params},
-	})
-	if err != nil {
-		r.logf("persist append %d: %v", idx, err)
-		return 0
-	}
-	return lsn
-}
-
-// persistAppendsLocked journals a combined round's run of entries
-// starting at first, returning the highest LSN that must be synced before
-// the round is acknowledged. One WaitSynced on the returned LSN covers
-// the whole run — the wal's group commit turns the window's appends into
-// a single fsync, which is the cost model the proposal combiner banks on.
-func (r *Replica) persistAppendsLocked(first uint64, entries []entry) uint64 {
-	if r.cfg.Store == nil {
-		return 0
-	}
-	var last uint64
-	for i := range entries {
-		if lsn := r.persistAppendLocked(first+uint64(i), entries[i]); lsn != 0 {
-			last = lsn
-		}
-	}
-	return last
-}
-
-func (r *Replica) persistTruncateLocked(fromIdx uint64) uint64 {
-	if r.cfg.Store == nil {
-		return 0
-	}
-	lsn, err := r.cfg.Store.AppendReplica(&wal.Record{
-		Object: r.cfg.Group, Entry: subTruncate, CallID: fromIdx,
-	})
-	if err != nil {
-		r.logf("persist truncate %d: %v", fromIdx, err)
-		return 0
-	}
-	return lsn
-}
-
-func (r *Replica) persistSnapshotLocked(lastIdx, lastTerm uint64, blob []byte) uint64 {
-	if r.cfg.Store == nil {
-		return 0
-	}
-	lsn, err := r.cfg.Store.AppendReplica(&wal.Record{
-		Object: r.cfg.Group, Entry: subSnapshot, Seq: lastTerm, CallID: lastIdx,
-		Params: []any{blob},
-	})
-	if err != nil {
-		r.logf("persist snapshot %d: %v", lastIdx, err)
-		return 0
-	}
-	return lsn
+	f := encodeEntry(e)
+	return r.persistLocked(subAppend, idx, f[0], f[1], f[2], f[3], f[4])
 }
 
 // waitSynced blocks until lsn is on stable storage (no-op when in-memory
-// or when the append already failed and returned 0 — the error was logged
-// and the member keeps running degraded rather than wedging the group).
+// or when the append already failed and returned 0).
 func (r *Replica) waitSynced(lsn uint64) error {
 	if r.cfg.Store == nil || lsn == 0 {
 		return nil
@@ -125,79 +74,33 @@ func (r *Replica) waitSynced(lsn uint64) error {
 	return r.cfg.Store.WaitSynced(lsn)
 }
 
-// recover folds the staged KindReplica records of this group back into
-// term, vote, log and snapshot floor — the promises the previous
-// incarnation synced before acting on them. Called once from New, before
-// any peer contact.
+// recover registers the group with cfg.Store and folds what the previous
+// incarnation left there — its last checkpoint, then every record above
+// that floor — back into term, vote, log and snapshot floor: the promises
+// it synced before acting on them. Called once from New, before any peer
+// contact.
 func (r *Replica) recover() error {
 	if r.cfg.Store == nil {
 		return nil
 	}
-	recs := r.cfg.Store.ReplicaRecords(r.cfg.Group)
-	for _, rec := range recs {
-		switch rec.Entry {
-		case subState:
-			r.term = rec.Seq
-			r.votedFor = rec.Client
-		case subAppend:
-			idx := rec.CallID
-			if idx <= r.snapIndex {
-				continue // compacted later in the record stream's history
-			}
-			if len(rec.Params) != 4 {
-				return fmt.Errorf("replica %s: recover: append@%d: bad params", r.cfg.ID, idx)
-			}
-			name, ok1 := rec.Params[0].(string)
-			client, ok2 := rec.Params[1].(string)
-			seq, ok3 := rec.Params[2].(uint64)
-			params, ok4 := rec.Params[3].([]any)
-			if !ok1 || !ok2 || !ok3 || !ok4 {
-				return fmt.Errorf("replica %s: recover: append@%d: bad param types", r.cfg.ID, idx)
-			}
-			// An append at an occupied index implies the truncation the
-			// live path journaled just before it; handle both shapes.
-			if idx <= r.lastIndex() {
-				r.log = r.log[:idx-r.snapIndex-1]
-			}
-			if idx != r.lastIndex()+1 {
-				return fmt.Errorf("replica %s: recover: append@%d leaves a gap after %d", r.cfg.ID, idx, r.lastIndex())
-			}
-			r.log = append(r.log, entry{Term: rec.Seq, Entry: name, Client: client, Seq: seq, Params: params})
-		case subTruncate:
-			idx := rec.CallID
-			if idx <= r.snapIndex {
-				continue
-			}
-			if idx <= r.lastIndex() {
-				r.log = r.log[:idx-r.snapIndex-1]
-			}
-		case subSnapshot:
-			if len(rec.Params) != 1 {
-				return fmt.Errorf("replica %s: recover: snapshot@%d: bad params", r.cfg.ID, rec.CallID)
-			}
-			blob, ok := rec.Params[0].([]byte)
-			if !ok {
-				return fmt.Errorf("replica %s: recover: snapshot@%d: bad blob type", r.cfg.ID, rec.CallID)
-			}
-			// Drop the covered prefix, keep any suffix beyond the floor.
-			if rec.CallID > r.snapIndex {
-				covered := rec.CallID - r.snapIndex
-				if covered >= uint64(len(r.log)) {
-					r.log = nil
-				} else {
-					r.log = append([]entry(nil), r.log[covered:]...)
-				}
-				r.snapIndex, r.snapTerm, r.snapBlob = rec.CallID, rec.Seq, blob
-			}
-		default:
-			return fmt.Errorf("replica %s: recover: unknown sub-kind %q", r.cfg.ID, rec.Entry)
-		}
+	// Skip everything, so Store.DurableEntry stays false: the node must not
+	// ack-journal (and fsync a second time) calls on the group or its
+	// control endpoint — consensus is their durability.
+	r.journal = r.cfg.Store.Journal(ControlName(r.cfg.Group), wal.JournalOptions{
+		Skip: func(string) bool { return true },
+	})
+	if _, err := r.journal.Recover(wal.RecoverHooks{
+		Restore:  r.restoreCheckpoint,
+		Replay:   r.fold,
+		Snapshot: r.checkpoint,
+	}); err != nil {
+		return fmt.Errorf("replica %s: recover: %w", r.cfg.ID, err)
 	}
 	// Rebuild the applied state from the recovered snapshot; the log
 	// suffix beyond it re-applies once the group's next leader commits it
 	// (the no-op barrier), exactly the snapshot+replay discipline of PR 6.
 	if r.snapBlob != nil {
-		snap, err := decodeSnapshot(r.snapBlob)
+		snap, err := decodeGob[snapshotPayload](r.snapBlob)
 		if err != nil {
 			return fmt.Errorf("replica %s: recover: %w", r.cfg.ID, err)
 		}
@@ -210,8 +113,101 @@ func (r *Replica) recover() error {
 		r.applied = r.snapIndex
 		r.commitIndex = r.snapIndex
 	}
-	if len(recs) > 0 {
+	if r.term > 0 || r.lastIndex() > 0 {
 		r.logf("recovered t%d vote=%q log=[%d..%d]", r.term, r.votedFor, r.snapIndex+1, r.lastIndex())
+	}
+	return nil
+}
+
+// checkpoint is the store's Snapshot hook. The store read its floor BEFORE
+// calling it, so this state may already reflect records above the floor.
+func (r *Replica) checkpoint() ([]byte, error) {
+	r.mu.Lock()
+	cp := checkpoint{
+		Term: r.term, Vote: r.votedFor,
+		SnapIndex: r.snapIndex, SnapTerm: r.snapTerm, SnapBlob: r.snapBlob,
+		Log: append([]entry(nil), r.log...), // entries are immutable once appended
+	}
+	r.mu.Unlock()
+	return encodeGob(&cp)
+}
+
+// restoreCheckpoint is the store's Restore hook; it runs before any fold.
+func (r *Replica) restoreCheckpoint(blob []byte) error {
+	cp, err := decodeGob[checkpoint](blob)
+	if err != nil {
+		return err
+	}
+	r.term, r.votedFor = cp.Term, cp.Vote
+	r.snapIndex, r.snapTerm, r.snapBlob = cp.SnapIndex, cp.SnapTerm, cp.SnapBlob
+	r.log = cp.Log
+	return nil
+}
+
+// fold is the store's Replay hook: apply one journaled record, in LSN
+// order. Idempotent over records the checkpoint already reflects: state is
+// last-write-wins, indexes at or below the floor are skipped, an append at
+// an occupied index truncates first (the records that follow re-append it).
+func (r *Replica) fold(sub string, p []any) error {
+	switch sub {
+	case subState:
+		term, err := asU64(p, 0)
+		vote, err2 := asStr(p, 1)
+		if err = firstErr(err, err2, arity(p, 2)); err != nil {
+			return fmt.Errorf("state: %w", err)
+		}
+		r.term, r.votedFor = term, vote
+	case subAppend:
+		idx, err := asU64(p, 0)
+		if err != nil {
+			return fmt.Errorf("append: %w", err)
+		}
+		e, err := decodeEntry(p[1:])
+		if err != nil {
+			return fmt.Errorf("append@%d: %w", idx, err)
+		}
+		if idx <= r.snapIndex {
+			return nil // compacted since
+		}
+		// An append at an occupied index implies the truncation the live
+		// path journaled just before it; handle both shapes.
+		if idx <= r.lastIndex() {
+			r.log = r.log[:idx-r.snapIndex-1]
+		}
+		if idx != r.lastIndex()+1 {
+			return fmt.Errorf("append@%d leaves a gap after %d", idx, r.lastIndex())
+		}
+		r.log = append(r.log, e)
+	case subTruncate:
+		idx, err := asU64(p, 0)
+		if err = firstErr(err, arity(p, 1)); err != nil {
+			return fmt.Errorf("truncate: %w", err)
+		}
+		if idx > r.snapIndex && idx <= r.lastIndex() {
+			r.log = r.log[:idx-r.snapIndex-1]
+		}
+	case subSnapshot:
+		lastIdx, err := asU64(p, 0)
+		lastTerm, err2 := asU64(p, 1)
+		blob, err3 := asBytes(p, 2)
+		if err = firstErr(err, err2, err3, arity(p, 3)); err != nil {
+			return fmt.Errorf("snapshot: %w", err)
+		}
+		// As on the live path, an installed snapshot supersedes the log
+		// wholesale.
+		if lastIdx > r.snapIndex {
+			r.log = nil
+			r.snapIndex, r.snapTerm, r.snapBlob = lastIdx, lastTerm, blob
+		}
+	default:
+		return fmt.Errorf("unknown sub-kind %q", sub)
+	}
+	return nil
+}
+
+func arity(p []any, n int) error {
+	if len(p) != n {
+		return fmt.Errorf("want %d params, got %d", n, len(p))
 	}
 	return nil
 }
@@ -227,18 +223,20 @@ type snapshotPayload struct {
 	Sessions  []wal.AckEntry
 }
 
-func encodeSnapshot(s *snapshotPayload) ([]byte, error) {
+// encodeGob and decodeGob are the blob codec of both payloads a member
+// stores: the catch-up snapshot and the store checkpoint.
+func encodeGob(v any) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("replica: encode snapshot: %w", err)
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, fmt.Errorf("replica: encode %T: %w", v, err)
 	}
 	return buf.Bytes(), nil
 }
 
-func decodeSnapshot(blob []byte) (*snapshotPayload, error) {
-	var s snapshotPayload
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("replica: decode snapshot: %w", err)
+func decodeGob[T any](blob []byte) (*T, error) {
+	var v T
+	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
+		return nil, fmt.Errorf("replica: decode %T: %w", v, err)
 	}
-	return &s, nil
+	return &v, nil
 }

@@ -95,22 +95,35 @@ func (d *dedupCache) waitCh(e *dedupEntry) <-chan struct{} {
 	return e.done
 }
 
-// complete records the response, releases waiting duplicates, and evicts
-// the oldest completed entries beyond capacity.
-func (d *dedupCache) complete(key dedupKey, e *dedupEntry, results []any, errMsg string, kind errKind) {
-	e.results = results
-	e.errMsg = errMsg
-	e.errKind = kind
-	d.mu.Lock()
+// finishLocked is the table's one completion path: record the response on
+// e, flip it complete (which publishes the response to lock-free readers of
+// completed()), release blocked duplicates, then keep the entry — evicting
+// the oldest completed ones beyond capacity — or drop it. d.mu held.
+func (d *dedupCache) finishLocked(key dedupKey, e *dedupEntry, results []any, errMsg string, kind errKind, keep bool) {
+	e.results, e.errMsg, e.errKind = results, errMsg, kind
 	e.state.Store(1)
 	if e.done != nil {
 		close(e.done)
 	}
+	if !keep {
+		if d.entries[key] == e {
+			delete(d.entries, key)
+		}
+		return
+	}
+	d.entries[key] = e
 	d.order = append(d.order, key)
 	for len(d.order) > d.cap {
 		delete(d.entries, d.order[0])
 		d.order = d.order[1:]
 	}
+}
+
+// complete records the response, releases waiting duplicates, and evicts
+// the oldest completed entries beyond capacity.
+func (d *dedupCache) complete(key dedupKey, e *dedupEntry, results []any, errMsg string, kind errKind) {
+	d.mu.Lock()
+	d.finishLocked(key, e, results, errMsg, kind, true)
 	d.mu.Unlock()
 }
 
@@ -121,17 +134,8 @@ func (d *dedupCache) complete(key dedupKey, e *dedupEntry, results []any, errMsg
 // seq — against the next leader. Caching it would poison every retry with
 // a replayed rejection and the call could never land anywhere.
 func (d *dedupCache) forget(key dedupKey, e *dedupEntry, results []any, errMsg string, kind errKind) {
-	e.results = results
-	e.errMsg = errMsg
-	e.errKind = kind
 	d.mu.Lock()
-	e.state.Store(1)
-	if e.done != nil {
-		close(e.done)
-	}
-	if d.entries[key] == e {
-		delete(d.entries, key)
-	}
+	d.finishLocked(key, e, results, errMsg, kind, false)
 	d.mu.Unlock()
 }
 
@@ -139,7 +143,8 @@ func (d *dedupCache) forget(key dedupKey, e *dedupEntry, results []any, errMsg s
 // a (client, seq) retried across a node restart replays its on-disk
 // response instead of re-executing. Recovered entries arrive snapshot
 // table first, then log acks in LSN order; a later entry for the same key
-// supersedes the earlier response. Capacity eviction applies as usual.
+// supersedes the earlier response in place. Capacity eviction applies as
+// usual.
 func (d *dedupCache) preload(client string, seq uint64, results []any, errMsg string, kind errKind) {
 	key := dedupKey{client, seq}
 	d.mu.Lock()
@@ -148,14 +153,7 @@ func (d *dedupCache) preload(client string, seq uint64, results []any, errMsg st
 		e.results, e.errMsg, e.errKind = results, errMsg, kind
 		return
 	}
-	e := &dedupEntry{results: results, errMsg: errMsg, errKind: kind}
-	e.state.Store(1)
-	d.entries[key] = e
-	d.order = append(d.order, key)
-	for len(d.order) > d.cap {
-		delete(d.entries, d.order[0])
-		d.order = d.order[1:]
-	}
+	d.finishLocked(key, &dedupEntry{}, results, errMsg, kind, true)
 }
 
 // len reports how many entries (in-flight + completed) are tracked.

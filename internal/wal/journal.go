@@ -20,18 +20,20 @@ type JournalOptions struct {
 	Wait bool
 }
 
-// RecoverHooks are the object-side callbacks for crash recovery and
-// snapshots. All three operate on the object's public call surface; the
-// wal layer never sees object internals.
+// RecoverHooks are the participant-side callbacks for crash recovery and
+// snapshots. All three operate on the participant's public surface; the
+// wal layer never sees its internals.
 type RecoverHooks struct {
 	// Restore loads a state blob captured by Snapshot, before replay.
 	Restore func(data []byte) error
-	// Replay re-executes one journaled successful outcome.
+	// Replay re-executes one journaled record; idempotently, because the
+	// restored blob may already reflect it (the snapshot floor is fuzzy).
 	Replay func(entry string, params []any) error
-	// Snapshot captures the object's state for future checkpoints
+	// Snapshot captures the participant's state for future checkpoints
 	// (typically by calling a manager-exclusive entry so the blob is
-	// consistent). Nil disables state snapshots for this object; its
-	// records are then never pruned and recovery is pure replay.
+	// consistent). Whoever journals records must provide it: a store
+	// snapshot prunes every record at or below its floor, so a nil hook is
+	// pure replay only while the store runs with SnapshotEvery 0.
 	Snapshot func() ([]byte, error)
 }
 
@@ -71,16 +73,11 @@ func (j *ObjectJournal) skips(entry string) bool {
 	return j.opts.Skip != nil && j.opts.Skip(entry)
 }
 
-func (j *ObjectJournal) snapshotHook() func() ([]byte, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.snap
-}
-
-// Recover restores the object from the newest snapshot and replays every
-// journaled outcome above its floor, in LSN order. Outcomes recorded while
-// replaying are suppressed (the log already has them). It returns the
-// number of records replayed.
+// Recover restores the participant from the newest snapshot and replays
+// every record it journaled above the floor, in LSN order. Outcomes
+// recorded while replaying are suppressed (the log already has them). It
+// returns the number of records replayed. Store snapshots defer until every
+// name the previous incarnation left state under has been through Recover.
 func (j *ObjectJournal) Recover(h RecoverHooks) (int, error) {
 	j.s.mu.Lock()
 	blob, hasBlob := j.s.snapState[j.name]
@@ -121,24 +118,25 @@ func (j *ObjectJournal) RecordOutcome(entry string, callID uint64, params, resul
 	if callErr != nil || j.replaying.Load() || j.skips(entry) {
 		return 0
 	}
-	lsn, err := j.s.append(&Record{
-		Kind:    KindOutcome,
-		Object:  j.name,
-		Entry:   entry,
-		CallID:  callID,
-		Params:  params,
-		Results: results,
-	})
+	lsn, err := j.Append(entry, params)
+	if err != nil || !j.opts.Wait {
+		return 0
+	}
+	return lsn
+}
+
+// Append journals one record — entry names its type, params are what
+// Recover hands the Replay hook — and returns the LSN to WaitSynced on
+// before acting on it. A participant with a vocabulary of its own calls it
+// directly (Skip filters call outcomes only). A failure is sticky (see err).
+func (j *ObjectJournal) Append(entry string, params []any) (uint64, error) {
+	lsn, err := j.s.append(&Record{Kind: KindOutcome, Object: j.name, Entry: entry, Params: params})
 	if err != nil {
 		j.mu.Lock()
 		j.err = err
 		j.mu.Unlock()
-		return 0
 	}
-	if !j.opts.Wait {
-		return 0
-	}
-	return lsn
+	return lsn, err
 }
 
 // WaitDurable implements core.Journal: block until lsn is on stable

@@ -32,14 +32,11 @@ type Options struct {
 	// SegmentBytes rotates the active segment beyond this size
 	// (default 4 MiB).
 	SegmentBytes int64
-	// SyncEvery forces a flush+fsync after every N appended records
-	// (0 = none). It bounds the volatile window for appenders that do not
-	// wait on durability themselves.
-	SyncEvery int
 	// SyncInterval starts a background flusher that syncs any unsynced
-	// suffix on this cadence (0 = none). Like SyncEvery it bounds the
-	// volatile window; acknowledged calls are still synced inline via
-	// WaitSynced before their response leaves.
+	// suffix on this cadence (0 = none). It bounds the volatile window for
+	// appenders that do not wait on durability themselves; acknowledged
+	// calls are still synced inline via WaitSynced before their response
+	// leaves.
 	SyncInterval time.Duration
 	// Metrics, when non-nil, accumulates fsync/byte/record counters.
 	Metrics *Metrics
@@ -77,7 +74,6 @@ type Log struct {
 	lsn         uint64 // last assigned LSN
 	segStart    uint64 // first LSN of the active segment
 	segBytes    int64
-	unsynced    int // records appended since the last sync
 	closed      bool
 	writeErr    error // sticky: a failed write poisons the log
 	segments    []segmentInfo
@@ -204,18 +200,11 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	lsn := l.lsn
 	n := int64(l.scratch.Len())
 	l.segBytes += n
-	l.unsynced++
-	forceSync := l.opts.SyncEvery > 0 && l.unsynced >= l.opts.SyncEvery
 	l.mu.Unlock()
 
 	if m := l.opts.Metrics; m != nil {
 		m.Records.Inc()
 		m.Bytes.Add(uint64(n))
-	}
-	if forceSync {
-		if err := l.WaitSynced(lsn); err != nil {
-			return lsn, err
-		}
 	}
 	return lsn, nil
 }
@@ -240,7 +229,6 @@ func (l *Log) flushSyncLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	l.unsynced = 0
 	if m := l.opts.Metrics; m != nil {
 		m.Fsyncs.Inc()
 	}

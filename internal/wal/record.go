@@ -24,16 +24,9 @@ const (
 	// and the response. Recovery folds these into the node's at-most-once
 	// cache so a retried call is answered from disk, never re-executed.
 	KindAck
-	// KindReplica is a consensus-state record appended by internal/replica:
-	// hard state (term, vote), replicated log entries, truncations and
-	// snapshot floors for one replication group. The wal layer stores them
-	// opaquely — Object names the group, Entry the sub-kind — and recovery
-	// stages them, in LSN order, for the group's next incarnation
-	// (docs/REPLICATION.md).
-	KindReplica
 )
 
-func (k Kind) valid() bool { return k >= KindOutcome && k <= KindReplica }
+func (k Kind) valid() bool { return k == KindOutcome || k == KindAck }
 
 // String implements fmt.Stringer.
 func (k Kind) String() string {
@@ -42,8 +35,6 @@ func (k Kind) String() string {
 		return "outcome"
 	case KindAck:
 		return "ack"
-	case KindReplica:
-		return "replica"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -55,7 +46,7 @@ type Record struct {
 	Kind   Kind
 	Object string
 	Entry  string
-	CallID uint64 // runtime call id (outcome records; diagnostic only)
+	CallID uint64 // diagnostic; the store itself writes none
 
 	// Dedup identity (ack records): the caller's stable client ID and its
 	// per-client sequence number.
@@ -77,6 +68,13 @@ type Record struct {
 // corrupt record at the tail of the final segment as a torn write (truncate
 // and continue) and anywhere else as data loss (fail).
 var ErrCorrupt = errors.New("wal: corrupt record")
+
+// ErrRetiredLayout reports an intact record of kind 3, which builds before
+// PR 18 used for consensus state kept outside the snapshot contract. It is
+// NOT corruption: Open fails and leaves the directory untouched, because
+// cutting the journal there would drop a member's term, vote and log.
+var ErrRetiredLayout = errors.New("wal: journal holds records of the retired replication layout (kind 3); " +
+	"remove this member's data dir and restart it — it rejoins its group by snapshot catch-up")
 
 // recHeaderLen is the frame prologue: uint32 payload length, uint32 CRC.
 const recHeaderLen = 8
@@ -137,6 +135,9 @@ func decodeRecord(data []byte) (*Record, int, error) {
 	var rec Record
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
 		return nil, 0, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
+	}
+	if rec.Kind == 3 {
+		return nil, 0, ErrRetiredLayout
 	}
 	if !rec.Kind.valid() {
 		return nil, 0, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, int(rec.Kind))

@@ -34,14 +34,16 @@ type Recovered struct {
 // after everything that survived, plus the recovered state to replay.
 //
 // Recovery protocol:
-//  1. Drop leftover *.tmp files (snapshots that never published).
-//  2. Load the newest snapshot; older snapshots are pruned.
+//  1. Note leftover *.tmp files (snapshots that never published).
+//  2. Load the newest snapshot; older snapshots are noted for pruning.
 //  3. Scan segments in LSN order, CRC-checking every record. A short or
 //     corrupt record in the FINAL segment is a torn write: truncate it and
 //     keep everything before it. The same damage in any earlier segment is
 //     data loss (sealed segments were fsynced before rotation) and fails
 //     recovery rather than silently dropping acknowledged history.
 //  4. Verify LSN continuity from the snapshot floor.
+//  5. Only now delete what steps 1 and 2 noted: ErrRetiredLayout fails step
+//     3 before anything has been truncated, removed or created.
 func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	opts = opts.withDefaults()
 	fs := opts.FS
@@ -54,9 +56,10 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: list %s: %w", dir, err)
 	}
+	var stale []string // deleted only once the scan has succeeded
 	for _, name := range names {
 		if strings.HasSuffix(name, tmpSuffix) {
-			_ = fs.Remove(path.Join(dir, name))
+			stale = append(stale, name)
 		}
 	}
 
@@ -72,12 +75,12 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	var snapLSN uint64
 	for i := len(snaps) - 1; i >= 0; i-- {
 		if rec.Snapshot != nil {
-			_ = fs.Remove(path.Join(dir, snaps[i].name))
+			stale = append(stale, snaps[i].name)
 			continue
 		}
 		s, err := readSnapshot(fs, dir, snaps[i].name)
 		if err != nil {
-			_ = fs.Remove(path.Join(dir, snaps[i].name))
+			stale = append(stale, snaps[i].name)
 			continue
 		}
 		rec.Snapshot = s
@@ -94,6 +97,9 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 		final := i == len(segs)-1
 		recs, goodLen, total, err := scanSegment(fs, dir, seg)
 		if err != nil {
+			if errors.Is(err, ErrRetiredLayout) {
+				return nil, nil, fmt.Errorf("wal: segment %s: %w", seg.name, err)
+			}
 			if !final {
 				return nil, nil, fmt.Errorf("wal: segment %s: %w (damage before the final segment is data loss)", seg.name, err)
 			}
@@ -132,6 +138,9 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 		}
 	}
 	rec.LastLSN = lastLSN
+	for _, name := range stale {
+		_ = fs.Remove(path.Join(dir, name))
+	}
 
 	// Drop the trailing segment from the bookkeeping list if we are about
 	// to recreate it under the same name (an empty tail segment from a
@@ -151,7 +160,8 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 // scanSegment decodes every record in one segment. It returns the records
 // decoded, the byte offset of the end of the last good record, the
 // segment's total size, and a non-nil error if the tail failed to decode
-// (io.ErrUnexpectedEOF for a short frame, ErrCorrupt for a mangled one).
+// (io.ErrUnexpectedEOF for a short frame, ErrCorrupt for a mangled one,
+// ErrRetiredLayout for an intact record this build refuses to interpret).
 func scanSegment(fs FS, dir string, seg segmentInfo) ([]*Record, int64, int64, error) {
 	r, err := fs.Open(path.Join(dir, seg.name))
 	if err != nil {
@@ -172,10 +182,7 @@ func scanSegment(fs FS, dir string, seg segmentInfo) ([]*Record, int64, int64, e
 	for int(off) < len(data) {
 		rec, n, err := decodeRecord(data[off:])
 		if err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, ErrCorrupt) {
-				return recs, off, int64(len(data)), err
-			}
-			return recs, off, int64(len(data)), fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return recs, off, int64(len(data)), err
 		}
 		rec.LSN = next
 		next++

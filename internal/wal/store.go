@@ -10,9 +10,8 @@ import (
 type StoreOptions struct {
 	// FS is the filesystem (nil = OSFS).
 	FS FS
-	// SegmentBytes, SyncEvery, SyncInterval configure the underlying Log.
+	// SegmentBytes and SyncInterval configure the underlying Log.
 	SegmentBytes int64
-	SyncEvery    int
 	SyncInterval time.Duration
 	// SnapshotEvery triggers a snapshot after this many appended records
 	// (0 = snapshots disabled; the log grows until the process restarts).
@@ -26,11 +25,16 @@ type StoreOptions struct {
 // ledger, periodic snapshots, and the recovery state left by the previous
 // incarnation.
 //
-// Lifecycle: OpenStore (recovery scan) → Journal(name) per object →
-// ObjectJournal.Recover per object (restore + replay) → serve. The rpc
+// Lifecycle: OpenStore (recovery scan) → Journal(name) per participant →
+// ObjectJournal.Recover per participant (restore + replay) → serve. The rpc
 // layer appends ack records and syncs them before a response leaves;
 // RecoveredAcks seeds the dedup cache so retries across the crash are
 // answered from disk.
+//
+// A participant is anything that journals under a name: an object's call
+// ledger, or another layer's own records (ObjectJournal.Append). One rule:
+// no record may live in the store unless its writer contributes a
+// checkpoint — a snapshot prunes every record at or below its floor.
 type Store struct {
 	log  *Log
 	dir  string
@@ -39,11 +43,10 @@ type Store struct {
 
 	mu        sync.Mutex
 	journals  map[string]*ObjectJournal
-	byObject  map[string][]*Record // recovered outcomes awaiting replay
-	byGroup   map[string][]*Record // recovered consensus records by replication group
+	byObject  map[string][]*Record // recovered records by participant; a key (even with no records) awaits Recover
 	acks      []AckEntry           // recovered at-most-once ledger
 	dedupDump func() []AckEntry    // set by the node; completed entries only
-	snapState map[string][]byte    // recovered snapshot blobs by object
+	snapState map[string][]byte    // recovered snapshot blobs by participant
 
 	stats RecoveryStats
 
@@ -58,7 +61,6 @@ type Store struct {
 type RecoveryStats struct {
 	Outcomes   int // outcome records replayed from the log
 	Acks       int // ack records folded into the dedup seed
-	Replica    int // consensus records staged for replication groups
 	SnapshotAt uint64
 	TornBytes  int64
 	Segments   int
@@ -70,7 +72,6 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	l, rec, err := Open(dir, Options{
 		FS:           opts.FS,
 		SegmentBytes: opts.SegmentBytes,
-		SyncEvery:    opts.SyncEvery,
 		SyncInterval: opts.SyncInterval,
 		Metrics:      opts.Metrics,
 	})
@@ -84,7 +85,6 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		opts:     opts,
 		journals: make(map[string]*ObjectJournal),
 		byObject: make(map[string][]*Record),
-		byGroup:  make(map[string][]*Record),
 	}
 	s.stats.TornBytes = rec.TornBytes
 	s.stats.Segments = rec.Segments
@@ -93,6 +93,9 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		s.stats.SnapshotAt = snap.LSN
 		s.snapState = snap.Objects
 		s.acks = append(s.acks, snap.Dedup...)
+		for name := range snap.Objects {
+			s.byObject[name] = nil
+		}
 	}
 	for _, r := range rec.Records {
 		switch r.Kind {
@@ -105,9 +108,6 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 				Results: r.Results, ErrMsg: r.ErrMsg, ErrKind: r.ErrKind,
 			})
 			s.stats.Acks++
-		case KindReplica:
-			s.byGroup[r.Object] = append(s.byGroup[r.Object], r)
-			s.stats.Replica++
 		}
 	}
 	return s, nil
@@ -169,29 +169,6 @@ func (s *Store) AppendAck(object, entry, client string, seq uint64, results []an
 	})
 }
 
-// AppendReplica journals one consensus record for a replication group:
-// hard state, a log entry, a truncation or a snapshot floor. The record's
-// Kind is forced to KindReplica; internal/replica owns the sub-kind
-// vocabulary carried in rec.Entry. Callers WaitSynced on the returned LSN
-// before acting on the record (granting a vote, acknowledging an append) —
-// the same ack-before-response discipline the rpc layer uses.
-func (s *Store) AppendReplica(rec *Record) (uint64, error) {
-	rec.Kind = KindReplica
-	return s.append(rec)
-}
-
-// ReplicaRecords returns (and un-stages) the consensus records recovery
-// found for the named replication group, in LSN order. The group's next
-// incarnation folds them back into its term, vote and log before rejoining
-// its peers.
-func (s *Store) ReplicaRecords(group string) []*Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	recs := s.byGroup[group]
-	delete(s.byGroup, group)
-	return recs
-}
-
 // WaitSynced blocks until every record up to lsn is on stable storage.
 func (s *Store) WaitSynced(lsn uint64) error { return s.log.WaitSynced(lsn) }
 
@@ -246,8 +223,13 @@ func (s *Store) ForceSnapshot() error {
 //     finished its body earlier still, so its effects are guaranteed to be
 //     in the state collected in step 3 — a snapshot never remembers an
 //     acknowledgement whose state it lost.
-//  3. Per-object state via each journal's snapshot hook (typically a
+//  3. Per-participant state via each journal's snapshot hook (typically a
 //     manager-exclusive entry, so the blob is not torn mid-write).
+//
+// A snapshot DEFERS — returns an error, writes and prunes nothing — while
+// the previous incarnation left records or a blob under a name that has not
+// been through Recover: this snapshot would not cover them, and pruning to
+// its floor would be the only way to lose them.
 func (s *Store) snapshot() error {
 	defer func() {
 		s.mu.Lock()
@@ -259,12 +241,18 @@ func (s *Store) snapshot() error {
 	floor := s.log.AppendedLSN()
 
 	s.mu.Lock()
+	for name := range s.byObject {
+		s.mu.Unlock()
+		return fmt.Errorf("wal: snapshot deferred: %q (of %d) left state in this store and has not called Recover", name, len(s.byObject))
+	}
 	dump := s.dedupDump
 	hooks := make(map[string]func() ([]byte, error), len(s.journals))
 	for name, j := range s.journals {
-		if h := j.snapshotHook(); h != nil {
-			hooks[name] = h
+		j.mu.Lock()
+		if j.snap != nil {
+			hooks[name] = j.snap
 		}
+		j.mu.Unlock()
 	}
 	s.mu.Unlock()
 

@@ -211,29 +211,6 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	}
 }
 
-func TestSyncEveryBoundsUnsyncedWindow(t *testing.T) {
-	fs := NewFailFS()
-	l, _, err := Open("data", Options{FS: fs, SyncEvery: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		appendOutcome(t, l, "kv", i)
-	}
-	// 5 appends with SyncEvery=2: records 1..4 forced durable, 5 may not be.
-	if got := l.SyncedLSN(); got < 4 {
-		t.Fatalf("synced = %d, want >= 4", got)
-	}
-	fs.Crash()
-	_, rec, err := Open("data", Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Records) < 4 {
-		t.Fatalf("recovered %d records, want >= 4", len(rec.Records))
-	}
-}
-
 // kvState is the fake journaled object for store tests: a last-write-wins
 // map with gob snapshot hooks, the same shape rwdb exposes.
 type kvState struct {
