@@ -23,6 +23,7 @@ package main
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -212,6 +213,12 @@ func newServer(args []string) (*server, string, error) {
 	var journal *alps.ObjectJournal
 	dbOpt := supOpt
 	if *dataDir != "" {
+		if *fabricID != "" {
+			// Before anything is opened, so a refused directory is untouched.
+			if err := refuseRetiredFabricJournal(*dataDir); err != nil {
+				return nil, "", err
+			}
+		}
 		srv.store, err = alps.OpenStore(*dataDir, alps.DurabilityOptions{
 			SyncInterval:  *syncIv,
 			SnapshotEvery: *snapEvery,
@@ -316,22 +323,18 @@ func newServer(args []string) (*server, string, error) {
 			return nil, "", merr
 		}
 		// The flags describe the boot ring (epoch 0 for a founding member);
-		// a newer ring recovered from the fabric journal (or learned from
-		// any peer) supersedes it.
+		// a newer ring recovered from the store (or learned from any peer)
+		// supersedes it.
 		ring, rerr := fabric.NewRing(*fabricEpoch, *fabricSeed, *fabricVNodes, members)
 		if rerr != nil {
 			return nil, "", rerr
-		}
-		fabricDir := ""
-		if *dataDir != "" {
-			fabricDir = filepath.Join(*dataDir, "fabric")
 		}
 		srv.fh, err = fabric.NewHost(fabric.HostOptions{
 			ID:         *fabricID,
 			Spec:       ring.Spec(),
 			Shards:     *fabricShards,
 			MaxPending: *fabricMaxPend,
-			Dir:        fabricDir,
+			Store:      srv.store,
 			Logf: func(format string, args ...any) {
 				fmt.Printf("alpsd: fabric: "+format+"\n", args...)
 			},
@@ -342,7 +345,9 @@ func newServer(args []string) (*server, string, error) {
 		if err := srv.node.PublishCallable("fabric", srv.fh); err != nil {
 			return nil, "", err
 		}
-		fmt.Printf("alpsd: fabric member %s, ring %s\n", *fabricID, srv.fh.Spec())
+		rec := srv.fh.Recovery()
+		fmt.Printf("alpsd: fabric member %s: recovered %d keys, checkpoint@%d, %d records replayed, ring %s\n",
+			*fabricID, rec.Keys, rec.CheckpointLSN, rec.Replayed, srv.fh.Spec())
 	}
 	if *defsPath != "" {
 		src, err := os.ReadFile(*defsPath)
@@ -365,6 +370,25 @@ func newServer(args []string) (*server, string, error) {
 	}
 	ok = true
 	return srv, bound, nil
+}
+
+// errRetiredFabricJournal reports a -data-dir written by a build that kept
+// the fabric's journal in a log of its own under fabric/, outside the node's
+// store.
+var errRetiredFabricJournal = errors.New("retired fabric journal layout")
+
+// refuseRetiredFabricJournal fails, touching nothing, when dataDir still
+// holds such a journal. It is acknowledged history this build does not read:
+// an empty fabric booted beside it would count keys it already counted from
+// zero again.
+func refuseRetiredFabricJournal(dataDir string) error {
+	old := filepath.Join(dataDir, "fabric")
+	segs, err := filepath.Glob(filepath.Join(old, "wal-*.log"))
+	if err != nil || len(segs) == 0 {
+		return err
+	}
+	return fmt.Errorf("%w: %s holds %d log segments; this build journals the fabric through the store in %s and will not start beside history it cannot read — reshard the member's keys away with the build that wrote them, then start this one on an empty -data-dir",
+		errRetiredFabricJournal, old, len(segs), dataDir)
 }
 
 // parsePeers parses "id=host:port,id=host:port,..." into a peer map.
@@ -455,8 +479,8 @@ func (s *server) Close() {
 		s.node.Close()
 	}
 	// After the node drained (in-flight fabric calls finished) but before
-	// the shared store closes: stop the handoff loop, drop peer
-	// connections and sync the fabric journal.
+	// the store it journals through closes: stop the handoff loop, drop
+	// peer connections and close the ledger.
 	if s.fh != nil {
 		_ = s.fh.Close()
 	}

@@ -148,21 +148,11 @@ func TestReplicaMemberRestartsPastStoreSnapshots(t *testing.T) {
 			"-search-cost", "0s",
 		}, extra...)
 	}
-	// A peer dialing a reserved-but-not-yet-bound loopback port can
-	// self-connect and hold it for a moment; retry the bind.
 	boot := func(args []string) *server {
 		t.Helper()
-		for tries := 0; ; tries++ {
-			srv, _, err := newServer(args)
-			if err == nil {
-				t.Cleanup(srv.Close)
-				return srv
-			}
-			if tries == 40 || !strings.Contains(err.Error(), "address already in use") {
-				t.Fatalf("newServer%v: %v", args, err)
-			}
-			time.Sleep(25 * time.Millisecond)
-		}
+		srv := bootServer(t, args)
+		t.Cleanup(srv.Close)
+		return srv
 	}
 	servers := make(map[string]*server, 3)
 	for i, id := range ids {

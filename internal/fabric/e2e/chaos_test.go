@@ -173,6 +173,12 @@ func runChaos(t *testing.T, seed uint64) {
 	// Oracle, part 3: the owners' ledgers must agree with everything the
 	// clients were told.
 	auditOracle(t, c, execs)
+	// The oracle above arbitrated recovery from a pruned journal only if
+	// some restart went through one. (Per run, not per node: a member
+	// killed before its 64th record has no checkpoint yet.)
+	if c.recoveries(t) == 0 {
+		t.Fatalf("no restart in the run recovered from a checkpoint — checkpoint + suffix recovery went unexercised\n%s", reproducer(seed))
+	}
 	// And the run must actually have proven a live migration: some key
 	// executed at two epochs on two nodes.
 	if key, ok := migrationProof(execs); !ok {

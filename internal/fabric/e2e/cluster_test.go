@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -238,6 +239,11 @@ func (c *cluster) addNode(id, realAddr, membersSpec string, epoch, seed uint64) 
 		args: []string{
 			"-addr", realAddr,
 			"-data-dir", dataDir,
+			// A member journals a few hundred records in a run: at this
+			// cadence nearly every SIGKILL lands past a store snapshot, so
+			// restarts recover from checkpoint + suffix and the oracle
+			// arbitrates that path (recoveries, below, proves it did).
+			"-snapshot-every", "64",
 			"-fabric-id", id,
 			"-fabric-members", membersSpec,
 			"-fabric-epoch", fmt.Sprint(epoch),
@@ -299,6 +305,36 @@ func (c *cluster) startLoad(client, prefix string, keys, seqs int, jitterSeed ui
 		c.t.Fatalf("start load %s: %v", client, err)
 	}
 	return &loadProc{client: client, ledger: ledger, cmd: cmd, out: &out}
+}
+
+// fabricStartup is alpsd's fabric startup line.
+var fabricStartup = regexp.MustCompile(`alpsd: fabric member (\S+): recovered (\d+) keys, checkpoint@(\d+), (\d+) records replayed`)
+
+// recoveries prints, per node and per restart, what the member recovered
+// from — parsed from the startup line each incarnation wrote to the node's
+// log; the first line is the boot, every later one a restart — and reports
+// how many restarts restored a checkpoint.
+func (c *cluster) recoveries(t *testing.T) (fromCheckpoint int) {
+	t.Helper()
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-5s %-8s %6s %12s %9s\n", "node", "restart", "keys", "checkpoint@", "replayed")
+	for _, id := range c.order {
+		data, err := os.ReadFile(c.nodes[id].logPath)
+		if err != nil {
+			t.Fatalf("node log %s: %v", id, err)
+		}
+		for i, m := range fabricStartup.FindAllStringSubmatch(string(data), -1) {
+			if i == 0 {
+				continue
+			}
+			fmt.Fprintf(&b, "%-5s %-8d %6s %12s %9s\n", m[1], i, m[2], m[3], m[4])
+			if m[3] != "0" {
+				fromCheckpoint++
+			}
+		}
+	}
+	t.Logf("restarts, as each member's startup line reported them:\n%s", b.String())
+	return fromCheckpoint
 }
 
 // nodeLogTail returns the last lines of every node log, for failure

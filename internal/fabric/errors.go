@@ -46,3 +46,8 @@ var ErrRetriesExhausted = errors.New("fabric: retries exhausted")
 
 // ErrClosed reports use of a closed Router or Host.
 var ErrClosed = errors.New("fabric: closed")
+
+// ErrBadState reports ledger state that does not decode: a key image off
+// the wire, or a checkpoint or journal record this build cannot interpret.
+// Recovery refuses to start on one rather than guess.
+var ErrBadState = errors.New("fabric: malformed ledger state")

@@ -31,14 +31,17 @@ type testFabricNode struct {
 
 func startFabricNode(t *testing.T, id, addr, spec, dir string, maxPending int) *testFabricNode {
 	t.Helper()
-	host, err := NewHost(HostOptions{
-		ID: id, Spec: spec, Shards: 2, MaxPending: maxPending, Dir: dir,
-		Logf: func(format string, args ...any) { t.Logf(format, args...) },
-	})
+	return startFabricNodeWith(t, addr, HostOptions{ID: id, Spec: spec, Shards: 2, MaxPending: maxPending, Dir: dir})
+}
+
+func startFabricNodeWith(t *testing.T, addr string, opts HostOptions) *testFabricNode {
+	t.Helper()
+	opts.Logf = func(format string, args ...any) { t.Logf(format, args...) }
+	host, err := NewHost(opts)
 	if err != nil {
-		t.Fatalf("start %s: %v", id, err)
+		t.Fatalf("start %s: %v", opts.ID, err)
 	}
-	node := rpc.NewNode(id)
+	node := rpc.NewNode(opts.ID)
 	if err := node.PublishCallable("fabric", host); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +50,7 @@ func startFabricNode(t *testing.T, id, addr, spec, dir string, maxPending int) *
 		t.Fatalf("listen %s: %v", addr, err)
 	}
 	go func() { _ = node.Serve(lis) }()
-	return &testFabricNode{id: id, addr: lis.Addr().String(), dir: dir, host: host, node: node}
+	return &testFabricNode{id: opts.ID, addr: lis.Addr().String(), dir: opts.Dir, host: host, node: node}
 }
 
 func (n *testFabricNode) stop() {
@@ -589,7 +592,7 @@ func TestFabricRecovery(t *testing.T) {
 
 	n = startFabricNode(t, "n00", addrs[0], spec, dir, 0)
 	defer n.stop()
-	r.dropConn("n00") // the old TCP connection died with the node
+	r.peers.drop("n00") // the old TCP connection died with the node
 
 	// Duplicate of the last pre-crash append: recovered ledger answers.
 	exec, err := r.Append(ctx, "durable-key", 4, nil)

@@ -8,6 +8,8 @@ package fabric
 // is constructed.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/testutil"
@@ -317,4 +319,64 @@ func TestDupAckDescribesOriginalExecution(t *testing.T) {
 
 func keyName(prefix string, i int) string {
 	return prefix + "-" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+(i/676)%26))
+}
+
+// TestHandoffDoesNotSettleOnPartialEnumeration: with one ledger shard gone
+// underneath, a handoff pass cannot see the keys that shard holds. It must
+// not declare the node settled — that would open peers' fresh-create gate
+// while history is still resident here — and the next kick tries again.
+func TestHandoffDoesNotSettleOnPartialEnumeration(t *testing.T) {
+	addrs := reserveAddrs(t, 2)
+	members := map[string]string{"a": addrs[0], "b": addrs[1]}
+	r1, err := NewRing(1, 42, 32, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := NewRing(2, 43, 32, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := startFabricNode(t, "a", addrs[0], r1.Spec(), "", 0)
+	t.Cleanup(a.stop)
+	passes := make(chan string, 16) // a pass logs a line or two; nothing blocks on a full buffer
+	host, err := NewHost(HostOptions{ID: "b", Spec: r1.Spec(), Shards: 2, Logf: func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "handoff to epoch 2") {
+			select {
+			case passes <- line:
+			default:
+			}
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = host.Close() })
+	ctx := testCtx(t)
+	testutil.WaitUntil(t, "b settled at its boot epoch", func() bool { return host.completedLevel() == 1 })
+
+	if err := host.group.Shard(0).Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := host.CallCtx(ctx, "Reshard", r2.Spec()); err != nil || res[0] != statusOK {
+		t.Fatalf("reshard: %v %v", res, err)
+	}
+	// Two whole passes: the worker is serial, so when the second reports,
+	// the first has returned.
+	for i := 0; i < 2; i++ {
+		select {
+		case line := <-passes:
+			if !strings.Contains(line, "enumerate keys") {
+				t.Fatalf("pass %d did not fail on the enumeration: %q", i, line)
+			}
+		case <-ctx.Done():
+			t.Fatalf("pass %d never ran", i)
+		}
+		host.kickHandoff()
+	}
+	if got := host.completedLevel(); got != 1 {
+		t.Fatalf("b settled through epoch %d on a partial enumeration", got)
+	}
+	if a.host.gateOK(2) {
+		t.Fatal("a's fresh-create gate opened at epoch 2 while b could not enumerate its residents")
+	}
 }

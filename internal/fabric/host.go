@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rpc"
 	"repro/internal/shard"
 	"repro/internal/wal"
 )
@@ -27,10 +27,17 @@ type HostOptions struct {
 	// MaxPending bounds each ledger shard's pending Append calls; beyond
 	// it the shard sheds with core.ErrOverload (0 = unbounded).
 	MaxPending int
-	// Dir, when non-empty, holds the fabric's write-ahead journal: every
-	// executed append, handoff step and ring advance is synced there
-	// before acknowledgement, and recovery replays it so a SIGKILL loses
-	// nothing acknowledged.
+	// Store, when non-nil, is the node's durability store. The fabric
+	// journals there as the participant "fabric": every executed append,
+	// handoff step and ring advance is synced before acknowledgement, the
+	// store's snapshots carry the fabric's checkpoint, and recovery restores
+	// the newest checkpoint and replays the records above it, so a SIGKILL
+	// loses nothing acknowledged. The caller closes the store, after the
+	// Host.
+	Store *wal.Store
+	// Dir is the standalone form, for a Host with no node store around it:
+	// with Store nil and Dir set the Host opens, owns and closes a store of
+	// its own in Dir.
 	Dir string
 	// Logf receives operational log lines (nil = silent).
 	Logf func(format string, args ...any)
@@ -41,22 +48,35 @@ type HostOptions struct {
 // disagree mid-reshard).
 const maxForwardHops = 4
 
+// standaloneSnapshotEvery is the checkpoint cadence of a store the Host
+// opened itself (alpsd's -snapshot-every default).
+const standaloneSnapshotEvery = 4096
+
+// journalObject is the fabric's participant name in the store. It is also
+// the name the Host is published under, so the journal is registered with
+// Skip-all: Store.DurableEntry("fabric", …) stays false and the node does
+// not ack-journal (and fsync a second time) calls whose durability the
+// ledger bodies already paid for.
+const journalObject = "fabric"
+
 // Host is one fabric node: a key-affine ledger group, the node's view of
 // the ring, the drain-then-forward handoff worker and the settled-vector
 // bookkeeping. Publish it on an rpc.Node as a Callable (conventionally
 // under the name "fabric") and route client calls through a Router.
 type Host struct {
-	id    string
-	group *shard.Group
-	log   *wal.Log // nil when durability is off
-	logf  func(format string, args ...any)
+	id       string
+	group    *shard.Group
+	journal  *wal.ObjectJournal // nil when durability is off
+	ownStore *wal.Store         // the standalone form's store, closed with the Host
+	peers    *peers
+	logf     func(format string, args ...any)
+	recovery Recovery
 
 	mu        sync.Mutex
 	ring      *Ring
 	known     map[string]string // every member id -> addr ever seen
 	settled   map[string]uint64 // member -> highest settled epoch
 	completed uint64            // own outgoing obligations done through this epoch
-	conns     map[string]*hostConn
 	closed    bool
 
 	// gateEpoch caches the highest epoch whose fresh-create gate has been
@@ -69,14 +89,33 @@ type Host struct {
 	done    chan struct{}
 }
 
-type hostConn struct {
-	addr string
-	rem  *rpc.Remote
+// Recovery is what NewHost found in the store.
+type Recovery struct {
+	Keys          int    // resident ledger entries, tombstones included
+	CheckpointLSN uint64 // floor of the checkpoint restored (0 = none)
+	Replayed      int    // records replayed above it
 }
 
-// NewHost builds a node: recovers the journal (when Dir is set), restores
-// the ledger, and starts the handoff worker. The returned Host is ready
-// to publish.
+// checkpoint is the fabric's blob in a store snapshot: the ring, the
+// settled vector and, per ledger shard, every key's entry and install
+// fence (shardCheckpoint, as that shard's manager encoded it).
+type checkpoint struct {
+	Spec    string            `json:"spec"`
+	Settled map[string]uint64 `json:"settled"`
+	Shards  []json.RawMessage `json:"shards"`
+}
+
+// shardCheckpoint is one ledger shard's share of a checkpoint.
+type shardCheckpoint map[string]keyCheckpoint
+
+type keyCheckpoint struct {
+	State *keyState `json:"state,omitempty"` // nil: forgotten, only the fence is left
+	Fence uint64    `json:"fence,omitempty"`
+}
+
+// NewHost builds a node: recovers the ledger from the store (when there is
+// one) and starts the handoff worker. The returned Host is ready to
+// publish.
 func NewHost(opts HostOptions) (*Host, error) {
 	ring, err := ParseSpec(opts.Spec)
 	if err != nil {
@@ -90,11 +129,10 @@ func NewHost(opts HostOptions) (*Host, error) {
 	}
 	h := &Host{
 		id:      opts.ID,
+		peers:   newPeers("fabric-"+opts.ID, 2*time.Second),
 		logf:    opts.Logf,
-		ring:    ring,
 		known:   make(map[string]string),
 		settled: make(map[string]uint64),
-		conns:   make(map[string]*hostConn),
 		kick:    make(chan struct{}, 1),
 		closeCh: make(chan struct{}),
 		done:    make(chan struct{}),
@@ -102,173 +140,175 @@ func NewHost(opts HostOptions) (*Host, error) {
 	if h.logf == nil {
 		h.logf = func(string, ...any) {}
 	}
-	for _, id := range ring.Members() {
-		h.known[id] = ring.Addr(id)
-	}
+	h.installRing(ring)
 
-	var states map[string]*keyState
-	var installed map[string]uint64
-	if opts.Dir != "" {
-		log, recovered, err := wal.Open(opts.Dir, wal.Options{})
+	store := opts.Store
+	if store == nil && opts.Dir != "" {
+		store, err = wal.OpenStore(opts.Dir, wal.StoreOptions{SnapshotEvery: standaloneSnapshotEvery})
 		if err != nil {
 			return nil, fmt.Errorf("fabric: open journal: %w", err)
 		}
-		h.log = log
-		states, installed, err = h.replay(recovered.Records)
-		if err != nil {
-			_ = log.Close()
-			return nil, err
-		}
+		h.ownStore = store
 	}
-	h.completed = h.settled[h.id]
-
+	if store != nil {
+		h.journal = store.Journal(journalObject, wal.JournalOptions{Skip: func(string) bool { return true }})
+	}
 	h.group, err = newLedger(opts.Shards, opts.MaxPending, opts.ID, h.journalRecord)
+	if err == nil && store != nil {
+		err = h.recover(store)
+	}
 	if err != nil {
-		if h.log != nil {
-			_ = h.log.Close()
-		}
+		h.closeLedger()
 		return nil, err
 	}
-	restore := func(key string, b []byte) error {
-		_, err := h.group.Call("Restore", key, b, installed[key])
-		return err
-	}
-	for key, st := range states {
-		b, err := encodeState(st)
-		if err == nil {
-			err = restore(key, b)
-		}
-		if err != nil {
-			_ = h.group.Close()
-			if h.log != nil {
-				_ = h.log.Close()
-			}
-			return nil, fmt.Errorf("fabric: restore key %q: %w", key, err)
-		}
-	}
-	// Keys whose entry was forgotten keep their install-arbitration memory:
-	// a crashed source re-pushing a move that completed here long ago must
-	// still be answered "dup", not handed a second life for a stale image.
-	for key := range installed {
-		if _, resident := states[key]; resident {
-			continue
-		}
-		if err := restore(key, nil); err != nil {
-			_ = h.group.Close()
-			if h.log != nil {
-				_ = h.log.Close()
-			}
-			return nil, fmt.Errorf("fabric: restore install memory %q: %w", key, err)
-		}
-	}
-	if n := len(states); n > 0 {
-		h.logf("fabric: recovered %d keys, ring epoch %d, settled self@%d", n, h.ring.Epoch(), h.completed)
-	}
+	h.completed = h.settled[h.id]
 
 	go h.handoffLoop()
 	h.kickHandoff()
 	return h, nil
 }
 
-// replay folds the recovered journal, in LSN order, back into the node's
-// pre-serve state: the newest ring, the settled vector, every key's
-// ledger entry (including tombstones, so unfinished handoffs resume) and
-// the per-key install-arbitration memory.
-func (h *Host) replay(records []*wal.Record) (map[string]*keyState, map[string]uint64, error) {
-	states := make(map[string]*keyState)
-	installed := make(map[string]uint64)
-	for _, rec := range records {
-		if rec.Object != journalObject {
-			continue
+// recover restores the newest checkpoint and replays the records above it,
+// straight into the ledger shards: when Recover returns, the state the
+// Snapshot hook reads is whole.
+func (h *Host) recover(store *wal.Store) error {
+	restored := false
+	replayed, err := h.journal.Recover(wal.RecoverHooks{
+		Restore: func(blob []byte) error {
+			restored = true
+			return h.restoreCheckpoint(blob)
+		},
+		Replay:   h.replay,
+		Snapshot: h.checkpoint,
+	})
+	if err != nil {
+		return fmt.Errorf("fabric: recover: %w", err)
+	}
+	keys, err := h.residentKeys()
+	if err != nil {
+		return fmt.Errorf("fabric: recover: %w", err)
+	}
+	h.recovery = Recovery{Keys: len(keys), Replayed: replayed}
+	if restored {
+		h.recovery.CheckpointLSN = store.Stats().SnapshotAt
+	}
+	return nil
+}
+
+// Recovery reports what NewHost recovered from the store.
+func (h *Host) Recovery() Recovery { return h.recovery }
+
+// checkpoint is the store's Snapshot hook. The store read its floor BEFORE
+// calling it, so the blob may already reflect records above the floor;
+// replay is idempotent over those. Each shard's states and install fences
+// are captured together by one manager-exclusive entry.
+func (h *Host) checkpoint() ([]byte, error) {
+	h.mu.Lock()
+	cp := checkpoint{Spec: h.ring.Spec(), Settled: maps.Clone(h.settled)}
+	h.mu.Unlock()
+	results, err := h.group.Broadcast(context.Background(), "Checkpoint")
+	if err != nil {
+		return nil, fmt.Errorf("fabric: checkpoint: %w", err)
+	}
+	for _, res := range results {
+		b, _ := res[0].([]byte)
+		cp.Shards = append(cp.Shards, b)
+	}
+	return json.Marshal(cp)
+}
+
+// restoreCheckpoint is the store's Restore hook; it runs before any replay.
+func (h *Host) restoreCheckpoint(blob []byte) error {
+	var cp checkpoint
+	if err := json.Unmarshal(blob, &cp); err != nil {
+		return fmt.Errorf("%w: checkpoint: %v", ErrBadState, err)
+	}
+	ring, err := ParseSpec(cp.Spec)
+	if err != nil {
+		return fmt.Errorf("%w: checkpoint ring: %v", ErrBadState, err)
+	}
+	h.installRing(ring)
+	for member, epoch := range cp.Settled {
+		h.settled[member] = max(h.settled[member], epoch)
+	}
+	for _, raw := range cp.Shards {
+		var sc shardCheckpoint
+		if err := json.Unmarshal(raw, &sc); err != nil {
+			return fmt.Errorf("%w: checkpoint shard: %v", ErrBadState, err)
 		}
-		switch rec.Entry {
-		case "advance":
-			spec, _ := rec.Params[0].(string)
-			ring, err := ParseSpec(spec)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fabric: journal advance (lsn %d): %w", rec.LSN, err)
-			}
-			if ring.Epoch() > h.ring.Epoch() {
-				h.ring = ring
-			}
-			for _, id := range ring.Members() {
-				h.known[id] = ring.Addr(id)
-			}
-		case "append":
-			key, _ := rec.Params[0].(string)
-			epoch, _ := rec.Params[1].(uint64)
-			count, _ := rec.Params[2].(uint64)
-			st := states[key]
-			if st == nil {
-				st = newKeyState(epoch)
-				states[key] = st
-			}
-			st.Count = count
-			// The journaled epoch is the placement epoch the append ran at,
-			// and it ran here: the dedup tail must reproduce the original
-			// acknowledgement after recovery.
-			st.Clients[rec.Client] = clientRec{Seq: rec.Seq, Count: count, Epoch: epoch, Node: h.id}
-		case "extract":
-			key, _ := rec.Params[0].(string)
-			destSpec, _ := rec.Params[1].(string)
-			b, _ := rec.Params[2].([]byte)
-			st, err := decodeState(b)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fabric: journal extract (lsn %d): %w", rec.LSN, err)
-			}
-			st.Moved = true
-			st.MovedSpec = destSpec
-			states[key] = st
-		case "install":
-			key, _ := rec.Params[0].(string)
-			epoch, _ := rec.Params[1].(uint64)
-			b, _ := rec.Params[2].([]byte)
-			st, err := decodeState(b)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fabric: journal install (lsn %d): %w", rec.LSN, err)
-			}
-			// Only accepted installs are journaled, so every record feeds the
-			// arbitration memory (fence form: epoch+1).
-			if epoch+1 > installed[key] {
-				installed[key] = epoch + 1
-			}
-			// Mirror the ledger's lineage precedence (Count, then epoch) so
-			// recovery reproduces exactly the accept/reject decisions the
-			// live node made.
-			if cur := states[key]; cur != nil {
-				if st.Count < cur.Count || (st.Count == cur.Count && epoch <= cur.Epoch) {
-					continue
-				}
-			}
-			st.Epoch = epoch
-			st.Moved = false
-			st.MovedSpec = ""
-			states[key] = st
-		case "forget":
-			key, _ := rec.Params[0].(string)
-			delete(states, key)
-		case "settled":
-			member, _ := rec.Params[0].(string)
-			epoch, _ := rec.Params[1].(uint64)
-			if epoch > h.settled[member] {
-				h.settled[member] = epoch
+		// Shard membership is recomputed by key, so a restart may change
+		// the shard count.
+		for key, kc := range sc {
+			if _, err := h.group.Call("Restore", key, kc.State, kc.Fence); err != nil {
+				return fmt.Errorf("fabric: restore key %q: %w", key, err)
 			}
 		}
 	}
-	return states, installed, nil
+	return nil
+}
+
+// replay is the store's Replay hook: apply one journaled record, in LSN
+// order. Ring advances and settled levels fold into the host (both are
+// maxima, so re-applying one the checkpoint already reflects changes
+// nothing); the per-key records go to the key's ledger shard.
+func (h *Host) replay(entry string, p []any) error {
+	switch entry {
+	case "advance":
+		spec, ok := param[string](p, 0)
+		if !ok || len(p) != 1 {
+			return badRecord(entry, p)
+		}
+		ring, err := ParseSpec(spec)
+		if err != nil {
+			return fmt.Errorf("%w: advance: %v", ErrBadState, err)
+		}
+		h.installRing(ring)
+	case "settled":
+		member, mok := param[string](p, 0)
+		epoch, eok := param[uint64](p, 1)
+		if !mok || !eok || len(p) != 2 {
+			return badRecord(entry, p)
+		}
+		h.settled[member] = max(h.settled[member], epoch)
+	default:
+		// A shard's record: its first parameter is the key that routes it.
+		key, ok := param[string](p, 0)
+		if !ok {
+			return badRecord(entry, p)
+		}
+		_, err := h.group.Call("Replay", key, entry, p)
+		return err
+	}
+	return nil
+}
+
+func badRecord(entry string, p []any) error {
+	return fmt.Errorf("%w: journal record %s%v", ErrBadState, entry, p)
+}
+
+// installRing makes ring the node's ring unless it already holds one at
+// least as new, and remembers every member's address. Caller holds h.mu
+// (or is the only goroutine, during NewHost).
+func (h *Host) installRing(ring *Ring) {
+	if h.ring == nil || ring.Epoch() > h.ring.Epoch() {
+		h.ring = ring
+	}
+	for _, id := range ring.Members() {
+		h.known[id] = ring.Addr(id)
+	}
 }
 
 // journalRecord persists one record with group-commit durability. The
 // ledger bodies call it before acknowledging any mutation.
-func (h *Host) journalRecord(rec *wal.Record) error {
-	if h.log == nil {
+func (h *Host) journalRecord(entry string, params ...any) error {
+	if h.journal == nil {
 		return nil
 	}
-	lsn, err := h.log.Append(rec)
+	lsn, err := h.journal.Append(entry, params)
 	if err != nil {
 		return err
 	}
-	return h.log.WaitSynced(lsn)
+	return h.journal.WaitDurable(lsn)
 }
 
 // ID reports the node's member id.
@@ -313,17 +353,11 @@ func (h *Host) adopt(spec string) error {
 	}
 	// Journal the advance before the new ring steers a single call: a
 	// node must never acknowledge routing decisions it would forget.
-	if err := h.journalRecord(&wal.Record{
-		Kind: wal.KindOutcome, Object: journalObject, Entry: "advance",
-		Params: []any{ring.Spec()},
-	}); err != nil {
+	if err := h.journalRecord("advance", ring.Spec()); err != nil {
 		h.mu.Unlock()
 		return fmt.Errorf("fabric: journal advance: %w", err)
 	}
-	h.ring = ring
-	for _, id := range ring.Members() {
-		h.known[id] = ring.Addr(id)
-	}
+	h.installRing(ring)
 	h.mu.Unlock()
 	h.logf("fabric: %s adopted ring epoch %d (%d members)", h.id, ring.Epoch(), len(ring.Members()))
 	h.kickHandoff()
@@ -339,10 +373,7 @@ func (h *Host) recordSettled(member string, epoch uint64) {
 	}
 	h.settled[member] = epoch
 	h.mu.Unlock()
-	if err := h.journalRecord(&wal.Record{
-		Kind: wal.KindOutcome, Object: journalObject, Entry: "settled",
-		Params: []any{member, epoch},
-	}); err != nil {
+	if err := h.journalRecord("settled", member, epoch); err != nil {
 		h.logf("fabric: journal settled(%s@%d): %v", member, epoch, err)
 	}
 }
@@ -589,7 +620,7 @@ func (h *Host) forward(ctx context.Context, key, client string, seq uint64, payl
 		// the in-flight install will land shortly.
 		return []core.Value{statusRetry, h.id, dest.Epoch(), uint64(0), "returning"}, nil
 	}
-	rem, err := h.conn(target, dest.Addr(target))
+	rem, err := h.peers.conn(target, dest.Addr(target))
 	if err != nil {
 		return []core.Value{statusRetry, h.id, dest.Epoch(), uint64(0), "forward-dial"}, nil
 	}
@@ -598,7 +629,7 @@ func (h *Host) forward(ctx context.Context, key, client string, seq uint64, payl
 		if errors.Is(err, core.ErrOverload) {
 			return nil, err
 		}
-		h.dropConn(target)
+		h.peers.drop(target)
 		return []core.Value{statusRetry, h.id, dest.Epoch(), uint64(0), "forward-link"}, nil
 	}
 	out := make([]core.Value, len(res))
@@ -643,7 +674,7 @@ func (h *Host) pollStatus(member string) {
 	if addr == "" {
 		return
 	}
-	rem, err := h.conn(member, addr)
+	rem, err := h.peers.conn(member, addr)
 	if err != nil {
 		return
 	}
@@ -651,7 +682,7 @@ func (h *Host) pollStatus(member string) {
 	res, err := rem.CallCtx(ctx, "fabric", "Status", h.Spec())
 	cancel()
 	if err != nil {
-		h.dropConn(member)
+		h.peers.drop(member)
 		return
 	}
 	if len(res) != 4 {
@@ -683,73 +714,6 @@ func (h *Host) addrOf(member string) string {
 		return a
 	}
 	return h.known[member]
-}
-
-// conn returns a cached connection to member at addr, dialing outside the
-// host lock.
-func (h *Host) conn(member, addr string) (*rpc.Remote, error) {
-	if addr == "" {
-		return nil, fmt.Errorf("fabric: no address for member %q", member)
-	}
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if c := h.conns[member]; c != nil && c.addr == addr {
-		rem := c.rem
-		h.mu.Unlock()
-		return rem, nil
-	}
-	h.mu.Unlock()
-	// Fresh identity per dialed connection: a reconnect sharing the old
-	// one would have the peer's replay cache answer this connection's
-	// early calls with the previous connection's cached responses — an
-	// aliased Install "ok" here would let pushInstall forget state that
-	// never landed.
-	linkID, err := linkIdentity("fabric-" + h.id)
-	if err != nil {
-		return nil, err
-	}
-	rem, err := rpc.DialWith(addr, rpc.DialOptions{
-		Timeout:  2 * time.Second,
-		ClientID: linkID,
-	})
-	if err != nil {
-		return nil, err
-	}
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		rem.Close()
-		return nil, ErrClosed
-	}
-	if c := h.conns[member]; c != nil && c.addr == addr {
-		// Lost a dial race. Keep the cached link — it may already carry
-		// in-flight calls (closing it would interrupt them) — and discard
-		// ours.
-		cached := c.rem
-		h.mu.Unlock()
-		rem.Close()
-		return cached, nil
-	}
-	if old := h.conns[member]; old != nil {
-		// The member moved: the old-address link is stale.
-		old.rem.Close()
-	}
-	h.conns[member] = &hostConn{addr: addr, rem: rem}
-	h.mu.Unlock()
-	return rem, nil
-}
-
-func (h *Host) dropConn(member string) {
-	h.mu.Lock()
-	c := h.conns[member]
-	delete(h.conns, member)
-	h.mu.Unlock()
-	if c != nil {
-		c.rem.Close()
-	}
 }
 
 func (h *Host) kickHandoff() {
@@ -799,7 +763,19 @@ func (h *Host) handoffLoop() {
 // move out even though no epoch boundary is being crossed.
 func (h *Host) runHandoff() bool {
 	ring := h.ringSnapshot()
-	moving := h.residentKeysNotOwnedBy(ring)
+	resident, err := h.residentKeys()
+	if err != nil {
+		// Settling on a partial enumeration would open peers' fresh-create
+		// gate ahead of history still resident here; the next kick retries.
+		h.logf("fabric: %s handoff to epoch %d: %v", h.id, ring.Epoch(), err)
+		return false
+	}
+	var moving []string
+	for _, key := range resident {
+		if ring.Owner(key) != h.id {
+			moving = append(moving, key)
+		}
+	}
 	if h.completedLevel() >= ring.Epoch() && len(moving) == 0 {
 		return false
 	}
@@ -835,30 +811,19 @@ func (h *Host) runHandoff() bool {
 	return h.ringSnapshot().Epoch() > ring.Epoch()
 }
 
-// residentKeysNotOwnedBy enumerates this node's resident keys (tombstones
-// included, so interrupted pushes resume) that ring places elsewhere.
-func (h *Host) residentKeysNotOwnedBy(ring *Ring) []string {
+// residentKeys enumerates this node's resident keys, tombstones included
+// (so interrupted pushes resume). All shards answer or it fails.
+func (h *Host) residentKeys() ([]string, error) {
 	results, err := h.group.Broadcast(context.Background(), "Keys")
 	if err != nil {
-		h.logf("fabric: enumerate keys: %v", err)
+		return nil, fmt.Errorf("fabric: enumerate keys: %w", err)
 	}
 	var out []string
 	for _, res := range results {
-		if len(res) != 1 {
-			continue
-		}
-		b, _ := res[0].([]byte)
-		var m map[string]bool
-		if json.Unmarshal(b, &m) != nil {
-			continue
-		}
-		for key := range m {
-			if ring.Owner(key) != h.id {
-				out = append(out, key)
-			}
-		}
+		keys, _ := res[0].([]string)
+		out = append(out, keys...)
 	}
-	return out
+	return out, nil
 }
 
 // pushInstall delivers one extracted key to its new home, retrying with
@@ -899,7 +864,7 @@ func (h *Host) pushInstall(key string, state []byte) bool {
 			h.sleep(backoff)
 			continue
 		}
-		rem, err := h.conn(target, dest.Addr(target))
+		rem, err := h.peers.conn(target, dest.Addr(target))
 		if err == nil {
 			ctx, cancel := context.WithTimeout(context.Background(), 4*time.Second)
 			res, cerr := rem.CallCtx(ctx, "fabric", "Install", key, dest.Epoch(), state, dest.Spec())
@@ -927,7 +892,7 @@ func (h *Host) pushInstall(key string, state []byte) bool {
 					return true // ok, dup or stale: the move is complete
 				}
 			} else if cerr != nil {
-				h.dropConn(target)
+				h.peers.drop(target)
 			}
 		}
 		h.sleep(backoff)
@@ -969,7 +934,7 @@ func (h *Host) broadcastSettled() {
 		if h.isClosed() {
 			return
 		}
-		rem, err := h.conn(id, h.addrOf(id))
+		rem, err := h.peers.conn(id, h.addrOf(id))
 		if err != nil {
 			continue
 		}
@@ -977,7 +942,7 @@ func (h *Host) broadcastSettled() {
 		_, err = rem.CallCtx(ctx, "fabric", "Settled", h.id, completed, spec)
 		cancel()
 		if err != nil {
-			h.dropConn(id)
+			h.peers.drop(id)
 		}
 	}
 }
@@ -989,8 +954,8 @@ func (h *Host) sleep(d time.Duration) {
 	}
 }
 
-// Close stops the handoff worker, closes peer connections, the ledger and
-// the journal, in that order.
+// Close stops the handoff worker, closes peer connections and the ledger
+// and, in the standalone form, the store the Host opened.
 func (h *Host) Close() error {
 	h.mu.Lock()
 	if h.closed {
@@ -998,19 +963,20 @@ func (h *Host) Close() error {
 		return nil
 	}
 	h.closed = true
-	conns := h.conns
-	h.conns = make(map[string]*hostConn)
 	h.mu.Unlock()
 	close(h.closeCh)
 	<-h.done
-	for _, c := range conns {
-		c.rem.Close()
+	h.peers.close()
+	return h.closeLedger()
+}
+
+func (h *Host) closeLedger() error {
+	var err error
+	if h.group != nil {
+		err = h.group.Close()
 	}
-	err := h.group.Close()
-	if h.log != nil {
-		if cerr := h.log.Close(); err == nil {
-			err = cerr
-		}
+	if h.ownStore != nil {
+		err = errors.Join(err, h.ownStore.Close())
 	}
 	return err
 }

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/shard"
-	"repro/internal/wal"
 )
 
 // Ledger entry statuses. They travel as plain result values (not errors)
@@ -32,18 +31,27 @@ const (
 )
 
 // journalFn persists one fabric record (append + group-commit sync)
-// before the mutation it describes is acknowledged. nil disables
-// durability.
-type journalFn func(rec *wal.Record) error
+// before the mutation it describes is acknowledged. The record vocabulary:
+//
+//	advance [spec]
+//	settled [member, epoch]
+//	append  [key, client, seq, epoch, count]
+//	extract [key, destSpec, state]
+//	install [key, epoch, state]
+//	forget  [key]
+//
+// The first two are the host's; a shard writes the rest, and its Replay
+// entry is their inverse.
+type journalFn func(entry string, params ...any) error
 
 // newLedger builds the node's ledger group: shards key-affine replicas
 // holding keyState maps. maxPending bounds each shard's pending Append
 // calls with reject-newest shedding (core.ErrOverload), the admission
 // control the router surfaces as a typed OverloadError.
-func newLedger(shards, maxPending int, nodeID string, journal journalFn) (*shard.Group, error) {
+func newLedger(shards, maxPending int, nodeID string, record journalFn) (*shard.Group, error) {
 	return shard.New("Fabric", shards,
 		func(i int, shardName string) (*core.Object, error) {
-			return newLedgerShard(shardName, maxPending, nodeID, journal)
+			return newLedgerShard(shardName, maxPending, nodeID, record)
 		},
 		shard.WithKey("Append", shard.StringKey(0)),
 		shard.WithKey("Extract", shard.StringKey(0)),
@@ -52,29 +60,23 @@ func newLedger(shards, maxPending int, nodeID string, journal journalFn) (*shard
 		shard.WithKey("Forget", shard.StringKey(0)),
 		shard.WithKey("Audit", shard.StringKey(0)),
 		shard.WithKey("Restore", shard.StringKey(0)),
+		shard.WithKey("Replay", shard.StringKey(0)),
 	)
 }
 
 // newLedgerShard builds one replica. The states map is confined to the
 // shard's manager: every entry is intercepted and executed inline on the
 // manager process, so bodies need no locking and observe a total order.
-func newLedgerShard(name string, maxPending int, nodeID string, journal journalFn) (*core.Object, error) {
+func newLedgerShard(name string, maxPending int, nodeID string, record journalFn) (*core.Object, error) {
 	states := make(map[string]*keyState)
 	// installed is the shard's move-arbitration memory: per key, one past
 	// the highest epoch at which an install was ever accepted here (0 =
 	// never), kept past Forget. A crashed source that re-pushes a
 	// completed move transaction is answered "dup" from this memory —
 	// re-accepting the image after the key moved on would resurrect a
-	// stale, executable replica of the lineage. Rebuilt from journal
-	// install records on recovery.
+	// stale, executable replica of the lineage. Checkpointed with the
+	// states and rebuilt from journal install records on recovery.
 	installed := make(map[string]uint64)
-
-	record := func(rec *wal.Record) error {
-		if journal == nil {
-			return nil
-		}
-		return journal(rec)
-	}
 
 	// Append(key, client, seq, payload, owned, gate, epoch) ->
 	// (status, epoch, count, info, node). owned/gate/epoch are the host's
@@ -143,11 +145,7 @@ func newLedgerShard(name string, maxPending int, nodeID string, journal journalF
 		prev, hadPrev := st.Clients[client]
 		st.Count++
 		st.Clients[client] = clientRec{Seq: seq, Count: st.Count, Epoch: st.Epoch, Node: nodeID}
-		if err := record(&wal.Record{
-			Kind: wal.KindOutcome, Object: journalObject, Entry: "append",
-			Client: client, Seq: seq,
-			Params: []any{key, st.Epoch, st.Count},
-		}); err != nil {
+		if err := record("append", key, client, seq, st.Epoch, st.Count); err != nil {
 			// Never acknowledge an unjournaled execution: roll the
 			// mutation back and fail the call.
 			st.Count--
@@ -205,10 +203,7 @@ func newLedgerShard(name string, maxPending int, nodeID string, journal journalF
 			st.MovedSpec = ""
 			return err
 		}
-		if err := record(&wal.Record{
-			Kind: wal.KindOutcome, Object: journalObject, Entry: "extract",
-			Params: []any{key, destSpec, b},
-		}); err != nil {
+		if err := record("extract", key, destSpec, b); err != nil {
 			st.Moved = false
 			st.MovedSpec = ""
 			return fmt.Errorf("fabric: journal extract: %w", err)
@@ -256,10 +251,7 @@ func newLedgerShard(name string, maxPending int, nodeID string, journal journalF
 		ns.MovedSpec = ""
 		prev := states[key]
 		states[key] = ns
-		if err := record(&wal.Record{
-			Kind: wal.KindOutcome, Object: journalObject, Entry: "install",
-			Params: []any{key, epoch, b},
-		}); err != nil {
+		if err := record("install", key, epoch, b); err != nil {
 			if prev != nil {
 				states[key] = prev
 			} else {
@@ -301,10 +293,7 @@ func newLedgerShard(name string, maxPending int, nodeID string, journal journalF
 			return nil
 		}
 		delete(states, key)
-		if err := record(&wal.Record{
-			Kind: wal.KindOutcome, Object: journalObject, Entry: "forget",
-			Params: []any{key},
-		}); err != nil {
+		if err := record("forget", key); err != nil {
 			states[key] = st
 			return fmt.Errorf("fabric: journal forget: %w", err)
 		}
@@ -329,39 +318,121 @@ func newLedgerShard(name string, maxPending int, nodeID string, journal journalF
 		return nil
 	}
 
-	// Restore(key, state, installedFence) -> (status). Recovery-only bulk
-	// load, replayed from the journal before the node serves traffic;
-	// never journaled itself. state may be empty for keys whose entry was
-	// forgotten but whose install memory (the fence, epoch+1 form) must
-	// survive the restart.
+	// Restore(key, *keyState, installedFence) -> (status). Recovery-only
+	// load of one checkpointed key, before the node serves traffic; never
+	// journaled itself. The state is nil for keys whose entry was forgotten
+	// but whose install memory (the fence, epoch+1 form) must survive the
+	// restart.
 	restoreBody := func(inv *core.Invocation) error {
 		key, _ := inv.Param(0).(string)
-		b, _ := inv.Param(1).([]byte)
+		st, _ := inv.Param(1).(*keyState)
 		fence, _ := inv.Param(2).(uint64)
-		if fence > installed[key] {
-			installed[key] = fence
+		installed[key] = max(installed[key], fence)
+		if st != nil {
+			if st.Clients == nil {
+				st.Clients = make(map[string]clientRec)
+			}
+			states[key] = st
 		}
-		if len(b) == 0 {
-			inv.Return(statusOK)
-			return nil
-		}
-		st, err := decodeState(b)
-		if err != nil {
-			return err
-		}
-		states[key] = st
 		inv.Return(statusOK)
 		return nil
 	}
 
-	// Keys() -> (json). Resident keys with their moved flag, one shard's
-	// worth; the host broadcasts and merges.
-	keysBody := func(inv *core.Invocation) error {
-		m := make(map[string]bool, len(states))
-		for k, st := range states {
-			m[k] = st.Moved
+	// Replay(key, entry, params) -> (status). Recovery only: re-applies one
+	// of this shard's own journal records, in LSN order. The checkpoint
+	// underneath may already reflect the record and any number after it
+	// (the store's floor is fuzzy). Re-applying is still exact: every
+	// record of the key above the floor follows in order; extract, install
+	// and forget replace the entry whole; and an append sets Count and one
+	// client's tail, which only a later record of the same key changes.
+	replayBody := func(inv *core.Invocation) error {
+		key, _ := inv.Param(0).(string)
+		entry, _ := inv.Param(1).(string)
+		p, _ := inv.Param(2).([]any)
+		switch entry {
+		case "append":
+			client, cok := param[string](p, 1)
+			seq, sok := param[uint64](p, 2)
+			epoch, eok := param[uint64](p, 3)
+			count, nok := param[uint64](p, 4)
+			if !cok || !sok || !eok || !nok || len(p) != 5 {
+				return badRecord(entry, p)
+			}
+			st := states[key]
+			if st == nil {
+				st = newKeyState(epoch)
+				states[key] = st
+			}
+			st.Count = count
+			// The journaled epoch is the placement epoch the append ran at,
+			// and it ran here: the dedup tail must reproduce the original
+			// acknowledgement after recovery.
+			st.Clients[client] = clientRec{Seq: seq, Count: count, Epoch: epoch, Node: nodeID}
+		case "extract":
+			destSpec, dok := param[string](p, 1)
+			b, bok := param[[]byte](p, 2)
+			if !dok || !bok || len(p) != 3 {
+				return badRecord(entry, p)
+			}
+			st, err := decodeState(b)
+			if err != nil {
+				return err
+			}
+			st.Moved = true
+			st.MovedSpec = destSpec
+			states[key] = st
+		case "install":
+			epoch, eok := param[uint64](p, 1)
+			b, bok := param[[]byte](p, 2)
+			if !eok || !bok || len(p) != 3 {
+				return badRecord(entry, p)
+			}
+			st, err := decodeState(b)
+			if err != nil {
+				return err
+			}
+			// Only accepted installs are journaled: every record feeds the
+			// arbitration memory and replaces the entry, as it did live.
+			installed[key] = max(installed[key], epoch+1)
+			st.Epoch = epoch
+			st.Moved = false
+			st.MovedSpec = ""
+			states[key] = st
+		case "forget":
+			if len(p) != 1 {
+				return badRecord(entry, p)
+			}
+			delete(states, key)
+		default:
+			return badRecord(entry, p)
 		}
-		b, err := json.Marshal(m)
+		inv.Return(statusOK)
+		return nil
+	}
+
+	// Keys() -> ([]string). One shard's resident keys, tombstones included;
+	// the host broadcasts and merges.
+	keysBody := func(inv *core.Invocation) error {
+		keys := make([]string, 0, len(states))
+		for k := range states {
+			keys = append(keys, k)
+		}
+		inv.Return(keys)
+		return nil
+	}
+
+	// Checkpoint() -> (json shardCheckpoint). Every key's entry and install
+	// fence, captured together because the manager runs nothing else
+	// meanwhile.
+	checkpointBody := func(inv *core.Invocation) error {
+		sc := make(shardCheckpoint, len(installed))
+		for k, fence := range installed {
+			sc[k] = keyCheckpoint{Fence: fence}
+		}
+		for k, st := range states {
+			sc[k] = keyCheckpoint{State: st, Fence: installed[k]}
+		}
+		b, err := json.Marshal(sc)
 		if err != nil {
 			return err
 		}
@@ -369,32 +440,32 @@ func newLedgerShard(name string, maxPending int, nodeID string, journal journalF
 		return nil
 	}
 
-	return core.New(name,
-		core.WithEntry(core.EntrySpec{Name: "Append", Params: 7, Results: 5, Body: appendBody,
-			MaxPending: maxPending, Shed: core.ShedRejectNewest}),
-		core.WithEntry(core.EntrySpec{Name: "Extract", Params: 2, Results: 2, Body: extractBody}),
-		core.WithEntry(core.EntrySpec{Name: "Install", Params: 3, Results: 1, Body: installBody}),
-		core.WithEntry(core.EntrySpec{Name: "InstallCheck", Params: 2, Results: 1, Body: installCheckBody}),
-		core.WithEntry(core.EntrySpec{Name: "Forget", Params: 1, Results: 1, Body: forgetBody}),
-		core.WithEntry(core.EntrySpec{Name: "Audit", Params: 1, Results: 2, Body: auditBody}),
-		core.WithEntry(core.EntrySpec{Name: "Restore", Params: 3, Results: 1, Body: restoreBody}),
-		core.WithEntry(core.EntrySpec{Name: "Keys", Results: 1, Body: keysBody}),
-		core.WithManager(func(m *core.Mgr) {
-			_ = m.Loop(
-				core.OnAccept("Append", func(a *core.Accepted) { _, _ = m.Execute(a) }),
-				core.OnAccept("Extract", func(a *core.Accepted) { _, _ = m.Execute(a) }),
-				core.OnAccept("Install", func(a *core.Accepted) { _, _ = m.Execute(a) }),
-				core.OnAccept("InstallCheck", func(a *core.Accepted) { _, _ = m.Execute(a) }),
-				core.OnAccept("Forget", func(a *core.Accepted) { _, _ = m.Execute(a) }),
-				core.OnAccept("Audit", func(a *core.Accepted) { _, _ = m.Execute(a) }),
-				core.OnAccept("Restore", func(a *core.Accepted) { _, _ = m.Execute(a) }),
-				core.OnAccept("Keys", func(a *core.Accepted) { _, _ = m.Execute(a) }),
-			)
-		}, core.Intercept("Append"), core.Intercept("Extract"), core.Intercept("Install"),
-			core.Intercept("InstallCheck"), core.Intercept("Forget"), core.Intercept("Audit"),
-			core.Intercept("Restore"), core.Intercept("Keys")),
-	)
+	// Every entry is intercepted and executed inline by the manager.
+	entries := []core.EntrySpec{
+		{Name: "Append", Params: 7, Results: 5, Body: appendBody, MaxPending: maxPending, Shed: core.ShedRejectNewest},
+		{Name: "Extract", Params: 2, Results: 2, Body: extractBody},
+		{Name: "Install", Params: 3, Results: 1, Body: installBody},
+		{Name: "InstallCheck", Params: 2, Results: 1, Body: installCheckBody},
+		{Name: "Forget", Params: 1, Results: 1, Body: forgetBody},
+		{Name: "Audit", Params: 1, Results: 2, Body: auditBody},
+		{Name: "Restore", Params: 3, Results: 1, Body: restoreBody},
+		{Name: "Replay", Params: 3, Results: 1, Body: replayBody},
+		{Name: "Keys", Results: 1, Body: keysBody},
+		{Name: "Checkpoint", Results: 1, Body: checkpointBody},
+	}
+	opts := make([]core.Option, 0, len(entries)+1)
+	intercepts := make([]core.InterceptSpec, 0, len(entries))
+	for _, e := range entries {
+		opts = append(opts, core.WithEntry(e))
+		intercepts = append(intercepts, core.Intercept(e.Name))
+	}
+	opts = append(opts, core.WithManager(func(m *core.Mgr) {
+		execute := func(a *core.Accepted) { _, _ = m.Execute(a) }
+		guards := make([]core.Guard, 0, len(entries))
+		for _, e := range entries {
+			guards = append(guards, core.OnAccept(e.Name, execute))
+		}
+		_ = m.Loop(guards...)
+	}, intercepts...))
+	return core.New(name, opts...)
 }
-
-// journalObject names fabric records in the shared write-ahead log.
-const journalObject = "fabric"

@@ -1,0 +1,53 @@
+package fabric
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/rpc"
+)
+
+// TestPeersColdCacheDialRace: callers racing to a member nobody has dialed
+// yet all dial, one link is cached, and every caller — winner or loser —
+// gets that link, open. A loser must not close a cached link either: it may
+// already carry another caller's in-flight call.
+func TestPeersColdCacheDialRace(t *testing.T) {
+	n := soloNode(t, 1)
+	ctx := testCtx(t)
+	p := newPeers("race", 2*time.Second)
+	defer p.close()
+
+	const callers = 16
+	rems := make([]*rpc.Remote, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			if rems[i], errs[i] = p.conn("solo", n.addr); errs[i] != nil {
+				return
+			}
+			var res []any
+			if res, errs[i] = rems[i].CallCtx(ctx, "fabric", "Ring"); errs[i] == nil && res[0] != n.host.Spec() {
+				t.Errorf("caller %d: Ring() = %v", i, res)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range rems {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if rems[i] != rems[0] {
+			t.Fatalf("caller %d got a link of its own; the cache holds one per member", i)
+		}
+	}
+	if _, err := rems[0].CallCtx(ctx, "fabric", "Ring"); err != nil {
+		t.Fatalf("the cached link was closed under its users: %v", err)
+	}
+}

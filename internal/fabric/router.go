@@ -2,8 +2,6 @@ package fabric
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rpc"
 )
 
 // RouterOptions configures a client-side Router.
@@ -63,27 +60,10 @@ type Audit struct {
 type Router struct {
 	opts RouterOptions
 
-	mu     sync.Mutex
-	ring   *Ring
-	conns  map[string]*hostConn
-	closed bool
-}
+	peers *peers
 
-// linkIdentity salts base with a fresh nonce, producing the transport
-// at-most-once identity for ONE dialed connection. Each rpc.Remote
-// numbers its calls from 1 and the nodes' replay cache keys on
-// (identity, call number), so two connections sharing an identity — a
-// reconnect after dropConn, or two processes running the same client —
-// would replay the first connection's cached responses to the second's
-// unrelated calls. Exactly-once for appends is the ledger's job, keyed
-// on the stable ClientID that travels as a call parameter; the link
-// identity only has to be unique per connection.
-func linkIdentity(base string) (string, error) {
-	nonce := make([]byte, 6)
-	if _, err := rand.Read(nonce); err != nil {
-		return "", fmt.Errorf("fabric: link nonce: %w", err)
-	}
-	return base + "#" + hex.EncodeToString(nonce), nil
+	mu   sync.Mutex
+	ring *Ring
 }
 
 // NewRouter builds a router from an initial ring spec.
@@ -104,7 +84,7 @@ func NewRouter(spec string, opts RouterOptions) (*Router, error) {
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 2 * time.Second
 	}
-	return &Router{opts: opts, ring: ring, conns: make(map[string]*hostConn)}, nil
+	return &Router{opts: opts, ring: ring, peers: newPeers(opts.ClientID, opts.DialTimeout)}, nil
 }
 
 // Ring reports the router's current ring spec.
@@ -148,12 +128,12 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 		if err := ctx.Err(); err != nil {
 			return Exec{}, err
 		}
-		if r.isClosed() {
+		if r.peers.isClosed() {
 			return Exec{}, ErrClosed
 		}
 		ring := r.ringSnapshot()
 		owner := ring.Owner(key)
-		rem, err := r.conn(owner, ring.Addr(owner))
+		rem, err := r.peers.conn(owner, ring.Addr(owner))
 		if err != nil {
 			lastStatus, lastErr = "dial", err
 			if serr := r.sleep(ctx, backoff); serr != nil {
@@ -172,7 +152,7 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 			}
 			// Link-level failure: the call may or may not have executed;
 			// retrying the same seq is safe against the dedup ledger.
-			r.dropConn(owner)
+			r.peers.drop(owner)
 			lastStatus, lastErr = "link", err
 			if serr := r.sleep(ctx, backoff); serr != nil {
 				return Exec{}, serr
@@ -225,7 +205,7 @@ func (r *Router) Audit(ctx context.Context, key string) (Audit, error) {
 		}
 		ring := r.ringSnapshot()
 		owner := ring.Owner(key)
-		rem, err := r.conn(owner, ring.Addr(owner))
+		rem, err := r.peers.conn(owner, ring.Addr(owner))
 		if err == nil {
 			var res []any
 			res, err = rem.CallCtx(ctx, "fabric", "Audit", key)
@@ -258,7 +238,7 @@ func (r *Router) Audit(ctx context.Context, key string) (Audit, error) {
 			}
 		}
 		if err != nil {
-			r.dropConn(owner)
+			r.peers.drop(owner)
 			last = err
 		}
 		if serr := r.sleep(ctx, backoff); serr != nil {
@@ -291,12 +271,12 @@ func (r *Router) Reshard(ctx context.Context, spec string) (int, error) {
 	}
 	acked := 0
 	for id, addr := range targets {
-		rem, err := r.conn(id, addr)
+		rem, err := r.peers.conn(id, addr)
 		if err != nil {
 			continue
 		}
 		if _, err := rem.CallCtx(ctx, "fabric", "Reshard", spec); err != nil {
-			r.dropConn(id)
+			r.peers.drop(id)
 			continue
 		}
 		acked++
@@ -312,13 +292,13 @@ func (r *Router) Reshard(ctx context.Context, spec string) (int, error) {
 // settled vector. The router adopts any newer spec it learns.
 func (r *Router) Status(ctx context.Context, member string) (spec string, completed uint64, settled map[string]uint64, err error) {
 	ring := r.ringSnapshot()
-	rem, err := r.conn(member, ring.Addr(member))
+	rem, err := r.peers.conn(member, ring.Addr(member))
 	if err != nil {
 		return "", 0, nil, err
 	}
 	res, err := rem.CallCtx(ctx, "fabric", "Status", ring.Spec())
 	if err != nil {
-		r.dropConn(member)
+		r.peers.drop(member)
 		return "", 0, nil, err
 	}
 	if len(res) != 4 {
@@ -331,62 +311,6 @@ func (r *Router) Status(ctx context.Context, member string) (spec string, comple
 	}
 	r.adopt(spec)
 	return spec, completed, settled, nil
-}
-
-func (r *Router) conn(member, addr string) (*rpc.Remote, error) {
-	if addr == "" {
-		return nil, fmt.Errorf("fabric: no address for member %q", member)
-	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if c := r.conns[member]; c != nil && c.addr == addr {
-		rem := c.rem
-		r.mu.Unlock()
-		return rem, nil
-	}
-	r.mu.Unlock()
-	linkID, err := linkIdentity(r.opts.ClientID)
-	if err != nil {
-		return nil, err
-	}
-	rem, err := rpc.DialWith(addr, rpc.DialOptions{
-		Timeout:  r.opts.DialTimeout,
-		ClientID: linkID,
-	})
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		rem.Close()
-		return nil, ErrClosed
-	}
-	if old := r.conns[member]; old != nil {
-		old.rem.Close()
-	}
-	r.conns[member] = &hostConn{addr: addr, rem: rem}
-	r.mu.Unlock()
-	return rem, nil
-}
-
-func (r *Router) dropConn(member string) {
-	r.mu.Lock()
-	c := r.conns[member]
-	delete(r.conns, member)
-	r.mu.Unlock()
-	if c != nil {
-		c.rem.Close()
-	}
-}
-
-func (r *Router) isClosed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
 }
 
 func (r *Router) sleep(ctx context.Context, d time.Duration) error {
@@ -408,17 +332,4 @@ func bump(d time.Duration) time.Duration {
 }
 
 // Close closes every member connection.
-func (r *Router) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	conns := r.conns
-	r.conns = make(map[string]*hostConn)
-	r.mu.Unlock()
-	for _, c := range conns {
-		c.rem.Close()
-	}
-}
+func (r *Router) Close() { r.peers.close() }

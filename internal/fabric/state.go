@@ -62,7 +62,7 @@ func encodeState(st *keyState) ([]byte, error) {
 func decodeState(b []byte) (*keyState, error) {
 	st := &keyState{}
 	if err := json.Unmarshal(b, st); err != nil {
-		return nil, fmt.Errorf("fabric: decode key state: %w", err)
+		return nil, fmt.Errorf("%w: key state: %v", ErrBadState, err)
 	}
 	if st.Clients == nil {
 		st.Clients = make(map[string]clientRec)

@@ -77,12 +77,14 @@ func (j *ObjectJournal) skips(entry string) bool {
 // every record it journaled above the floor, in LSN order. Outcomes
 // recorded while replaying are suppressed (the log already has them). It
 // returns the number of records replayed. Store snapshots defer until every
-// name the previous incarnation left state under has been through Recover.
+// name the previous incarnation left state under has been through Recover —
+// all the way through: the name is claimed only once the Snapshot hook is in
+// place, so a snapshot another participant's appends trigger meanwhile cannot
+// prune this one's records from under a half-restored state.
 func (j *ObjectJournal) Recover(h RecoverHooks) (int, error) {
 	j.s.mu.Lock()
 	blob, hasBlob := j.s.snapState[j.name]
 	pending := j.s.byObject[j.name]
-	delete(j.s.byObject, j.name)
 	j.s.mu.Unlock()
 
 	j.replaying.Store(true)
@@ -106,6 +108,9 @@ func (j *ObjectJournal) Recover(h RecoverHooks) (int, error) {
 	j.mu.Lock()
 	j.snap = h.Snapshot
 	j.mu.Unlock()
+	j.s.mu.Lock()
+	delete(j.s.byObject, j.name)
+	j.s.mu.Unlock()
 	return replayed, nil
 }
 

@@ -246,3 +246,90 @@ func TestOpenRefusesRetiredLayoutUntouched(t *testing.T) {
 		})
 	}
 }
+
+// TestSnapshotDefersUntilRecoverReturns: a participant is unclaimed until
+// its Recover has returned — Snapshot hook in place, state whole. A
+// snapshot attempted from inside its Replay hook (as another participant's
+// appends could trigger one) must defer, not publish a checkpoint without
+// this participant's blob and prune its records.
+func TestSnapshotDefersUntilRecoverReturns(t *testing.T) {
+	fs := NewFailFS()
+	opts := StoreOptions{FS: fs, SegmentBytes: 128}
+	st, err := OpenStore("data", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &ledger{}
+	j := st.Journal("!ctl:p", JournalOptions{})
+	if _, err := j.Recover(p.hooks()); err != nil {
+		t.Fatal(err)
+	}
+	for n := uint64(1); n <= 10; n++ {
+		p.note(t, j, n)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := OpenStore("data", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	p2 := &ledger{}
+	h := p2.hooks()
+	replay := h.Replay
+	var during []error
+	h.Replay = func(entry string, params []any) error {
+		during = append(during, st2.ForceSnapshot())
+		return replay(entry, params)
+	}
+	if _, err := st2.Journal("!ctl:p", JournalOptions{}).Recover(h); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range during {
+		if err == nil || !strings.Contains(err.Error(), "!ctl:p") {
+			t.Fatalf("snapshot during replay of record %d = %v, want a deferral naming the participant", i+1, err)
+		}
+	}
+	if len(during) != 10 || p2.high != 10 {
+		t.Fatalf("replayed %d records to high=%d, want 10 and 10", len(during), p2.high)
+	}
+	if err := st2.ForceSnapshot(); err != nil {
+		t.Fatalf("ForceSnapshot once Recover returned: %v", err)
+	}
+}
+
+// TestSnapshotCadenceCountsRecoveredRecords: SnapshotEvery bounds what a
+// restart replays, so records recovered at open count towards it. A store
+// crashing before its tenth append, over and over, still checkpoints.
+func TestSnapshotCadenceCountsRecoveredRecords(t *testing.T) {
+	fs := NewFailFS()
+	opts := StoreOptions{FS: fs, SnapshotEvery: 10}
+	n := uint64(0)
+	for incarnation := 1; incarnation <= 3; incarnation++ {
+		st, err := OpenStore("data", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &ledger{}
+		j := st.Journal("!ctl:p", JournalOptions{})
+		replayed, err := j.Recover(p.hooks())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if replayed >= 10 {
+			t.Fatalf("incarnation %d replayed %d records at SnapshotEvery 10", incarnation, replayed)
+		}
+		if p.high != n {
+			t.Fatalf("incarnation %d recovered high=%d, want %d", incarnation, p.high, n)
+		}
+		for i := 0; i < 6; i++ {
+			n++
+			p.note(t, j, n)
+		}
+		if err := st.Close(); err != nil { // waits for an in-flight snapshot
+			t.Fatal(err)
+		}
+	}
+}

@@ -97,6 +97,10 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 			s.byObject[name] = nil
 		}
 	}
+	// The cadence counts what a restart would replay, not what this process
+	// wrote: a store reopened again and again before its SnapshotEvery-th
+	// append would otherwise never checkpoint.
+	s.recsSinceSnap = len(rec.Records)
 	for _, r := range rec.Records {
 		switch r.Kind {
 		case KindOutcome:
