@@ -29,8 +29,10 @@ type HostOptions struct {
 	MaxPending int
 	// Store, when non-nil, is the node's durability store. The fabric
 	// journals there as the participant "fabric": every executed append,
-	// handoff step and ring advance is synced before acknowledgement, the
-	// store's snapshots carry the fabric's checkpoint, and recovery restores
+	// handoff step and ring advance is on stable storage before it is
+	// acknowledged (an append's record is staged by its shard's manager and
+	// awaited by the goroutine serving the call), the store's snapshots
+	// carry the fabric's checkpoint, and recovery restores
 	// the newest checkpoint and replays the records above it, so a SIGKILL
 	// loses nothing acknowledged. The caller closes the store, after the
 	// Host.
@@ -153,7 +155,7 @@ func NewHost(opts HostOptions) (*Host, error) {
 	if store != nil {
 		h.journal = store.Journal(journalObject, wal.JournalOptions{Skip: func(string) bool { return true }})
 	}
-	h.group, err = newLedger(opts.Shards, opts.MaxPending, opts.ID, h.journalRecord)
+	h.group, err = newLedger(opts.Shards, opts.MaxPending, opts.ID, h.stage, h.durable)
 	if err == nil && store != nil {
 		err = h.recover(store)
 	}
@@ -200,8 +202,13 @@ func (h *Host) Recovery() Recovery { return h.recovery }
 
 // checkpoint is the store's Snapshot hook. The store read its floor BEFORE
 // calling it, so the blob may already reflect records above the floor;
-// replay is idempotent over those. Each shard's states and install fences
-// are captured together by one manager-exclusive entry.
+// replay is idempotent over those — provided it sees them all. A shard's
+// blob may hold appends whose records are only staged, so the blob is not
+// handed over until every shard's staged LSN is durable: were a crash to
+// lose such a record, replaying an earlier append of the key (it SETS the
+// count) would put the count back beneath a tail the checkpoint kept. Each
+// shard's states and install fences are captured together by one
+// manager-exclusive entry.
 func (h *Host) checkpoint() ([]byte, error) {
 	h.mu.Lock()
 	cp := checkpoint{Spec: h.ring.Spec(), Settled: maps.Clone(h.settled)}
@@ -210,9 +217,15 @@ func (h *Host) checkpoint() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fabric: checkpoint: %w", err)
 	}
+	var staged uint64
 	for _, res := range results {
 		b, _ := res[0].([]byte)
 		cp.Shards = append(cp.Shards, b)
+		lsn, _ := res[1].(uint64)
+		staged = max(staged, lsn)
+	}
+	if err := h.durable(staged); err != nil {
+		return nil, fmt.Errorf("fabric: checkpoint: %w", err)
 	}
 	return json.Marshal(cp)
 }
@@ -298,17 +311,34 @@ func (h *Host) installRing(ring *Ring) {
 	}
 }
 
-// journalRecord persists one record with group-commit durability. The
-// ledger bodies call it before acknowledging any mutation.
-func (h *Host) journalRecord(entry string, params ...any) error {
+// stage is the Host's journalFn: it appends one record to the node's
+// journal and returns its LSN. Call it under whatever orders the record —
+// a shard's manager, h.mu — and wait (durable) outside it where the path
+// is hot.
+func (h *Host) stage(entry string, params ...any) (uint64, error) {
+	if h.journal == nil {
+		return 0, nil
+	}
+	return h.journal.Append(entry, params)
+}
+
+// durable blocks until the journal holds every record up to lsn on stable
+// storage (group commit: concurrent waiters share fsyncs). A failure is
+// sticky in the journal: the member acknowledges nothing until it restarts.
+func (h *Host) durable(lsn uint64) error {
 	if h.journal == nil {
 		return nil
 	}
-	lsn, err := h.journal.Append(entry, params)
+	return h.journal.WaitDurable(lsn)
+}
+
+// journalRecord stages one of the host's own records and waits for it.
+func (h *Host) journalRecord(entry string, params ...any) error {
+	lsn, err := h.stage(entry, params...)
 	if err != nil {
 		return err
 	}
-	return h.journal.WaitDurable(lsn)
+	return h.durable(lsn)
 }
 
 // ID reports the node's member id.
@@ -364,18 +394,24 @@ func (h *Host) adopt(spec string) error {
 	return nil
 }
 
-// recordSettled folds one member's settled epoch into the vector.
+// recordSettled folds one member's settled epoch into the vector: journaled
+// first, published after, so the fresh-create gate never opens on a level a
+// crash would forget. Concurrent callers may journal levels out of order;
+// the vector (here and in replay) keeps the maximum.
 func (h *Host) recordSettled(member string, epoch uint64) {
 	h.mu.Lock()
-	if h.closed || epoch <= h.settled[member] {
-		h.mu.Unlock()
+	stale := h.closed || epoch <= h.settled[member]
+	h.mu.Unlock()
+	if stale {
 		return
 	}
-	h.settled[member] = epoch
-	h.mu.Unlock()
 	if err := h.journalRecord("settled", member, epoch); err != nil {
 		h.logf("fabric: journal settled(%s@%d): %v", member, epoch, err)
+		return
 	}
+	h.mu.Lock()
+	h.settled[member] = max(h.settled[member], epoch)
+	h.mu.Unlock()
 }
 
 // gateOK reports whether fresh keys may be created at epoch: every other
@@ -533,6 +569,9 @@ func (h *Host) CallCtx(ctx context.Context, entry string, params ...core.Value) 
 		if err != nil {
 			return nil, err
 		}
+		if err := h.revealed(res[2]); err != nil {
+			return nil, err
+		}
 		return []core.Value{res[0], res[1], h.Spec()}, nil
 	default:
 		return nil, fmt.Errorf("fabric: %q: %w", entry, core.ErrUnknownEntry)
@@ -552,9 +591,21 @@ func param[T any](params []core.Value, i int) (T, bool) {
 	return v, ok
 }
 
-// append serves one keyed append: route into the ledger, then translate
-// the shard's verdict into the wire tuple — serving, forwarding past a
-// tombstone, or telling the caller to re-resolve/back off.
+// revealed waits until what a ledger entry just answered from is durable:
+// lsn is the entry's last result, the LSN its shard staged up to.
+func (h *Host) revealed(lsn core.Value) error {
+	n, _ := lsn.(uint64)
+	if err := h.durable(n); err != nil {
+		return fmt.Errorf("fabric: journal: %w", err)
+	}
+	return nil
+}
+
+// append serves one keyed append: route into the ledger, wait — here, on the
+// goroutine serving the call, not on the shard's manager — until the record
+// the shard staged is on stable storage, then translate the shard's verdict
+// into the wire tuple: serving, forwarding past a tombstone, or telling the
+// caller to re-resolve/back off.
 func (h *Host) append(ctx context.Context, key, client string, seq uint64, payload []byte, hops uint64) ([]core.Value, error) {
 	ring := h.ringSnapshot()
 	owned := ring.Owner(key) == h.id
@@ -569,6 +620,9 @@ func (h *Host) append(ctx context.Context, key, client string, seq uint64, paylo
 	}
 	res, err := h.group.CallCtx(ctx, "Append", key, client, seq, payload, owned, gate, ring.Epoch())
 	if err != nil {
+		return nil, err
+	}
+	if err := h.revealed(res[5]); err != nil {
 		return nil, err
 	}
 	status, _ := res[0].(string)

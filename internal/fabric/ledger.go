@@ -30,8 +30,12 @@ const (
 	statusStale      = "stale"       // install older than resident state
 )
 
-// journalFn persists one fabric record (append + group-commit sync)
-// before the mutation it describes is acknowledged. The record vocabulary:
+// journalFn stages one fabric record: it appends the record to the node's
+// journal — so LSNs follow the order of the lock or manager the caller runs
+// under — and returns the LSN without waiting for the disk. Nothing the
+// record describes may be acknowledged or revealed before Host.durable has
+// returned for that LSN; the wait belongs to whoever sends the answer, not to
+// whoever orders the records. The record vocabulary:
 //
 //	advance [spec]
 //	settled [member, epoch]
@@ -42,16 +46,16 @@ const (
 //
 // The first two are the host's; a shard writes the rest, and its Replay
 // entry is their inverse.
-type journalFn func(entry string, params ...any) error
+type journalFn func(entry string, params ...any) (lsn uint64, err error)
 
 // newLedger builds the node's ledger group: shards key-affine replicas
 // holding keyState maps. maxPending bounds each shard's pending Append
 // calls with reject-newest shedding (core.ErrOverload), the admission
 // control the router surfaces as a typed OverloadError.
-func newLedger(shards, maxPending int, nodeID string, record journalFn) (*shard.Group, error) {
+func newLedger(shards, maxPending int, nodeID string, stage journalFn, durable func(lsn uint64) error) (*shard.Group, error) {
 	return shard.New("Fabric", shards,
 		func(i int, shardName string) (*core.Object, error) {
-			return newLedgerShard(shardName, maxPending, nodeID, record)
+			return newLedgerShard(shardName, maxPending, nodeID, stage, durable)
 		},
 		shard.WithKey("Append", shard.StringKey(0)),
 		shard.WithKey("Extract", shard.StringKey(0)),
@@ -67,8 +71,23 @@ func newLedger(shards, maxPending int, nodeID string, record journalFn) (*shard.
 // newLedgerShard builds one replica. The states map is confined to the
 // shard's manager: every entry is intercepted and executed inline on the
 // manager process, so bodies need no locking and observe a total order.
-func newLedgerShard(name string, maxPending int, nodeID string, record journalFn) (*core.Object, error) {
+func newLedgerShard(name string, maxPending int, nodeID string, stage journalFn, durable func(lsn uint64) error) (*core.Object, error) {
 	states := make(map[string]*keyState)
+	// staged is the highest LSN this shard has staged. Every entry that
+	// reveals ledger state returns it, and the host waits for it before the
+	// answer leaves: the manager never waits for the disk on the append path,
+	// and no reader runs ahead of it.
+	var staged uint64
+	// record is the handoff path's form: the record is durable on return (and
+	// with it every earlier one), at the price of an fsync on the manager.
+	record := func(entry string, params ...any) error {
+		lsn, err := stage(entry, params...)
+		if err != nil {
+			return err
+		}
+		staged = lsn
+		return durable(lsn)
+	}
 	// installed is the shard's move-arbitration memory: per key, one past
 	// the highest epoch at which an install was ever accepted here (0 =
 	// never), kept past Forget. A crashed source that re-pushes a
@@ -79,7 +98,10 @@ func newLedgerShard(name string, maxPending int, nodeID string, record journalFn
 	installed := make(map[string]uint64)
 
 	// Append(key, client, seq, payload, owned, gate, epoch) ->
-	// (status, epoch, count, info, node). owned/gate/epoch are the host's
+	// (status, epoch, count, info, node, lsn). The record of a fresh append is
+	// only staged: lsn is what the host must see durable before it answers —
+	// the append's own record, or, for an answer read from resident state,
+	// everything the shard has staged. owned/gate/epoch are the host's
 	// view of the current ring at routing time; the body re-checks them
 	// only for fresh keys — resident state always wins, which is precisely
 	// the grandfathering window that lets the old owner drain queued calls
@@ -96,12 +118,12 @@ func newLedgerShard(name string, maxPending int, nodeID string, record journalFn
 		if st == nil {
 			switch {
 			case !owned:
-				inv.Return(statusWrongOwner, uint64(0), uint64(0), "", "")
+				inv.Return(statusWrongOwner, uint64(0), uint64(0), "", "", uint64(0))
 				return nil
 			case !gate:
 				// A prior owner may still hold this key's dedup history;
 				// creating a parallel fresh history here would lose it.
-				inv.Return(statusRetry, uint64(0), uint64(0), "settle", "")
+				inv.Return(statusRetry, uint64(0), uint64(0), "settle", "", uint64(0))
 				return nil
 			case seq != 0:
 				// The client is ahead of a key this node has never seen:
@@ -111,14 +133,14 @@ func newLedgerShard(name string, maxPending int, nodeID string, record journalFn
 				// settled, and the rescan's re-push takes a moment. Back
 				// off without creating state; only a resident entry can
 				// prove a genuine sequence gap.
-				inv.Return(statusRetry, epoch, uint64(0), "arriving", "")
+				inv.Return(statusRetry, epoch, uint64(0), "arriving", "", uint64(0))
 				return nil
 			}
 			st = newKeyState(epoch)
 			states[key] = st
 		}
 		if st.Moved {
-			inv.Return(statusMoved, st.Epoch, uint64(0), st.MovedSpec, "")
+			inv.Return(statusMoved, st.Epoch, uint64(0), st.MovedSpec, "", staged)
 			return nil
 		}
 		if cr, known := st.Clients[client]; known && seq <= cr.Seq {
@@ -128,10 +150,10 @@ func newLedgerShard(name string, maxPending int, nodeID string, record journalFn
 				// the ORIGINAL execution (its epoch and node), not the
 				// key's current placement, so a retry answered after a
 				// migration doesn't fabricate an epoch-regressing ack.
-				inv.Return(statusOK, cr.Epoch, cr.Count, "dup", cr.Node)
+				inv.Return(statusOK, cr.Epoch, cr.Count, "dup", cr.Node, staged)
 				return nil
 			}
-			inv.Return(statusOK, st.Epoch, uint64(0), "dup-old", "")
+			inv.Return(statusOK, st.Epoch, uint64(0), "dup-old", "", staged)
 			return nil
 		}
 		want := uint64(0)
@@ -139,13 +161,14 @@ func newLedgerShard(name string, maxPending int, nodeID string, record journalFn
 			want = cr.Seq + 1
 		}
 		if seq != want {
-			inv.Return(statusGap, st.Epoch, want, "", "")
+			inv.Return(statusGap, st.Epoch, want, "", "", staged)
 			return nil
 		}
 		prev, hadPrev := st.Clients[client]
 		st.Count++
 		st.Clients[client] = clientRec{Seq: seq, Count: st.Count, Epoch: st.Epoch, Node: nodeID}
-		if err := record("append", key, client, seq, st.Epoch, st.Count); err != nil {
+		lsn, err := stage("append", key, client, seq, st.Epoch, st.Count)
+		if err != nil {
 			// Never acknowledge an unjournaled execution: roll the
 			// mutation back and fail the call.
 			st.Count--
@@ -156,7 +179,8 @@ func newLedgerShard(name string, maxPending int, nodeID string, record journalFn
 			}
 			return fmt.Errorf("fabric: journal append: %w", err)
 		}
-		inv.Return(statusOK, st.Epoch, st.Count, "", nodeID)
+		staged = lsn
+		inv.Return(statusOK, st.Epoch, st.Count, "", nodeID, lsn)
 		return nil
 	}
 
@@ -301,20 +325,21 @@ func newLedgerShard(name string, maxPending int, nodeID string, record journalFn
 		return nil
 	}
 
-	// Audit(key) -> (status, state). Read-only snapshot of the key's
-	// ledger entry for the conformance oracle's convergence check.
+	// Audit(key) -> (status, state, lsn). Read-only snapshot of the key's
+	// ledger entry for the conformance oracle's convergence check; the host
+	// waits for lsn, so an audit never shows an append a crash could lose.
 	auditBody := func(inv *core.Invocation) error {
 		key, _ := inv.Param(0).(string)
 		st := states[key]
 		if st == nil {
-			inv.Return(statusNone, []byte(nil))
+			inv.Return(statusNone, []byte(nil), staged)
 			return nil
 		}
 		b, err := encodeState(st)
 		if err != nil {
 			return err
 		}
-		inv.Return(statusOK, b)
+		inv.Return(statusOK, b, staged)
 		return nil
 	}
 
@@ -421,9 +446,9 @@ func newLedgerShard(name string, maxPending int, nodeID string, record journalFn
 		return nil
 	}
 
-	// Checkpoint() -> (json shardCheckpoint). Every key's entry and install
-	// fence, captured together because the manager runs nothing else
-	// meanwhile.
+	// Checkpoint() -> (json shardCheckpoint, lsn). Every key's entry and
+	// install fence, captured together because the manager runs nothing else
+	// meanwhile, and the LSN the blob must not be published ahead of.
 	checkpointBody := func(inv *core.Invocation) error {
 		sc := make(shardCheckpoint, len(installed))
 		for k, fence := range installed {
@@ -436,22 +461,22 @@ func newLedgerShard(name string, maxPending int, nodeID string, record journalFn
 		if err != nil {
 			return err
 		}
-		inv.Return(b)
+		inv.Return(b, staged)
 		return nil
 	}
 
 	// Every entry is intercepted and executed inline by the manager.
 	entries := []core.EntrySpec{
-		{Name: "Append", Params: 7, Results: 5, Body: appendBody, MaxPending: maxPending, Shed: core.ShedRejectNewest},
+		{Name: "Append", Params: 7, Results: 6, Body: appendBody, MaxPending: maxPending, Shed: core.ShedRejectNewest},
 		{Name: "Extract", Params: 2, Results: 2, Body: extractBody},
 		{Name: "Install", Params: 3, Results: 1, Body: installBody},
 		{Name: "InstallCheck", Params: 2, Results: 1, Body: installCheckBody},
 		{Name: "Forget", Params: 1, Results: 1, Body: forgetBody},
-		{Name: "Audit", Params: 1, Results: 2, Body: auditBody},
+		{Name: "Audit", Params: 1, Results: 3, Body: auditBody},
 		{Name: "Restore", Params: 3, Results: 1, Body: restoreBody},
 		{Name: "Replay", Params: 3, Results: 1, Body: replayBody},
 		{Name: "Keys", Results: 1, Body: keysBody},
-		{Name: "Checkpoint", Results: 1, Body: checkpointBody},
+		{Name: "Checkpoint", Results: 2, Body: checkpointBody},
 	}
 	opts := make([]core.Option, 0, len(entries)+1)
 	intercepts := make([]core.InterceptSpec, 0, len(entries))

@@ -309,7 +309,7 @@ func bareHost(t testing.TB, spec string) *Host {
 	}
 	h := &Host{id: "solo", known: map[string]string{}, settled: map[string]uint64{}}
 	h.installRing(ring)
-	if h.group, err = newLedger(2, 0, h.id, h.journalRecord); err != nil {
+	if h.group, err = newLedger(2, 0, h.id, h.stage, h.durable); err != nil {
 		t.Fatal(err)
 	}
 	return h
@@ -363,13 +363,13 @@ func replayWorld(t *testing.T, seed int64) {
 	ctx := testCtx(t)
 	var mu sync.Mutex
 	var recs []journaled
-	capture := func(entry string, params ...any) error {
+	capture := func(entry string, params ...any) (uint64, error) {
 		mu.Lock()
+		defer mu.Unlock()
 		recs = append(recs, journaled{entry, params})
-		mu.Unlock()
-		return nil
+		return uint64(len(recs)), nil
 	}
-	live, err := newLedger(2, 0, "solo", capture)
+	live, err := newLedger(2, 0, "solo", capture, func(uint64) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}

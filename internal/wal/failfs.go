@@ -26,6 +26,10 @@ type FailFS struct {
 	// TornTail, when n > 0, makes Crash keep up to n bytes of each file's
 	// unsynced suffix — a torn write for the recovery path to truncate.
 	TornTail int
+	// SyncHook, when set, runs inside every file Sync before any byte is
+	// marked durable: a test holds an fsync open by blocking in it, or fails
+	// the fsync by returning an error. Set it while no Sync is running.
+	SyncHook func(name string) error
 
 	syncs   int // fsync count, for assertions
 	crashes int
@@ -65,11 +69,25 @@ func (f *failFile) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// Sync makes durable what was written before it was called — all a real
+// fsync promises; bytes that arrive while it runs wait for the next one.
 func (f *failFile) Sync() error {
 	f.fs.mu.Lock()
+	mf := f.fs.files[f.name]
+	n := 0
+	if mf != nil {
+		n = len(mf.data)
+	}
+	f.fs.mu.Unlock()
+	if hook := f.fs.SyncHook; hook != nil {
+		if err := hook(f.name); err != nil {
+			return err
+		}
+	}
+	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	if mf, ok := f.fs.files[f.name]; ok {
-		mf.synced = len(mf.data)
+	if mf != nil {
+		mf.synced = max(mf.synced, min(n, len(mf.data)))
 	}
 	f.fs.syncs++
 	return nil

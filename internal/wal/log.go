@@ -60,7 +60,9 @@ func (o Options) withDefaults() Options {
 // at a time runs the flush+fsync while later callers wait for its result —
 // a burst of concurrent acknowledgements costs one fsync, the same
 // "last writer flushes" shape the rpc write path uses for its buffered
-// frames (docs/PERFORMANCE.md).
+// frames (docs/PERFORMANCE.md). The fsync itself runs outside mu, so the
+// commit is pipelined: while one batch is on its way to the disk the next
+// one fills the buffer (docs/DURABILITY.md §3).
 type Log struct {
 	fs   FS
 	dir  string
@@ -70,7 +72,6 @@ type Log struct {
 	mu          sync.Mutex
 	f           File
 	bw          *bufio.Writer
-	scratch     bytes.Buffer
 	lsn         uint64 // last assigned LSN
 	segStart    uint64 // first LSN of the active segment
 	segBytes    int64
@@ -80,10 +81,17 @@ type Log struct {
 	activeName  string
 	snapshotLSN uint64 // floor below which segments have been pruned
 
-	// smu guards the durability frontier and elects the single flusher.
+	// fmu is the active file's lifetime lock: the flusher holds it across
+	// the fsync it runs outside mu, and rotation and Close take it (after
+	// mu) before closing that file.
+	fmu sync.Mutex
+
+	// smu guards the durability frontier and elects the single flusher. It
+	// is never held while taking mu.
 	smu      sync.Mutex
 	scond    *sync.Cond
 	synced   uint64
+	syncErr  error // sticky: a failed flush or fsync fails every later waiter
 	flushing bool
 
 	tickStop chan struct{}
@@ -167,6 +175,17 @@ func (l *Log) openSegmentLocked(first uint64) error {
 // segment's buffer. The record is NOT durable until a sync covers its LSN:
 // callers that acknowledge externally must WaitSynced(lsn) first.
 func (l *Log) Append(rec *Record) (uint64, error) {
+	// The LSN is not part of the payload (recovery restores it by position),
+	// so the frame is built before mu is taken: under it the bytes are only
+	// copied and numbered.
+	frame := encBufPool.Get().(*bytes.Buffer)
+	frame.Reset()
+	defer encBufPool.Put(frame)
+	rec.LSN = 0
+	if err := appendRecord(frame, rec); err != nil {
+		return 0, err
+	}
+
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -184,13 +203,7 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 			return 0, err
 		}
 	}
-	l.scratch.Reset()
-	rec.LSN = l.lsn + 1
-	if err := appendRecord(&l.scratch, rec); err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
-	if _, err := l.bw.Write(l.scratch.Bytes()); err != nil {
+	if _, err := l.bw.Write(frame.Bytes()); err != nil {
 		l.writeErr = fmt.Errorf("wal: write: %w", err)
 		err = l.writeErr
 		l.mu.Unlock()
@@ -198,10 +211,11 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	}
 	l.lsn++
 	lsn := l.lsn
-	n := int64(l.scratch.Len())
+	n := int64(frame.Len())
 	l.segBytes += n
 	l.mu.Unlock()
 
+	rec.LSN = lsn
 	if m := l.opts.Metrics; m != nil {
 		m.Records.Inc()
 		m.Bytes.Add(uint64(n))
@@ -210,9 +224,15 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 }
 
 // rotateLocked seals the active segment (flush + fsync, so only the final
-// segment can ever carry a torn tail) and starts the next one.
+// segment can ever carry a torn tail) and starts the next one. An fsync a
+// flusher has in flight on the segment finishes first: fmu.
 func (l *Log) rotateLocked() error {
-	if err := l.flushSyncLocked(); err != nil {
+	l.fmu.Lock()
+	defer l.fmu.Unlock()
+	if err := l.bw.Flush(); err != nil {
+		return fmt.Errorf("wal: flush: %w", err)
+	}
+	if err := l.syncFile(l.f); err != nil {
 		return err
 	}
 	if err := l.f.Close(); err != nil {
@@ -221,18 +241,47 @@ func (l *Log) rotateLocked() error {
 	return l.openSegmentLocked(l.lsn + 1)
 }
 
-// flushSyncLocked flushes the buffered writer and fsyncs the active file.
-func (l *Log) flushSyncLocked() error {
-	if err := l.bw.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
-	}
-	if err := l.f.Sync(); err != nil {
+func (l *Log) syncFile(f File) error {
+	if err := f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	if m := l.opts.Metrics; m != nil {
 		m.Fsyncs.Inc()
 	}
 	return nil
+}
+
+// syncBatch is the elected flusher's work. Under mu it only hands the
+// buffered records to the file and notes how far they reach; the fsync runs
+// outside mu, so appenders fill the buffer for the next batch meanwhile. It
+// returns the LSN the fsync is known to cover: what was flushed before it
+// began, never what arrived while it ran.
+func (l *Log) syncBatch() (uint64, error) {
+	l.mu.Lock()
+	if l.writeErr == nil {
+		if err := l.bw.Flush(); err != nil {
+			l.writeErr = fmt.Errorf("wal: flush: %w", err)
+		}
+	}
+	if err := l.writeErr; err != nil {
+		l.mu.Unlock()
+		return 0, err
+	}
+	upTo, f := l.lsn, l.f
+	l.fmu.Lock() // free: flushers are serial, and closers of f hold mu
+	l.mu.Unlock()
+	err := l.syncFile(f)
+	l.fmu.Unlock()
+	if err != nil {
+		// What the disk kept of the batch is unknown: poison the appenders too.
+		l.mu.Lock()
+		if l.writeErr == nil {
+			l.writeErr = err
+		}
+		l.mu.Unlock()
+		return 0, err
+	}
+	return upTo, nil
 }
 
 // AppendedLSN reports the highest assigned LSN.
@@ -254,45 +303,28 @@ func (l *Log) SyncedLSN() uint64 {
 // the log's sticky write error, if any.
 func (l *Log) WaitSynced(target uint64) error {
 	l.smu.Lock()
-	for {
-		if l.synced >= target {
-			l.smu.Unlock()
-			return nil
+	defer l.smu.Unlock()
+	for l.synced < target {
+		if l.syncErr != nil {
+			return l.syncErr
 		}
-		l.mu.Lock()
-		if l.writeErr != nil {
-			err := l.writeErr
-			l.mu.Unlock()
-			l.smu.Unlock()
-			return err
-		}
-		l.mu.Unlock()
-		if !l.flushing {
-			l.flushing = true
-			l.smu.Unlock()
-
-			l.mu.Lock()
-			upTo := l.lsn
-			err := l.flushSyncLocked()
-			if err != nil {
-				l.writeErr = err
-			}
-			l.mu.Unlock()
-
-			l.smu.Lock()
-			l.flushing = false
-			if err == nil && upTo > l.synced {
-				l.synced = upTo
-			}
-			l.scond.Broadcast()
-			if err != nil {
-				l.smu.Unlock()
-				return err
-			}
+		if l.flushing {
+			l.scond.Wait()
 			continue
 		}
-		l.scond.Wait()
+		l.flushing = true
+		l.smu.Unlock()
+		upTo, err := l.syncBatch()
+		l.smu.Lock()
+		l.flushing = false
+		if err != nil {
+			l.syncErr = err
+		} else if upTo > l.synced {
+			l.synced = upTo
+		}
+		l.scond.Broadcast()
 	}
+	return nil
 }
 
 // Sync makes everything appended so far durable.
@@ -328,6 +360,8 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	l.fmu.Lock() // a flusher racing Close may still be inside its fsync
+	defer l.fmu.Unlock()
 	if cerr := l.f.Close(); err == nil && cerr != nil {
 		err = fmt.Errorf("wal: close: %w", cerr)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -13,14 +14,16 @@ import (
 type ledger struct {
 	restored []byte
 	replayed []uint64
-	high     uint64
+	high     atomic.Uint64 // the store's snapshot goroutine reads it beside note
 }
 
 func (p *ledger) hooks() RecoverHooks {
 	return RecoverHooks{
 		Restore: func(blob []byte) error {
 			p.restored = blob
-			_, err := fmt.Sscanf(string(blob), "high=%d", &p.high)
+			var high uint64
+			_, err := fmt.Sscanf(string(blob), "high=%d", &high)
+			p.high.Store(high)
 			return err
 		},
 		Replay: func(entry string, params []any) error {
@@ -29,18 +32,18 @@ func (p *ledger) hooks() RecoverHooks {
 				return fmt.Errorf("unexpected record %s%v", entry, params)
 			}
 			p.replayed = append(p.replayed, n)
-			if n > p.high {
-				p.high = n
+			if n > p.high.Load() {
+				p.high.Store(n)
 			}
 			return nil
 		},
-		Snapshot: func() ([]byte, error) { return []byte(fmt.Sprintf("high=%d", p.high)), nil },
+		Snapshot: func() ([]byte, error) { return []byte(fmt.Sprintf("high=%d", p.high.Load())), nil },
 	}
 }
 
 func (p *ledger) note(t *testing.T, j *ObjectJournal, n uint64) {
 	t.Helper()
-	p.high = n
+	p.high.Store(n)
 	if _, err := j.Append("note", []any{n}); err != nil {
 		t.Fatalf("append %d: %v", n, err)
 	}
@@ -114,8 +117,8 @@ func TestParticipantRecordsSurviveSnapshotPruneReopen(t *testing.T) {
 			t.Fatalf("replay order %v, want 51..60", p2.replayed)
 		}
 	}
-	if p2.high != 60 {
-		t.Fatalf("recovered high = %d, want 60 (all 60 records accounted for)", p2.high)
+	if p2.high.Load() != 60 {
+		t.Fatalf("recovered high = %d, want 60 (all 60 records accounted for)", p2.high.Load())
 	}
 }
 
@@ -178,8 +181,8 @@ func TestSnapshotDefersWhileParticipantUnrecovered(t *testing.T) {
 	if _, err := st2.Journal("!ctl:p", JournalOptions{}).Recover(p2.hooks()); err != nil {
 		t.Fatal(err)
 	}
-	if p2.high != 30 || len(p2.replayed) != 10 {
-		t.Fatalf("recovered high=%d replayed=%v, want 30 and records 21..30", p2.high, p2.replayed)
+	if p2.high.Load() != 30 || len(p2.replayed) != 10 {
+		t.Fatalf("recovered high=%d replayed=%v, want 30 and records 21..30", p2.high.Load(), p2.replayed)
 	}
 	if err := st2.ForceSnapshot(); err != nil {
 		t.Fatalf("ForceSnapshot after every participant recovered: %v", err)
@@ -292,8 +295,8 @@ func TestSnapshotDefersUntilRecoverReturns(t *testing.T) {
 			t.Fatalf("snapshot during replay of record %d = %v, want a deferral naming the participant", i+1, err)
 		}
 	}
-	if len(during) != 10 || p2.high != 10 {
-		t.Fatalf("replayed %d records to high=%d, want 10 and 10", len(during), p2.high)
+	if len(during) != 10 || p2.high.Load() != 10 {
+		t.Fatalf("replayed %d records to high=%d, want 10 and 10", len(during), p2.high.Load())
 	}
 	if err := st2.ForceSnapshot(); err != nil {
 		t.Fatalf("ForceSnapshot once Recover returned: %v", err)
@@ -321,8 +324,8 @@ func TestSnapshotCadenceCountsRecoveredRecords(t *testing.T) {
 		if replayed >= 10 {
 			t.Fatalf("incarnation %d replayed %d records at SnapshotEvery 10", incarnation, replayed)
 		}
-		if p.high != n {
-			t.Fatalf("incarnation %d recovered high=%d, want %d", incarnation, p.high, n)
+		if p.high.Load() != n {
+			t.Fatalf("incarnation %d recovered high=%d, want %d", incarnation, p.high.Load(), n)
 		}
 		for i := 0; i < 6; i++ {
 			n++

@@ -98,17 +98,17 @@ func init() {
 //
 //	uint32 length | uint32 crc32c(payload) | payload (gob)
 func appendRecord(buf *bytes.Buffer, rec *Record) error {
-	payload := encBufPool.Get().(*bytes.Buffer)
-	payload.Reset()
-	defer encBufPool.Put(payload)
-	if err := gob.NewEncoder(payload).Encode(rec); err != nil {
+	start := buf.Len()
+	var hdr [recHeaderLen]byte // patched once the payload is known
+	buf.Write(hdr[:])
+	if err := gob.NewEncoder(buf).Encode(rec); err != nil {
+		buf.Truncate(start)
 		return fmt.Errorf("wal: encode record: %w", err)
 	}
-	var hdr [recHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload.Bytes(), crcTable))
-	buf.Write(hdr[:])
-	buf.Write(payload.Bytes())
+	frame := buf.Bytes()[start:]
+	payload := frame[recHeaderLen:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 	return nil
 }
 

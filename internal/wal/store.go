@@ -179,6 +179,9 @@ func (s *Store) WaitSynced(lsn uint64) error { return s.log.WaitSynced(lsn) }
 // SyncedLSN reports the durability frontier (diagnostics).
 func (s *Store) SyncedLSN() uint64 { return s.log.SyncedLSN() }
 
+// AppendedLSN reports the highest LSN staged, durable or not (diagnostics).
+func (s *Store) AppendedLSN() uint64 { return s.log.AppendedLSN() }
+
 // append funnels every record through the snapshot trigger.
 func (s *Store) append(rec *Record) (uint64, error) {
 	lsn, err := s.log.Append(rec)

@@ -175,6 +175,10 @@ func TestCorruptSealedSegmentFailsRecovery(t *testing.T) {
 	}
 }
 
+// TestGroupCommitBatchesFsyncs: the steady state of the pipelined commit is
+// two alternating batches. While one waiter's fsync is in flight the other
+// fifteen stage their records behind it; that fsync publishes exactly what
+// it flushed, and ONE more covers all fifteen.
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	fs := NewFailFS()
 	l, _, err := Open("data", Options{FS: fs})
@@ -185,29 +189,30 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 
 	const writers = 16
 	base := fs.Syncs()
+	gate := holdSyncs(fs)
 	var wg sync.WaitGroup
-	lsns := make([]uint64, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			lsn, err := l.Append(&Record{Kind: KindOutcome, Object: "kv", Entry: "Write", Params: []any{w}})
-			if err != nil {
-				t.Errorf("append: %v", err)
-				return
-			}
-			lsns[w] = lsn
-			if err := l.WaitSynced(lsn); err != nil {
-				t.Errorf("wait: %v", err)
-			}
-		}(w)
+	wait := func(lsn uint64) {
+		defer wg.Done()
+		if err := l.WaitSynced(lsn); err != nil {
+			t.Errorf("wait %d: %v", lsn, err)
+		}
 	}
+	wg.Add(writers)
+	go wait(appendOutcome(t, l, "kv", 0))
+	<-gate.entered
+	for w := 1; w < writers; w++ {
+		go wait(appendOutcome(t, l, "kv", w))
+	}
+	frontier(t, l, writers, 0)
+	gate.verdict <- nil
+	<-gate.entered
+	frontier(t, l, writers, 1)
+	gate.verdict <- nil
 	wg.Wait()
-	if got := l.SyncedLSN(); got < uint64(writers) {
-		t.Fatalf("synced frontier = %d, want >= %d", got, writers)
-	}
-	if syncs := fs.Syncs() - base; syncs > writers {
-		t.Fatalf("fsyncs = %d for %d waiters (no batching at all)", syncs, writers)
+	gate.pass.Store(true)
+	frontier(t, l, writers, writers)
+	if syncs := fs.Syncs() - base; syncs != 2 {
+		t.Fatalf("fsyncs = %d for %d waiters, want 2 (one per batch)", syncs, writers)
 	}
 }
 
