@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -126,6 +127,49 @@ func TestFabricMemberRestartsPastStoreSnapshots(t *testing.T) {
 				t.Fatalf("retry after restart = %+v, want a dup of %+v", dup, last)
 			}
 		})
+	}
+}
+
+// TestUnclaimedParticipantNamedAtStartup: a fabric member's data dir
+// restarted without -fabric-id holds journaled state nothing wires, so every
+// store snapshot defers. The daemon says so once at startup, by name.
+func TestUnclaimedParticipantNamedAtStartup(t *testing.T) {
+	dir := t.TempDir()
+	addr := reservePorts(t, 1)[0]
+	srv := bootServer(t, []string{"-addr", addr, "-data-dir", dir, "-search-cost", "0s",
+		"-fabric-id", "n0", "-fabric-members", "n0=" + addr})
+	router, err := fabric.NewRouter(srv.fh.Spec(), fabric.RouterOptions{ClientID: "unclaimed-test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	_, err = router.Append(ctx, "k", 0, nil)
+	router.Close()
+	srv.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string)
+	go func() { b, _ := io.ReadAll(r); out <- string(b) }()
+	stdout := os.Stdout
+	os.Stdout = w
+	func() {
+		defer func() { os.Stdout = stdout; w.Close() }()
+		srv = bootServer(t, []string{"-addr", "127.0.0.1:0", "-data-dir", dir})
+	}()
+	defer srv.Close()
+	printed := <-out
+	if got := srv.store.Unclaimed(); !reflect.DeepEqual(got, []string{"fabric"}) {
+		t.Fatalf("unclaimed = %v, want [fabric]", got)
+	}
+	if want := "alpsd: unclaimed store participants [fabric]: "; strings.Count(printed, want) != 1 {
+		t.Fatalf("startup output does not name the unclaimed participant once (%q):\n%s", want, printed)
 	}
 }
 

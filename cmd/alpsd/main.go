@@ -103,7 +103,6 @@ func newServer(args []string) (*server, string, error) {
 
 		// Durability (docs/DURABILITY.md).
 		dataDir   = fs.String("data-dir", "", "durability directory for the database's write-ahead ledger; empty = durability off")
-		syncIv    = fs.Duration("sync", 0, "background fsync interval for journaled outcomes; 0 = sync only on demand (each acknowledged call group-commits)")
 		snapEvery = fs.Int("snapshot-every", 4096, "journaled records between durability snapshots")
 
 		// Replication (docs/REPLICATION.md).
@@ -219,10 +218,7 @@ func newServer(args []string) (*server, string, error) {
 				return nil, "", err
 			}
 		}
-		srv.store, err = alps.OpenStore(*dataDir, alps.DurabilityOptions{
-			SyncInterval:  *syncIv,
-			SnapshotEvery: *snapEvery,
-		})
+		srv.store, err = alps.OpenStore(*dataDir, alps.DurabilityOptions{SnapshotEvery: *snapEvery})
 		if err != nil {
 			return nil, "", err
 		}
@@ -362,6 +358,14 @@ func newServer(args []string) (*server, string, error) {
 			if err := srv.node.Publish(obj); err != nil {
 				return nil, "", err
 			}
+		}
+	}
+	// A participant the data dir holds state for but these flags did not
+	// wire (a restart without its -peers or -fabric-id) makes every store
+	// snapshot defer, and the log grows until it is wired again.
+	if srv.store != nil {
+		if names := srv.store.Unclaimed(); len(names) > 0 {
+			fmt.Printf("alpsd: unclaimed store participants %v: snapshots defer until they are wired again\n", names)
 		}
 	}
 	bound, err := srv.node.ListenAndServe(*addr)

@@ -67,7 +67,7 @@ func dump(w io.Writer, dir, grep string) error {
 		for name, blob := range snap.Objects {
 			sizes[name] = len(blob)
 		}
-		fmt.Fprintf(w, "# snapshot floor lsn=%d dedup=%d participant blob bytes=%v\n", snap.LSN, len(snap.Dedup), sizes)
+		fmt.Fprintf(w, "# snapshot floor lsn=%d participant blob bytes=%v\n", snap.LSN, sizes)
 	}
 	if recovered.TornBytes > 0 {
 		fmt.Fprintf(w, "# torn tail: %d bytes (left in place)\n", recovered.TornBytes)
@@ -85,9 +85,6 @@ func dump(w io.Writer, dir, grep string) error {
 func render(rec *wal.Record) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "lsn=%d kind=%d obj=%s entry=%s", rec.LSN, rec.Kind, rec.Object, rec.Entry)
-	if rec.Client != "" {
-		fmt.Fprintf(&b, " client=%s seq=%d", rec.Client, rec.Seq)
-	}
 	for i, p := range rec.Params {
 		switch v := p.(type) {
 		case []byte:

@@ -89,7 +89,7 @@ func TestDumpLeavesEvidenceUntouched(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"# snapshot floor lsn=3 dedup=0 participant blob bytes=map[!raft:KV:10]",
+		"# snapshot floor lsn=3 participant blob bytes=map[!raft:KV:10]",
 		"# torn tail: 7 bytes",
 		"lsn=4 kind=1 obj=!raft:KV entry=append p0=7 p1=3B",
 	} {

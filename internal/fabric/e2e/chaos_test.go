@@ -58,15 +58,30 @@ func reproducer(seed uint64) string {
 }
 
 func runChaos(t *testing.T, seed uint64) {
-	// FABRIC_E2E_DIR keeps every run's working state (node logs, journals,
-	// client ledgers) in a named directory that survives the test — CI
-	// uploads it as the failure artifact.
-	dir := t.TempDir()
+	// A run's working state (node logs, journals, client ledgers) survives
+	// a failure: the journals are the evidence (`go run ./cmd/alpswal`).
+	// FABRIC_E2E_DIR names where every run's state goes and keeps it even
+	// on success — CI uploads it as the failure artifact.
+	var dir string
 	if base := os.Getenv("FABRIC_E2E_DIR"); base != "" {
 		dir = filepath.Join(base, fmt.Sprintf("seed-%d", seed))
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
+	} else {
+		var err error
+		if dir, err = os.MkdirTemp("", fmt.Sprintf("fabric-e2e-seed-%d-", seed)); err != nil {
+			t.Fatal(err)
+		}
+		// Registered before the cluster's own cleanups, so it runs after them:
+		// every process has stopped writing here by then.
+		t.Cleanup(func() {
+			if t.Failed() {
+				t.Logf("kept the run's working directory for forensics: %s", dir)
+				return
+			}
+			_ = os.RemoveAll(dir)
+		})
 	}
 	c := newCluster(t, dir, 3, 1000+seed)
 	rng := workload.NewRNG(seed)

@@ -53,6 +53,7 @@ func TestCombinedProposalsFIFO(t *testing.T) {
 	// Stall the first round mid-flight: whichever proposer becomes the
 	// combiner blocks inside commitRound on r.mu while every other
 	// client's first proposal parks in the queue behind it.
+	counted := met.ReplProposals.Value()
 	lead.rep.mu.Lock()
 	var wg sync.WaitGroup
 	errs := make(chan error, clients)
@@ -77,10 +78,12 @@ func TestCombinedProposalsFIFO(t *testing.T) {
 	}
 	// Release once most of the burst is parked (the combiner's own
 	// proposal has already left the queue, so the threshold is below
-	// clients); the combiner then drains the pile-up in one window.
+	// clients); the combiner then drains the pile-up in one window. A
+	// combiner descheduled before it took its window takes the burst into
+	// the stalled round itself, which counts its proposals before r.mu.
 	for deadline := time.Now().Add(2 * time.Second); ; {
 		lead.rep.propMu.Lock()
-		parked := len(lead.rep.propQ)
+		parked := len(lead.rep.propQ) + int(met.ReplProposals.Value()-counted) - 1
 		lead.rep.propMu.Unlock()
 		if parked >= clients*3/4 {
 			break

@@ -5,14 +5,15 @@ import (
 	"encoding/gob"
 	"fmt"
 
+	"repro/internal/rpc"
 	"repro/internal/wal"
 )
 
 // A group is an ordinary participant of the node's wal.Store, under its
 // control name: Append to journal, a checkpoint in every store snapshot,
 // Recover on restart — the contract a journaled object honours
-// (docs/REPLICATION.md §4). One store serves the object journals, the ack
-// ledger AND the consensus log, so one group-committed sync covers all
+// (docs/REPLICATION.md §4). One store serves the object journals, the node's
+// ack ledger AND the consensus log, so one group-committed sync covers all
 // three, and pruning below a snapshot floor is safe: the checkpoint covers it.
 //
 // Record vocabulary (entry = sub-kind):
@@ -220,7 +221,7 @@ type snapshotPayload struct {
 	LastIndex uint64
 	LastTerm  uint64
 	State     []byte
-	Sessions  []wal.AckEntry
+	Sessions  []rpc.AckEntry
 }
 
 // encodeGob and decodeGob are the blob codec of both payloads a member

@@ -97,19 +97,13 @@ func (d *dedupCache) waitCh(e *dedupEntry) <-chan struct{} {
 
 // finishLocked is the table's one completion path: record the response on
 // e, flip it complete (which publishes the response to lock-free readers of
-// completed()), release blocked duplicates, then keep the entry — evicting
-// the oldest completed ones beyond capacity — or drop it. d.mu held.
-func (d *dedupCache) finishLocked(key dedupKey, e *dedupEntry, results []any, errMsg string, kind errKind, keep bool) {
+// completed()), release blocked duplicates, then keep the entry, evicting
+// the oldest completed ones beyond capacity. d.mu held.
+func (d *dedupCache) finishLocked(key dedupKey, e *dedupEntry, results []any, errMsg string, kind errKind) {
 	e.results, e.errMsg, e.errKind = results, errMsg, kind
 	e.state.Store(1)
 	if e.done != nil {
 		close(e.done)
-	}
-	if !keep {
-		if d.entries[key] == e {
-			delete(d.entries, key)
-		}
-		return
 	}
 	d.entries[key] = e
 	d.order = append(d.order, key)
@@ -123,26 +117,14 @@ func (d *dedupCache) finishLocked(key dedupKey, e *dedupEntry, results []any, er
 // the oldest completed entries beyond capacity.
 func (d *dedupCache) complete(key dedupKey, e *dedupEntry, results []any, errMsg string, kind errKind) {
 	d.mu.Lock()
-	d.finishLocked(key, e, results, errMsg, kind, true)
-	d.mu.Unlock()
-}
-
-// forget releases waiting duplicates with the given response, then drops
-// the entry so future arrivals of the same (client, seq) re-execute. Used
-// for retryable routing outcomes: a follower's not-leader rejection must
-// not be pinned as "the" response for a call the client will retry — same
-// seq — against the next leader. Caching it would poison every retry with
-// a replayed rejection and the call could never land anywhere.
-func (d *dedupCache) forget(key dedupKey, e *dedupEntry, results []any, errMsg string, kind errKind) {
-	d.mu.Lock()
-	d.finishLocked(key, e, results, errMsg, kind, false)
+	d.finishLocked(key, e, results, errMsg, kind)
 	d.mu.Unlock()
 }
 
 // preload seeds a completed entry recovered from the durability layer, so
 // a (client, seq) retried across a node restart replays its on-disk
-// response instead of re-executing. Recovered entries arrive snapshot
-// table first, then log acks in LSN order; a later entry for the same key
+// response instead of re-executing. Recovered entries arrive checkpoint
+// first, then log acks in LSN order; a later entry for the same key
 // supersedes the earlier response in place. Capacity eviction applies as
 // usual.
 func (d *dedupCache) preload(client string, seq uint64, results []any, errMsg string, kind errKind) {
@@ -153,7 +135,7 @@ func (d *dedupCache) preload(client string, seq uint64, results []any, errMsg st
 		e.results, e.errMsg, e.errKind = results, errMsg, kind
 		return
 	}
-	d.finishLocked(key, &dedupEntry{}, results, errMsg, kind, true)
+	d.finishLocked(key, &dedupEntry{}, results, errMsg, kind)
 }
 
 // len reports how many entries (in-flight + completed) are tracked.

@@ -57,15 +57,16 @@ type objectResolver interface {
 // client wires in its metrics and trace sinks. The zero value is valid
 // (no dedup, no drain gate, no observation).
 type linkHooks struct {
-	dedup      *dedupCache     // at-most-once table (nodes only)
-	serveCtx   context.Context // execution ctx for dedup-tracked calls (node lifetime)
-	begin      func() bool     // drain gate; false rejects the request
-	end        func()          // paired with a successful begin
-	metrics    *Metrics        // nil-safe counters
-	rec        *trace.Recorder // nil-safe event sink
-	durable    *wal.Store      // durability store (nodes with -data-dir only)
-	replayWait time.Duration   // duplicate wait bound; 0 = unbounded
-	flushGrace time.Duration   // graceful-close flush bound; 0 = 1s default, < 0 = none
+	dedup      *dedupCache        // at-most-once table (nodes only)
+	serveCtx   context.Context    // execution ctx for dedup-tracked calls (node lifetime)
+	begin      func() bool        // drain gate; false rejects the request
+	end        func()             // paired with a successful begin
+	metrics    *Metrics           // nil-safe counters
+	rec        *trace.Recorder    // nil-safe event sink
+	durable    *wal.Store         // durability store (nodes with -data-dir only)
+	acks       *wal.ObjectJournal // the node's ack ledger in durable (acks.go)
+	replayWait time.Duration      // duplicate wait bound; 0 = unbounded
+	flushGrace time.Duration      // graceful-close flush bound; 0 = 1s default, < 0 = none
 }
 
 // link is one end of a connection: it can issue requests, serve requests
@@ -585,8 +586,12 @@ func (l *link) serveRequest(f *frame) {
 	// bounded by replayWait — the wire carries no per-call deadline, so
 	// without the bound a primary stuck in a guard that never fires would
 	// pin this goroutine forever (and, before the bound existed, did).
+	// Session-aware objects (the replicated group) own their at-most-once:
+	// their session table replays retries, so the node keeps no entry.
+	sc, session := obj.(sessionCallable)
+	session = session && f.Client != ""
 	var entry *dedupEntry
-	if f.Client != "" && l.hooks.dedup != nil {
+	if f.Client != "" && l.hooks.dedup != nil && !session {
 		var primary bool
 		entry, primary = l.hooks.dedup.begin(dedupKey{f.Client, f.Seq})
 		if !primary {
@@ -599,9 +604,9 @@ func (l *link) serveRequest(f *frame) {
 	client, seq := f.Client, f.Seq
 	params := l.resolveParams(f.Params)
 	ctx := l.ctx
-	if entry != nil && l.hooks.serveCtx != nil {
-		// Dedup-tracked executions outlive their arrival link: at-most-once
-		// means a retry must observe this execution's result, so the body
+	if client != "" && l.hooks.serveCtx != nil {
+		// Executions with an at-most-once identity outlive their arrival
+		// link: a retry must observe this execution's result, so the body
 		// is tied to the node's lifetime, not the connection's.
 		ctx = l.hooks.serveCtx
 	}
@@ -610,10 +615,7 @@ func (l *link) serveRequest(f *frame) {
 	// is gone — one goroutine and one channel fewer per request.
 	var results []any
 	var err error
-	if sc, needsSession := obj.(sessionCallable); needsSession && client != "" {
-		// Session-aware objects (consensus-replicated) carry the caller's
-		// at-most-once identity into the replicated log, so a retry after a
-		// failover replays on the new leader instead of re-executing.
+	if session {
 		results, err = sc.CallSession(ctx, client, seq, entryName, params)
 	} else {
 		results, err = obj.CallCtx(ctx, entryName, params...)
@@ -631,16 +633,16 @@ func (l *link) serveRequest(f *frame) {
 			}
 		}
 	}
-	// Durable at-most-once: journal the acknowledgement and sync it
-	// before the response (or any replay of it) can leave the node.
-	// The ack is appended AFTER the call's outcome record in the same
-	// log, so this one group-committed sync also makes the state
-	// transition durable — zero lost acknowledged calls. Failed calls
-	// are not journaled: no transition happened, and re-executing them
-	// on retry after a crash is the desired behaviour.
+	// Durable at-most-once: journal the acknowledgement in the node's ack
+	// ledger and sync it before the response (or any replay of it) can
+	// leave the node. The ack is appended AFTER the call's outcome record
+	// in the same log, so this one group-committed sync also makes the
+	// state transition durable — zero lost acknowledged calls. Failed
+	// calls are not journaled: no transition happened, and re-executing
+	// them on retry after a crash is the desired behaviour.
 	var ackLSN uint64
 	if st := l.hooks.durable; st != nil && entry != nil && err == nil && st.DurableEntry(objName, entryName) {
-		lsn, aerr := st.AppendAck(objName, entryName, client, seq, r.Results, "", 0)
+		lsn, aerr := l.hooks.acks.Append(ackRecord, AckEntry{Client: client, Seq: seq, Results: r.Results}.params())
 		if aerr != nil {
 			r.Results = nil
 			r.Err, r.ErrKind = encodeErr(fmt.Errorf("rpc: %s.%s executed but journal append failed: %w", objName, entryName, aerr))
@@ -654,16 +656,9 @@ func (l *link) serveRequest(f *frame) {
 		// the retry that replaces it replays from here. Completing
 		// before the sync is safe — every responder (this goroutine
 		// and any duplicate) still waits on the ack LSN before
-		// sending, and the snapshot writer dumps the dedup table
-		// before collecting object state (docs/DURABILITY.md).
-		// Not-leader rejections are released but not cached: the client
-		// retries the SAME seq against the new leader, and a pinned
-		// rejection would replay forever (see dedupCache.forget).
-		if r.ErrKind == errNotLeader {
-			l.hooks.dedup.forget(dedupKey{client, seq}, entry, r.Results, r.Err, r.ErrKind)
-		} else {
-			l.hooks.dedup.complete(dedupKey{client, seq}, entry, r.Results, r.Err, r.ErrKind)
-		}
+		// sending, and the ack ledger's checkpoint syncs past every
+		// record appended before its dump (acks.go).
+		l.hooks.dedup.complete(dedupKey{client, seq}, entry, r.Results, r.Err, r.ErrKind)
 	}
 	if ackLSN != 0 {
 		if aerr := l.hooks.durable.WaitSynced(ackLSN); aerr != nil {

@@ -24,6 +24,11 @@ type Node struct {
 	opts  NodeOptions
 	dedup *dedupCache
 
+	// acks is the dedup table's seat in opts.Durable (acks.go); recoverErr,
+	// when its recovery failed, is what Serve and ListenAndServe return.
+	acks       *wal.ObjectJournal
+	recoverErr error
+
 	// ctx outlives individual links: dedup-tracked executions run under it
 	// so a retry after a connection failure can replay their results. It
 	// is cancelled at Close, after the drain grace.
@@ -64,22 +69,14 @@ func NewNodeWith(name string, opts NodeOptions) *Node {
 		objects: make(map[string]Callable),
 		links:   make(map[*link]struct{}),
 	}
-	if st := opts.Durable; st != nil {
+	if opts.Durable != nil {
 		// At-most-once across process death: the ledger the previous
 		// incarnation synced before acknowledging becomes this cache's
-		// starting contents, so a retried (client, seq) is answered from
-		// disk instead of re-executing.
-		for _, a := range st.RecoveredAcks() {
-			n.dedup.preload(a.Client, a.Seq, a.Results, a.ErrMsg, errKind(a.ErrKind))
-		}
-		st.SetDedupDump(n.dedupDump)
+		// starting contents.
+		n.recoverErr = n.recoverAcks(opts.Durable)
 	}
 	return n
 }
-
-// dedupDump snapshots the cache's completed entries for inclusion in a
-// durability checkpoint, in completion order.
-func (n *Node) dedupDump() []wal.AckEntry { return n.dedup.dump() }
 
 // Name reports the node's name.
 func (n *Node) Name() string { return n.name }
@@ -146,6 +143,7 @@ func (n *Node) hooks() linkHooks {
 		metrics:    n.opts.Metrics,
 		rec:        n.opts.Trace,
 		durable:    n.opts.Durable,
+		acks:       n.acks,
 		replayWait: replayWait,
 		flushGrace: n.opts.FlushGrace,
 	}
@@ -162,8 +160,13 @@ func (n *Node) beginServe() bool {
 func (n *Node) endServe() { n.inflight.Add(-1) }
 
 // Serve accepts connections on lis until the node closes. It returns the
-// accept error (net.ErrClosed after Close). Call it on its own goroutine.
+// accept error (net.ErrClosed after Close), or at once the ack ledger's
+// recovery error. Call it on its own goroutine.
 func (n *Node) Serve(lis net.Listener) error {
+	if n.recoverErr != nil { // set once, before NewNodeWith returns
+		_ = lis.Close()
+		return n.recoverErr
+	}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -196,6 +199,9 @@ func (n *Node) Serve(lis net.Listener) error {
 // ListenAndServe listens on addr (e.g. "127.0.0.1:7100") and serves.
 // The returned address is the bound address (useful with port 0).
 func (n *Node) ListenAndServe(addr string) (string, error) {
+	if n.recoverErr != nil {
+		return "", n.recoverErr
+	}
 	n.mu.Lock()
 	closed := n.closed
 	n.mu.Unlock()

@@ -171,13 +171,13 @@ type NodeOptions struct {
 	Metrics *Metrics
 	// Trace, when non-nil, records link lifecycle and replay events.
 	Trace *trace.Recorder
-	// Durable mounts a write-ahead durability store on the node. Acks for
-	// journaled entries are synced to it before their responses leave, the
-	// at-most-once table recovered from it seeds the dedup cache, and
-	// snapshots include the cache's completed entries. The node does not
-	// own the store: open it (and recover the objects) before creating the
-	// node, close it after Node.Close. Nil — the default — keeps the serve
-	// path free of durability work.
+	// Durable mounts a write-ahead durability store on the node. The dedup
+	// cache joins it as the participant wal.AckLedger: acks for journaled
+	// entries are synced to it before their responses leave, and the cache
+	// is recovered from it. The node does not own the store: open it (and
+	// recover the objects) before creating the node, close it after
+	// Node.Close. Nil — the default — keeps the serve path free of
+	// durability work.
 	Durable *wal.Store
 	// ReplayWait bounds how long a duplicate request waits for the
 	// in-flight primary execution of its (client, seq) before answering

@@ -1,32 +1,36 @@
 package rpc
 
-import (
-	"context"
-
-	"repro/internal/wal"
-)
+import "context"
 
 // sessionCallable is the optional serve surface of a published object that
-// needs the caller's at-most-once identity alongside the call itself. The
-// consensus-replicated object (internal/replica) implements it: the
-// (client, seq) pair travels inside the replicated log entry, so every
-// member of the group — including a leader elected after a failover —
-// recognizes a retry of an already-committed call and replays its recorded
-// response instead of re-executing the entry body. Requests without a
-// client identity fall back to the plain CallCtx path.
+// owns the caller's at-most-once identity itself. The consensus-replicated
+// object (internal/replica) implements it: the (client, seq) pair travels
+// inside the replicated log entry, so every member of the group — including
+// a leader elected after a failover — recognizes a retry of an
+// already-committed call and replays its recorded response instead of
+// re-executing the entry body. The node keeps no dedup entry for such calls.
+// Requests without a client identity fall back to the plain CallCtx path.
 type sessionCallable interface {
 	CallSession(ctx context.Context, client string, seq uint64, entry string, params []any) ([]any, error)
 }
 
-// SessionTable is the at-most-once table of PR 1, exported for the
+// AckEntry is one completed (client, seq) response: the unit of the node's
+// ack ledger (acks.go) and of a replication group's session snapshots.
+type AckEntry struct {
+	Client  string
+	Seq     uint64
+	Results []any
+	ErrMsg  string
+	ErrKind int32
+}
+
+// SessionTable is the node's at-most-once table, exported for the
 // replication layer: the same bounded (client, seq) → response cache a
 // node uses to answer retried RPCs doubles as a replicated group's
 // client-session table. internal/replica keeps one per member, mutates it
 // ONLY from the deterministic apply loop (so contents and eviction order
 // are identical on every replica), snapshots it with Dump, and rebuilds a
-// rejoining member's copy with Load — the wal.AckEntry vocabulary is
-// shared with the durability layer so the two snapshot paths stay one
-// format.
+// rejoining member's copy with Load.
 type SessionTable struct {
 	d *dedupCache
 }
@@ -62,36 +66,35 @@ func (t *SessionTable) Record(client string, seq uint64, results []any, callErr 
 }
 
 // Dump snapshots the completed entries in completion order, the format a
-// group leader ships to a rejoining member and the durability layer packs
-// into checkpoints.
-func (t *SessionTable) Dump() []wal.AckEntry { return t.d.dump() }
+// group leader ships to a rejoining member.
+func (t *SessionTable) Dump() []AckEntry { return t.d.dump() }
 
 // Load folds dumped entries back in, in order; later entries for a pair
 // supersede earlier ones.
-func (t *SessionTable) Load(entries []wal.AckEntry) {
-	for _, a := range entries {
-		t.d.preload(a.Client, a.Seq, a.Results, a.ErrMsg, errKind(a.ErrKind))
-	}
-}
+func (t *SessionTable) Load(entries []AckEntry) { t.d.load(entries) }
 
 // Len reports how many responses are retained.
 func (t *SessionTable) Len() int { return t.d.len() }
 
-// dump snapshots the cache's completed entries in completion order. Shared
-// by Node's durability checkpoints and SessionTable.Dump.
-func (d *dedupCache) dump() []wal.AckEntry {
+// dump snapshots the cache's completed entries (exactly those order holds)
+// in completion order.
+func (d *dedupCache) dump() []AckEntry {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]wal.AckEntry, 0, len(d.order))
+	out := make([]AckEntry, 0, len(d.order))
 	for _, key := range d.order {
-		e, ok := d.entries[key]
-		if !ok || !e.completed() {
-			continue // in-flight: not replayable yet
-		}
-		out = append(out, wal.AckEntry{
+		e := d.entries[key]
+		out = append(out, AckEntry{
 			Client: key.client, Seq: key.seq,
 			Results: e.results, ErrMsg: e.errMsg, ErrKind: int32(e.errKind),
 		})
 	}
 	return out
+}
+
+// load preloads dumped entries, in order.
+func (d *dedupCache) load(entries []AckEntry) {
+	for _, a := range entries {
+		d.preload(a.Client, a.Seq, a.Results, a.ErrMsg, errKind(a.ErrKind))
+	}
 }

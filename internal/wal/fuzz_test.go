@@ -13,15 +13,14 @@ import (
 func seedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := appendRecord(&buf, &Record{
-		Kind: KindOutcome, Object: "kv", Entry: "Write",
-		CallID: 42, Params: []any{1, 2}, Results: []any{"ok"},
+	if err := appendFrame(&buf, &Record{
+		Kind: KindOutcome, Object: "kv", Entry: "Write", Params: []any{1, 2},
 	}); err != nil {
 		tb.Fatal(err)
 	}
 	good := append([]byte(nil), buf.Bytes()...)
 
-	seeds := [][]byte{good, {}, good[:3]}
+	seeds := [][]byte{good, {}, good[:3], parentAckFrame(tb)}
 	// Truncated tails at every interesting boundary.
 	for _, cut := range []int{recHeaderLen - 1, recHeaderLen, recHeaderLen + 1, len(good) - 1} {
 		if cut >= 0 && cut < len(good) {
@@ -61,15 +60,15 @@ func FuzzDecodeRecord(f *testing.F) {
 			}
 			return
 		}
-		if rec == nil || !rec.Kind.valid() {
-			t.Fatalf("nil or invalid record decoded without error: %+v", rec)
+		if rec == nil || rec.Kind != KindOutcome {
+			t.Fatalf("nil or non-outcome record decoded without error: %+v", rec)
 		}
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		// A decoded record must re-encode; round-tripping must agree.
 		var buf bytes.Buffer
-		if err := appendRecord(&buf, rec); err != nil {
+		if err := appendFrame(&buf, rec); err != nil {
 			t.Fatalf("re-encode decoded record: %v", err)
 		}
 		rec2, _, err := decodeRecord(buf.Bytes())
@@ -77,7 +76,7 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("decode re-encoded record: %v", err)
 		}
 		if rec2.Kind != rec.Kind || rec2.Object != rec.Object || rec2.Entry != rec.Entry ||
-			rec2.Client != rec.Client || rec2.Seq != rec.Seq {
+			len(rec2.Params) != len(rec.Params) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", rec, rec2)
 		}
 	})
@@ -88,12 +87,19 @@ func seedSnapshots(tb testing.TB) [][]byte {
 	good, err := encodeSnapshot(&Snapshot{
 		LSN:     17,
 		Objects: map[string][]byte{"kv": {1, 2, 3}},
-		Dedup:   []AckEntry{{Client: "c", Seq: 9, Results: []any{3}}},
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	seeds := [][]byte{good, {}, good[:recHeaderLen-1], good[:len(good)-1]}
+	var parent bytes.Buffer
+	if err := appendFrame(&parent, &parentSnapshot{
+		LSN:     17,
+		Objects: map[string][]byte{"kv": {1, 2, 3}},
+		Dedup:   []parentAck{{Client: "c", Seq: 9, Results: []any{3}}},
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	seeds := [][]byte{good, parent.Bytes(), {}, good[:recHeaderLen-1], good[:len(good)-1]}
 	bad := append([]byte(nil), good...)
 	bad[4] ^= 0x10
 	seeds = append(seeds, bad)
@@ -129,7 +135,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode re-encoded snapshot: %v", err)
 		}
-		if s2.LSN != s.LSN || len(s2.Objects) != len(s.Objects) || len(s2.Dedup) != len(s.Dedup) {
+		if s2.LSN != s.LSN || len(s2.Objects) != len(s.Objects) || len(s2.acks) != 0 {
 			t.Fatalf("round trip mismatch: %+v vs %+v", s, s2)
 		}
 	})

@@ -13,10 +13,10 @@ type JournalOptions struct {
 	// path and are re-executed, not replayed, if retried across a crash.
 	Skip func(entry string) bool
 	// Wait makes WaitDurable block local awaiters until the outcome record
-	// is synced. Leave false when the object is served over rpc: the ack
-	// record is appended after the outcome in the same log, so the rpc
-	// layer's single pre-response sync covers both and the extra wait here
-	// would just double the fsyncs.
+	// is synced. Leave false when the object is served over rpc: the node's
+	// ack record (AckLedger) is appended after the outcome in the same log,
+	// so the rpc layer's single pre-response sync covers both and the extra
+	// wait here would just double the fsyncs.
 	Wait bool
 }
 
@@ -57,7 +57,8 @@ type ObjectJournal struct {
 
 // Journal creates (or returns) the journal for the named object. Create
 // the object with this journal in its ObjectOptions, then call Recover
-// before serving traffic.
+// before serving traffic. Snapshots ask participants for their checkpoints
+// in the order they were first registered here.
 func (s *Store) Journal(name string, opts JournalOptions) *ObjectJournal {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -66,6 +67,7 @@ func (s *Store) Journal(name string, opts JournalOptions) *ObjectJournal {
 	}
 	j := &ObjectJournal{s: s, name: name, opts: opts}
 	s.journals[name] = j
+	s.order = append(s.order, j)
 	return j
 }
 
@@ -117,8 +119,7 @@ func (j *ObjectJournal) Recover(h RecoverHooks) (int, error) {
 // RecordOutcome implements core.Journal: journal one delivered call
 // outcome and return the LSN local awaiters should wait on (0 = nothing to
 // wait for). Failed calls are not journaled — they made no state
-// transition to replay; their response, if any, travels in the rpc ack
-// record instead.
+// transition to replay.
 func (j *ObjectJournal) RecordOutcome(entry string, callID uint64, params, results []any, callErr error) uint64 {
 	if callErr != nil || j.replaying.Load() || j.skips(entry) {
 		return 0

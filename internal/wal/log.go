@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/metrics"
 )
@@ -24,20 +23,14 @@ type Metrics struct {
 }
 
 // Options configures a Log. The zero value is usable: OS filesystem, 4 MiB
-// segments, no forced sync cadence (callers that need durability use
-// WaitSynced / Append with sync).
+// segments. Nothing syncs on a timer: whoever promises a record waits for
+// it with WaitSynced.
 type Options struct {
 	// FS is the filesystem; nil selects OSFS. Crash tests inject a FailFS.
 	FS FS
 	// SegmentBytes rotates the active segment beyond this size
 	// (default 4 MiB).
 	SegmentBytes int64
-	// SyncInterval starts a background flusher that syncs any unsynced
-	// suffix on this cadence (0 = none). It bounds the volatile window for
-	// appenders that do not wait on durability themselves; acknowledged
-	// calls are still synced inline via WaitSynced before their response
-	// leaves.
-	SyncInterval time.Duration
 	// Metrics, when non-nil, accumulates fsync/byte/record counters.
 	Metrics *Metrics
 }
@@ -69,17 +62,15 @@ type Log struct {
 	opts Options
 
 	// mu guards the active segment: writer, byte counts, LSN assignment.
-	mu          sync.Mutex
-	f           File
-	bw          *bufio.Writer
-	lsn         uint64 // last assigned LSN
-	segStart    uint64 // first LSN of the active segment
-	segBytes    int64
-	closed      bool
-	writeErr    error // sticky: a failed write poisons the log
-	segments    []segmentInfo
-	activeName  string
-	snapshotLSN uint64 // floor below which segments have been pruned
+	mu         sync.Mutex
+	f          File
+	bw         *bufio.Writer
+	lsn        uint64 // last assigned LSN
+	segBytes   int64
+	closed     bool
+	writeErr   error // sticky: a failed write poisons the log
+	segments   []segmentInfo
+	activeName string
 
 	// fmu is the active file's lifetime lock: the flusher holds it across
 	// the fsync it runs outside mu, and rotation and Close take it (after
@@ -93,9 +84,6 @@ type Log struct {
 	synced   uint64
 	syncErr  error // sticky: a failed flush or fsync fails every later waiter
 	flushing bool
-
-	tickStop chan struct{}
-	tickDone chan struct{}
 }
 
 type segmentInfo struct {
@@ -126,26 +114,20 @@ func parseSegmentName(name string) (uint64, bool) {
 
 // open prepares a Log for appending after recovery scanned the directory:
 // lastLSN is the highest LSN already on disk, segs the surviving segments
-// (sorted by first LSN), snapLSN the snapshot floor.
-func openLog(dir string, opts Options, lastLSN uint64, segs []segmentInfo, snapLSN uint64) (*Log, error) {
+// (sorted by first LSN).
+func openLog(dir string, opts Options, lastLSN uint64, segs []segmentInfo) (*Log, error) {
 	opts = opts.withDefaults()
 	l := &Log{
-		fs:          opts.FS,
-		dir:         dir,
-		opts:        opts,
-		lsn:         lastLSN,
-		synced:      lastLSN, // everything recovery saw is on disk
-		segments:    segs,
-		snapshotLSN: snapLSN,
+		fs:       opts.FS,
+		dir:      dir,
+		opts:     opts,
+		lsn:      lastLSN,
+		synced:   lastLSN, // everything recovery saw is on disk
+		segments: segs,
 	}
 	l.scond = sync.NewCond(&l.smu)
 	if err := l.openSegmentLocked(lastLSN + 1); err != nil {
 		return nil, err
-	}
-	if opts.SyncInterval > 0 {
-		l.tickStop = make(chan struct{})
-		l.tickDone = make(chan struct{})
-		go l.runTicker(opts.SyncInterval)
 	}
 	return l, nil
 }
@@ -164,7 +146,6 @@ func (l *Log) openSegmentLocked(first uint64) error {
 	}
 	l.f = f
 	l.bw = bufio.NewWriterSize(f, 64<<10)
-	l.segStart = first
 	l.segBytes = 0
 	l.activeName = name
 	l.segments = append(l.segments, segmentInfo{name: name, first: first})
@@ -182,7 +163,7 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	frame.Reset()
 	defer encBufPool.Put(frame)
 	rec.LSN = 0
-	if err := appendRecord(frame, rec); err != nil {
+	if err := appendFrame(frame, rec); err != nil {
 		return 0, err
 	}
 
@@ -330,29 +311,8 @@ func (l *Log) WaitSynced(target uint64) error {
 // Sync makes everything appended so far durable.
 func (l *Log) Sync() error { return l.WaitSynced(l.AppendedLSN()) }
 
-func (l *Log) runTicker(iv time.Duration) {
-	defer close(l.tickDone)
-	t := time.NewTicker(iv)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.tickStop:
-			return
-		case <-t.C:
-		}
-		if l.AppendedLSN() > l.SyncedLSN() {
-			_ = l.Sync()
-		}
-	}
-}
-
 // Close syncs the tail and closes the active segment. Further appends fail.
 func (l *Log) Close() error {
-	if l.tickStop != nil {
-		close(l.tickStop)
-		<-l.tickDone
-		l.tickStop = nil
-	}
 	err := l.Sync()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -368,14 +328,19 @@ func (l *Log) Close() error {
 	return err
 }
 
-// pruneTo removes snapshots and whole segments made redundant by a durable
-// snapshot at snapLSN: a segment is deletable when the next segment starts
-// at or below snapLSN+1 (every record in it is covered by the snapshot).
+// pruneTo removes older snapshots and whole segments made redundant by a
+// durable snapshot at snapLSN: a segment is deletable when the next segment
+// starts at or below snapLSN+1 (every record in it is covered by the
+// snapshot).
 func (l *Log) pruneTo(snapLSN uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if snapLSN > l.snapshotLSN {
-		l.snapshotLSN = snapLSN
+	if snaps, err := listSorted(l.fs, l.dir, snapPrefix, snapSuffix); err == nil {
+		for _, sn := range snaps {
+			if sn.first < snapLSN {
+				_ = l.fs.Remove(path.Join(l.dir, sn.name))
+			}
+		}
 	}
 	kept := l.segments[:0]
 	removed := false

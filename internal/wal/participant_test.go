@@ -217,16 +217,16 @@ func TestOpenRefusesRetiredLayoutUntouched(t *testing.T) {
 			var seg1, seg2 bytes.Buffer
 			for _, rec := range []*Record{
 				{Kind: KindOutcome, Object: "kv", Entry: "Write", Params: []any{1, 1}},
-				{Kind: 3, Object: "KV", Entry: "state", Seq: 3, Client: "B"},
+				{Kind: 3, Object: "KV", Entry: "state", Params: []any{uint64(3), "B"}},
 				{Kind: KindOutcome, Object: "kv", Entry: "Write", Params: []any{2, 2}},
 			} {
-				if err := appendRecord(&seg1, rec); err != nil {
+				if err := appendFrame(&seg1, rec); err != nil {
 					t.Fatal(err)
 				}
 			}
 			write(segmentName(1), seg1.Bytes())
 			if !tc.final {
-				if err := appendRecord(&seg2, &Record{Kind: KindOutcome, Object: "kv", Entry: "Write", Params: []any{3, 3}}); err != nil {
+				if err := appendFrame(&seg2, &Record{Kind: KindOutcome, Object: "kv", Entry: "Write", Params: []any{3, 3}}); err != nil {
 					t.Fatal(err)
 				}
 				write(segmentName(4), seg2.Bytes())
@@ -334,5 +334,39 @@ func TestSnapshotCadenceCountsRecoveredRecords(t *testing.T) {
 		if err := st.Close(); err != nil { // waits for an in-flight snapshot
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestCheckpointsInRegistrationOrder: a snapshot asks participants for their
+// checkpoints in the order they registered, every time — so a participant
+// can rely on every one registered before it having given its checkpoint
+// already (the node's ack ledger, registered after the objects it answers
+// for, does: internal/rpc TestAckCheckpointWaitsForDurableAcks).
+func TestCheckpointsInRegistrationOrder(t *testing.T) {
+	st, err := OpenStore("data", StoreOptions{FS: NewFailFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var order []string
+	names := []string{"zeta", "alpha", "mid"} // neither sorted nor reverse-sorted
+	for _, name := range names {
+		name := name
+		if _, err := st.Journal(name, JournalOptions{}).Recover(RecoverHooks{
+			Snapshot: func() ([]byte, error) { order = append(order, name); return nil, nil },
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const snapshots = 4
+	var want []string
+	for i := 0; i < snapshots; i++ {
+		if err := st.ForceSnapshot(); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, names...)
+	}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("checkpoint hooks ran in order %v over %d snapshots, want %v", order, snapshots, want)
 	}
 }

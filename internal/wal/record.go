@@ -14,49 +14,28 @@ import (
 // Kind discriminates log records.
 type Kind int
 
-const (
-	// KindOutcome is a call outcome journaled by the object runtime in
-	// delivery order: entry, parameters and results (or error). Replaying
-	// the successful outcomes against a fresh object rebuilds its state.
-	KindOutcome Kind = iota + 1
-	// KindAck is an acknowledgement record appended by the RPC layer just
-	// before a response leaves the node: the (client, seq) dedup identity
-	// and the response. Recovery folds these into the node's at-most-once
-	// cache so a retried call is answered from disk, never re-executed.
-	KindAck
-)
+// KindOutcome is the one kind written: a participant record, journaled by
+// the object runtime in delivery order (entry, parameters) or by a
+// participant with a vocabulary of its own through ObjectJournal.Append.
+// Replaying them against a fresh participant rebuilds its state. The decoder
+// also reads kind 2 from older directories (legacy.go) and refuses kind 3
+// (ErrRetiredLayout).
+const KindOutcome Kind = 1
 
-func (k Kind) valid() bool { return k == KindOutcome || k == KindAck }
+// AckLedger is the participant name the node's at-most-once table journals
+// and checkpoints under (internal/rpc), so a retried (client, seq) is
+// answered from disk after a restart, never re-executed.
+const AckLedger = "!acks"
 
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case KindOutcome:
-		return "outcome"
-	case KindAck:
-		return "ack"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// Record is one durable log entry. Params/Results values must be
-// gob-encodable (the same constraint the rpc wire imposes).
+// Record is one durable log entry: Entry names the record's type in the
+// Object participant's vocabulary, and Params are what its Replay hook gets.
+// Params values must be gob-encodable (the same constraint the rpc wire
+// imposes).
 type Record struct {
 	Kind   Kind
 	Object string
 	Entry  string
-	CallID uint64 // diagnostic; the store itself writes none
-
-	// Dedup identity (ack records): the caller's stable client ID and its
-	// per-client sequence number.
-	Client string
-	Seq    uint64
-
-	Params  []any
-	Results []any
-	ErrMsg  string // non-empty for failed calls
-	ErrKind int32  // rpc sentinel classification, carried opaquely
+	Params []any
 
 	// LSN is the record's log sequence number, assigned by Log.Append and
 	// restored by recovery. It is not part of the encoded payload.
@@ -94,16 +73,17 @@ func init() {
 	gob.Register([]byte(nil))
 }
 
-// appendRecord encodes rec into a frame appended to buf:
+// appendFrame encodes v (a record or a snapshot) into a frame appended to
+// buf:
 //
 //	uint32 length | uint32 crc32c(payload) | payload (gob)
-func appendRecord(buf *bytes.Buffer, rec *Record) error {
+func appendFrame(buf *bytes.Buffer, v any) error {
 	start := buf.Len()
 	var hdr [recHeaderLen]byte // patched once the payload is known
 	buf.Write(hdr[:])
-	if err := gob.NewEncoder(buf).Encode(rec); err != nil {
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
 		buf.Truncate(start)
-		return fmt.Errorf("wal: encode record: %w", err)
+		return fmt.Errorf("wal: encode %T: %w", v, err)
 	}
 	frame := buf.Bytes()[start:]
 	payload := frame[recHeaderLen:]
@@ -114,10 +94,10 @@ func appendRecord(buf *bytes.Buffer, rec *Record) error {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// decodeRecord decodes one framed record from data, returning the record
+// decodeFrame checks one frame at the start of data and returns its payload
 // and the bytes consumed. io.ErrUnexpectedEOF means the frame is cut short
 // (a torn tail); ErrCorrupt means the frame is structurally wrong.
-func decodeRecord(data []byte) (*Record, int, error) {
+func decodeFrame(data []byte) ([]byte, int, error) {
 	if len(data) < recHeaderLen {
 		return nil, 0, io.ErrUnexpectedEOF
 	}
@@ -132,15 +112,32 @@ func decodeRecord(data []byte) (*Record, int, error) {
 	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(data[4:8]); got != want {
 		return nil, 0, fmt.Errorf("%w: crc mismatch (got %08x want %08x)", ErrCorrupt, got, want)
 	}
+	return payload, recHeaderLen + int(n), nil
+}
+
+// decodeRecord decodes one framed record from data, returning the record
+// and the bytes consumed, with decodeFrame's error classes.
+func decodeRecord(data []byte) (*Record, int, error) {
+	payload, n, err := decodeFrame(data)
+	if err != nil {
+		return nil, 0, err
+	}
 	var rec Record
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
 		return nil, 0, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
 	}
-	if rec.Kind == 3 {
+	switch rec.Kind {
+	case KindOutcome:
+		return &rec, n, nil
+	case legacyKindAck:
+		ack, err := decodeLegacyAck(payload)
+		if err != nil {
+			return nil, 0, err
+		}
+		return ack, n, nil
+	case 3:
 		return nil, 0, ErrRetiredLayout
-	}
-	if !rec.Kind.valid() {
+	default:
 		return nil, 0, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, int(rec.Kind))
 	}
-	return &rec, recHeaderLen + int(n), nil
 }

@@ -120,14 +120,10 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 			}
 		}
 		// Continuity: this segment must start exactly where history left
-		// off (pruning only removes fully covered segments).
-		if len(recs) > 0 {
-			if recs[0].LSN <= snapLSN {
-				// Covered by the snapshot (prune raced a crash); skip those.
-				for len(recs) > 0 && recs[0].LSN <= snapLSN {
-					recs = recs[1:]
-				}
-			}
+		// off (pruning only removes fully covered segments). Records the
+		// snapshot covers (a prune raced a crash) are skipped.
+		for len(recs) > 0 && recs[0].LSN <= snapLSN {
+			recs = recs[1:]
 		}
 		for _, r := range recs {
 			if r.LSN != lastLSN+1 {
@@ -149,7 +145,7 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 		segs = segs[:n-1]
 	}
 
-	l, err := openLog(dir, opts, lastLSN, segs, snapLSN)
+	l, err := openLog(dir, opts, lastLSN, segs)
 	if err != nil {
 		return nil, nil, err
 	}

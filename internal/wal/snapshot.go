@@ -2,85 +2,54 @@ package wal
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path"
 )
 
-// Snapshot is a durable checkpoint: opaque per-object state plus the node's
-// completed at-most-once table, with the log position the state is known to
-// cover.
+// Snapshot is a durable checkpoint: every participant's opaque state blob,
+// with the log position that state is known to cover.
 //
-// The floor is FUZZY: the LSN is read before object state is collected, so
-// state may already include the effects of records above it. Recovery
-// replays every record above the floor, which makes replay at-least-once in
-// that window — journaled entries must therefore be replay-idempotent
-// (last-write-wins updates are; counters that increment blindly are not).
-// See docs/DURABILITY.md.
+// The floor is FUZZY: the LSN is read before participant state is
+// collected, so state may already include the effects of records above it.
+// Recovery replays every record above the floor, which makes replay
+// at-least-once in that window — journaled entries must therefore be
+// replay-idempotent (last-write-wins updates are; counters that increment
+// blindly are not). See docs/DURABILITY.md.
 type Snapshot struct {
 	// LSN is the floor: every record at or below it is covered by this
 	// snapshot and its segment may be pruned.
 	LSN uint64
-	// Objects maps object name to the opaque state blob its Snapshot hook
-	// produced (decoded by its Restore hook).
+	// Objects maps participant name to the opaque state blob its Snapshot
+	// hook produced (decoded by its Restore hook).
 	Objects map[string][]byte
-	// Dedup is the completed at-most-once table at snapshot time.
-	Dedup []AckEntry
-}
 
-// AckEntry is one completed (client, seq) response preserved across
-// restarts so a retry is answered from disk, never re-executed.
-type AckEntry struct {
-	Client  string
-	Seq     uint64
-	Results []any
-	ErrMsg  string
-	ErrKind int32
+	// acks is an older snapshot's Dedup list as AckLedger records, replayed
+	// before the log's (legacy.go). Never encoded.
+	acks []*Record
 }
 
 func snapshotName(lsn uint64) string { return fmt.Sprintf("%s%016d%s", snapPrefix, lsn, snapSuffix) }
 
-// encodeSnapshot frames a snapshot exactly like a log record
-// (uint32 length | uint32 crc32c | gob payload) so the decoder shares the
-// corruption taxonomy.
+// encodeSnapshot frames a snapshot exactly like a log record, so the
+// decoder shares the corruption taxonomy.
 func encodeSnapshot(s *Snapshot) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(s); err != nil {
-		return nil, fmt.Errorf("wal: encode snapshot: %w", err)
+	var buf bytes.Buffer
+	if err := appendFrame(&buf, s); err != nil {
+		return nil, err
 	}
-	out := make([]byte, recHeaderLen+payload.Len())
-	binary.LittleEndian.PutUint32(out[0:4], uint32(payload.Len()))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload.Bytes(), crcTable))
-	copy(out[recHeaderLen:], payload.Bytes())
-	return out, nil
+	return buf.Bytes(), nil
 }
 
 // decodeSnapshot is the inverse of encodeSnapshot. A short or mangled
 // buffer returns io.ErrUnexpectedEOF or ErrCorrupt; the atomic-rename
 // publish protocol means either indicates real damage, not a torn write.
 func decodeSnapshot(data []byte) (*Snapshot, error) {
-	if len(data) < recHeaderLen {
-		return nil, io.ErrUnexpectedEOF
+	payload, _, err := decodeFrame(data)
+	if err != nil {
+		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(data[0:4])
-	if n == 0 || n > maxRecordLen {
-		return nil, fmt.Errorf("%w: implausible snapshot length %d", ErrCorrupt, n)
-	}
-	if len(data) < recHeaderLen+int(n) {
-		return nil, io.ErrUnexpectedEOF
-	}
-	payload := data[recHeaderLen : recHeaderLen+int(n)]
-	if got, want := crc32.Checksum(payload, crcTable), binary.LittleEndian.Uint32(data[4:8]); got != want {
-		return nil, fmt.Errorf("%w: snapshot crc mismatch (got %08x want %08x)", ErrCorrupt, got, want)
-	}
-	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("%w: snapshot payload: %v", ErrCorrupt, err)
-	}
-	return &s, nil
+	return decodeSnapshotPayload(payload)
 }
 
 // writeSnapshot publishes s atomically: write + fsync a temporary file,

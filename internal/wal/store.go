@@ -2,6 +2,7 @@ package wal
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
@@ -10,9 +11,8 @@ import (
 type StoreOptions struct {
 	// FS is the filesystem (nil = OSFS).
 	FS FS
-	// SegmentBytes and SyncInterval configure the underlying Log.
+	// SegmentBytes configures the underlying Log.
 	SegmentBytes int64
-	SyncInterval time.Duration
 	// SnapshotEvery triggers a snapshot after this many appended records
 	// (0 = snapshots disabled; the log grows until the process restarts).
 	SnapshotEvery int
@@ -21,31 +21,25 @@ type StoreOptions struct {
 }
 
 // Store is the durability layer a node mounts on a data directory: one
-// shared log for every journaled object plus the node's at-most-once ack
-// ledger, periodic snapshots, and the recovery state left by the previous
-// incarnation.
+// shared log for every participant, periodic snapshots, and the recovery
+// state left by the previous incarnation.
 //
 // Lifecycle: OpenStore (recovery scan) → Journal(name) per participant →
-// ObjectJournal.Recover per participant (restore + replay) → serve. The rpc
-// layer appends ack records and syncs them before a response leaves;
-// RecoveredAcks seeds the dedup cache so retries across the crash are
-// answered from disk.
+// ObjectJournal.Recover per participant (restore + replay) → serve.
 //
 // A participant is anything that journals under a name: an object's call
-// ledger, or another layer's own records (ObjectJournal.Append). One rule:
-// no record may live in the store unless its writer contributes a
-// checkpoint — a snapshot prunes every record at or below its floor.
+// ledger, the node's at-most-once table (AckLedger), or another layer's own
+// records (ObjectJournal.Append). One rule: no record may live in the store
+// unless its writer contributes a checkpoint — a snapshot prunes every
+// record at or below its floor.
 type Store struct {
 	log  *Log
-	dir  string
-	fs   FS
 	opts StoreOptions
 
 	mu        sync.Mutex
 	journals  map[string]*ObjectJournal
+	order     []*ObjectJournal     // registration order: the order checkpoints are taken in
 	byObject  map[string][]*Record // recovered records by participant; a key (even with no records) awaits Recover
-	acks      []AckEntry           // recovered at-most-once ledger
-	dedupDump func() []AckEntry    // set by the node; completed entries only
 	snapState map[string][]byte    // recovered snapshot blobs by participant
 
 	stats RecoveryStats
@@ -59,8 +53,8 @@ type Store struct {
 // RecoveryStats summarizes what recovery found; the daemon logs it at
 // startup.
 type RecoveryStats struct {
-	Outcomes   int // outcome records replayed from the log
-	Acks       int // ack records folded into the dedup seed
+	Outcomes   int // records to replay, AckLedger's aside
+	Acks       int // AckLedger records to replay (legacy.go's included)
 	SnapshotAt uint64
 	TornBytes  int64
 	Segments   int
@@ -72,7 +66,6 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	l, rec, err := Open(dir, Options{
 		FS:           opts.FS,
 		SegmentBytes: opts.SegmentBytes,
-		SyncInterval: opts.SyncInterval,
 		Metrics:      opts.Metrics,
 	})
 	if err != nil {
@@ -80,8 +73,6 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	}
 	s := &Store{
 		log:      l,
-		dir:      dir,
-		fs:       l.fs,
 		opts:     opts,
 		journals: make(map[string]*ObjectJournal),
 		byObject: make(map[string][]*Record),
@@ -89,29 +80,25 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 	s.stats.TornBytes = rec.TornBytes
 	s.stats.Segments = rec.Segments
 	s.stats.Duration = rec.Duration
+	records := rec.Records
 	if snap := rec.Snapshot; snap != nil {
 		s.stats.SnapshotAt = snap.LSN
 		s.snapState = snap.Objects
-		s.acks = append(s.acks, snap.Dedup...)
 		for name := range snap.Objects {
 			s.byObject[name] = nil
 		}
+		records = append(snap.acks, records...)
 	}
 	// The cadence counts what a restart would replay, not what this process
 	// wrote: a store reopened again and again before its SnapshotEvery-th
 	// append would otherwise never checkpoint.
-	s.recsSinceSnap = len(rec.Records)
-	for _, r := range rec.Records {
-		switch r.Kind {
-		case KindOutcome:
-			s.byObject[r.Object] = append(s.byObject[r.Object], r)
-			s.stats.Outcomes++
-		case KindAck:
-			s.acks = append(s.acks, AckEntry{
-				Client: r.Client, Seq: r.Seq,
-				Results: r.Results, ErrMsg: r.ErrMsg, ErrKind: r.ErrKind,
-			})
+	s.recsSinceSnap = len(records)
+	for _, r := range records {
+		s.byObject[r.Object] = append(s.byObject[r.Object], r)
+		if r.Object == AckLedger {
 			s.stats.Acks++
+		} else {
+			s.stats.Outcomes++
 		}
 	}
 	return s, nil
@@ -124,25 +111,18 @@ func (s *Store) Stats() RecoveryStats {
 	return s.stats
 }
 
-// RecoveredAcks returns the at-most-once ledger the previous incarnation
-// made durable (snapshot table plus ack records above its floor), for
-// seeding the node's dedup cache. Later entries supersede earlier ones for
-// the same (client, seq).
-func (s *Store) RecoveredAcks() []AckEntry {
+// Unclaimed names, sorted, every participant the previous incarnation left
+// records or a checkpoint under that has not been through Recover yet.
+// While any remains, every snapshot defers.
+func (s *Store) Unclaimed() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]AckEntry(nil), s.acks...)
-}
-
-// SetDedupDump registers the node's callback producing the COMPLETED
-// at-most-once entries for inclusion in snapshots. The dump is taken
-// before object state is collected, so every acknowledged call a snapshot
-// remembers also has its effects in the snapshot's state (see
-// docs/DURABILITY.md, "snapshot ordering").
-func (s *Store) SetDedupDump(fn func() []AckEntry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.dedupDump = fn
+	names := make([]string, 0, len(s.byObject))
+	for name := range s.byObject {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // DurableEntry reports whether calls to object/entry are journaled (and
@@ -152,25 +132,6 @@ func (s *Store) DurableEntry(object, entry string) bool {
 	j, ok := s.journals[object]
 	s.mu.Unlock()
 	return ok && !j.skips(entry)
-}
-
-// AppendAck journals an acknowledgement record: the (client, seq) identity
-// and the response about to leave the node. The caller must WaitSynced on
-// the returned LSN before sending the response; because the ack is
-// appended after the call's outcome record in the same log, that single
-// sync also makes the state transition durable.
-func (s *Store) AppendAck(object, entry, client string, seq uint64, results []any, errMsg string, errKind int32) (uint64, error) {
-	return s.append(&Record{
-		Kind:   KindAck,
-		Object: object,
-		Entry:  entry,
-		Client: client,
-		Seq:    seq,
-
-		Results: results,
-		ErrMsg:  errMsg,
-		ErrKind: errKind,
-	})
 }
 
 // WaitSynced blocks until every record up to lsn is on stable storage.
@@ -219,19 +180,13 @@ func (s *Store) ForceSnapshot() error {
 	return s.snapshot()
 }
 
-// snapshot builds and publishes one checkpoint.
-//
-// Ordering is load-bearing, in three steps:
-//  1. floor := AppendedLSN — the snapshot claims to cover records ≤ floor.
-//     Anything recorded after this line may also leak into the collected
-//     state (the floor is fuzzy), which is why replay above the floor must
-//     be idempotent.
-//  2. Dedup dump BEFORE object state: an ack completed by dump time had
-//     finished its body earlier still, so its effects are guaranteed to be
-//     in the state collected in step 3 — a snapshot never remembers an
-//     acknowledgement whose state it lost.
-//  3. Per-participant state via each journal's snapshot hook (typically a
-//     manager-exclusive entry, so the blob is not torn mid-write).
+// snapshot builds and publishes one checkpoint: floor := AppendedLSN, then
+// every participant's Snapshot hook in registration order. The snapshot
+// claims to cover records ≤ floor; anything recorded after that line may
+// also leak into the collected state (the floor is fuzzy), which is why
+// replay above the floor must be idempotent. The store imposes no other
+// order: a hook whose blob could reveal a record not yet on stable storage
+// waits for it first (docs/DURABILITY.md §5).
 //
 // A snapshot DEFERS — returns an error, writes and prunes nothing — while
 // the previous incarnation left records or a blob under a name that has not
@@ -246,33 +201,26 @@ func (s *Store) snapshot() error {
 	}()
 
 	floor := s.log.AppendedLSN()
-
+	if names := s.Unclaimed(); len(names) > 0 {
+		return fmt.Errorf("wal: snapshot deferred: %q left state in this store and have not called Recover", names)
+	}
 	s.mu.Lock()
-	for name := range s.byObject {
-		s.mu.Unlock()
-		return fmt.Errorf("wal: snapshot deferred: %q (of %d) left state in this store and has not called Recover", name, len(s.byObject))
-	}
-	dump := s.dedupDump
-	hooks := make(map[string]func() ([]byte, error), len(s.journals))
-	for name, j := range s.journals {
-		j.mu.Lock()
-		if j.snap != nil {
-			hooks[name] = j.snap
-		}
-		j.mu.Unlock()
-	}
+	journals := append([]*ObjectJournal(nil), s.order...)
 	s.mu.Unlock()
 
-	snap := &Snapshot{LSN: floor, Objects: make(map[string][]byte, len(hooks))}
-	if dump != nil {
-		snap.Dedup = dump()
-	}
-	for name, h := range hooks {
+	snap := &Snapshot{LSN: floor, Objects: make(map[string][]byte, len(journals))}
+	for _, j := range journals {
+		j.mu.Lock()
+		h := j.snap
+		j.mu.Unlock()
+		if h == nil {
+			continue
+		}
 		blob, err := h()
 		if err != nil {
-			return fmt.Errorf("wal: snapshot %s: %w", name, err)
+			return fmt.Errorf("wal: snapshot %s: %w", j.name, err)
 		}
-		snap.Objects[name] = blob
+		snap.Objects[j.name] = blob
 	}
 
 	// The floor must itself be durable before older segments go away: the
@@ -281,28 +229,14 @@ func (s *Store) snapshot() error {
 	if err := s.log.WaitSynced(floor); err != nil {
 		return err
 	}
-	if _, err := writeSnapshot(s.fs, s.dir, snap); err != nil {
+	if _, err := writeSnapshot(s.log.fs, s.log.dir, snap); err != nil {
 		return err
 	}
 	if m := s.opts.Metrics; m != nil {
 		m.Snapshots.Inc()
 	}
-	s.pruneSnapshots(floor)
 	s.log.pruneTo(floor)
 	return nil
-}
-
-// pruneSnapshots removes snapshot files older than the one at floor.
-func (s *Store) pruneSnapshots(floor uint64) {
-	snaps, err := listSorted(s.fs, s.dir, snapPrefix, snapSuffix)
-	if err != nil {
-		return
-	}
-	for _, sn := range snaps {
-		if sn.first < floor {
-			_ = s.fs.Remove(s.dir + "/" + sn.name)
-		}
-	}
 }
 
 // Close waits for any in-flight snapshot, syncs the log tail and closes

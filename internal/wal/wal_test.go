@@ -16,7 +16,6 @@ func appendOutcome(t *testing.T, l *Log, object string, i int) uint64 {
 		Kind:   KindOutcome,
 		Object: object,
 		Entry:  "Write",
-		CallID: uint64(i),
 		Params: []any{i, i * 10},
 	})
 	if err != nil {
@@ -52,7 +51,7 @@ func TestLogAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("recovered %d records, want 10", len(rec2.Records))
 	}
 	for i, r := range rec2.Records {
-		if r.LSN != uint64(i+1) || r.CallID != uint64(i) || r.Entry != "Write" {
+		if r.LSN != uint64(i+1) || r.Entry != "Write" {
 			t.Fatalf("record %d = %+v", i, r)
 		}
 		if k, v := r.Params[0].(int), r.Params[1].(int); k != i || v != i*10 {
@@ -290,7 +289,7 @@ func TestStoreSnapshotReplayAcrossCrash(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		storeWrite(t, j, kv, i, 100+i)
 	}
-	lsn, err := st.AppendAck("kv", "Write", "client-1", 7, []any{}, "", 0)
+	lsn, err := st.Journal(AckLedger, JournalOptions{}).Append("ack", []any{"client-1", uint64(7)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,9 +310,14 @@ func TestStoreSnapshotReplayAcrossCrash(t *testing.T) {
 	if stats.Outcomes < 5 || stats.Acks != 1 {
 		t.Fatalf("stats = %+v, want >=5 outcomes and 1 ack", stats)
 	}
-	acks := st2.RecoveredAcks()
-	if len(acks) != 1 || acks[0].Client != "client-1" || acks[0].Seq != 7 {
-		t.Fatalf("recovered acks = %+v", acks)
+	var acks [][]any
+	if _, err := st2.Journal(AckLedger, JournalOptions{}).Recover(RecoverHooks{
+		Replay: func(_ string, p []any) error { acks = append(acks, p); return nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(acks) != 1 || acks[0][0] != "client-1" || acks[0][1] != uint64(7) {
+		t.Fatalf("recovered acks = %v", acks)
 	}
 
 	kv2 := newKVState()
