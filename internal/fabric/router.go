@@ -59,6 +59,9 @@ type Audit struct {
 // Safe for concurrent use.
 type Router struct {
 	opts RouterOptions
+	// client is opts.ClientID boxed once: every Append passes it as a call
+	// parameter, and boxing it there cost an allocation per call.
+	client any
 
 	peers *peers
 
@@ -84,7 +87,7 @@ func NewRouter(spec string, opts RouterOptions) (*Router, error) {
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 2 * time.Second
 	}
-	return &Router{opts: opts, ring: ring, peers: newPeers(opts.ClientID, opts.DialTimeout)}, nil
+	return &Router{opts: opts, client: opts.ClientID, ring: ring, peers: newPeers(opts.ClientID, opts.DialTimeout)}, nil
 }
 
 // Ring reports the router's current ring spec.
@@ -142,7 +145,7 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 			backoff = bump(backoff)
 			continue
 		}
-		res, err := rem.CallCtx(ctx, "fabric", "Append", key, r.opts.ClientID, seq, payload)
+		res, err := rem.CallCtx(ctx, "fabric", "Append", key, r.client, seq, payload)
 		if err != nil {
 			if errors.Is(err, core.ErrOverload) {
 				return Exec{}, &OverloadError{Node: owner, RetryAfter: backoff, Err: err}

@@ -38,7 +38,8 @@ func (c *control) CallCtx(_ context.Context, entry string, params ...any) ([]any
 
 // requestVote: params [term, candidateID, lastLogIndex, lastLogTerm],
 // reply [term, granted]. The vote is durable before it is granted — a
-// member that promises, crashes and restarts must keep its promise.
+// member that promises, crashes and restarts must keep its promise — and a
+// vote the disk refused is answered with that error, never a grant.
 func (c *control) requestVote(params []any) ([]any, error) {
 	term, err := asU64(params, 0)
 	candidate, err2 := asStr(params, 1)
@@ -69,12 +70,12 @@ func (c *control) requestVote(params []any) ([]any, error) {
 	if grant {
 		r.votedFor = candidate
 		r.resetElectionDeadline()
-		lsn = r.persistStateLocked()
+		lsn, err = r.persistStateLocked()
 	}
 	curTerm := r.term
 	r.mu.Unlock()
-	if err := r.waitSynced(lsn); err != nil {
-		return nil, fmt.Errorf("replica: RequestVote: persist: %w", err)
+	if err := r.waitSynced(lsn, err); err != nil {
+		return nil, fmt.Errorf("replica: RequestVote: %w", err)
 	}
 	if grant {
 		r.logf("granted vote to %s for t%d", candidate, term)
@@ -83,10 +84,13 @@ func (c *control) requestVote(params []any) ([]any, error) {
 }
 
 // appendEntries: params [term, leaderID, prevIndex, prevTerm,
-// leaderCommit, entries], reply [term, success, conflictIndex]. Appended
-// entries are synced before the success reply: the leader counts this
-// reply toward quorum, so "acknowledged" must mean "on stable storage" —
-// the same contract client acks honor (docs/DURABILITY.md).
+// leaderCommit, entries], reply [term, success, conflictIndex]. A success
+// reply moves the leader's matchIndex to prevIndex+len(entries) and counts
+// toward quorum, so "acknowledged" must mean "on stable storage" — the same
+// contract client acks honor (docs/DURABILITY.md): the log is synced through
+// every record this member journaled before the reply leaves, entries an
+// earlier frame delivered included. A record the disk refuses stays out of
+// the log, and the frame is answered with the refusal.
 func (c *control) appendEntries(params []any) ([]any, error) {
 	term, err := asU64(params, 0)
 	leader, err2 := asStr(params, 1)
@@ -175,52 +179,63 @@ func (c *control) appendEntries(params []any) ([]any, error) {
 		return r.replyLocked(stateDirty, r.term, false, conflict)
 	}
 
-	var lastLSN uint64
+	// match is the last index this frame has shown to agree with the
+	// leader's log: prev, then each entry as it is found or appended.
+	// Commit advances no further. Past match lie entries no leader checked,
+	// whether the batch ended there or a refused record cut it short.
+	match := prev
 	if stateDirty {
-		lastLSN = r.persistStateLocked()
+		_, err = r.persistStateLocked()
 	}
-	for i, e := range entries {
-		idx := prev + 1 + uint64(i)
+	for i := 0; i < len(entries) && err == nil; i++ {
+		e, idx := entries[i], prev+1+uint64(i)
 		if idx <= r.lastIndex() {
 			if t, _ := r.termAt(idx); t == e.Term {
+				match = idx
 				continue // already have it
 			}
 			// Conflicting suffix: ours loses. Persist the truncation so
 			// recovery rebuilds the same log shape, and fail any local
-			// waiters parked on the overwritten proposals.
-			lastLSN = r.persistLocked(subTruncate, idx)
+			// waiters parked on the overwritten proposals. A truncation the
+			// disk refuses still happens here: the suffix is dead under this
+			// leader, and a restart that finds it again holds a log this
+			// member once had.
+			_, err = r.persistLocked(subTruncate, idx)
 			r.truncateFromLocked(idx)
+			if err != nil {
+				break
+			}
 		}
-		at := r.appendLocalLocked(e)
-		lastLSN = r.persistAppendLocked(at, e)
-	}
-	if commit > r.commitIndex {
-		last := r.lastIndex()
-		if commit > last {
-			commit = last
-		}
-		if commit > r.commitIndex {
-			r.commitIndex = commit
-			r.applyCond.Signal()
+		if _, err = r.persistAppendLocked(idx, e); err == nil {
+			r.appendLocalLocked(e)
+			match = idx
 		}
 	}
-	curTerm := r.term
+	if commit = min(commit, match); commit > r.commitIndex {
+		r.commitIndex = commit
+		r.applyCond.Signal()
+	}
+	curTerm, lsn := r.term, r.journaled
 	r.mu.Unlock()
-	if err := r.waitSynced(lastLSN); err != nil {
-		return nil, fmt.Errorf("replica: AppendEntries: persist: %w", err)
+	if err := r.waitSynced(lsn, err); err != nil {
+		return nil, fmt.Errorf("replica: AppendEntries: %w", err)
 	}
 	return []any{curTerm, true, uint64(0)}, nil
 }
 
 // replyLocked answers an AppendEntries that appends nothing: release r.mu
-// and, when the frame raised our term, make that durable first.
+// and, when the frame raised our term, make that durable first — a term the
+// disk refused is answered with the refusal.
 func (r *Replica) replyLocked(stateDirty bool, reply ...any) ([]any, error) {
 	var lsn uint64
+	var err error
 	if stateDirty {
-		lsn = r.persistStateLocked()
+		lsn, err = r.persistStateLocked()
 	}
 	r.mu.Unlock()
-	_ = r.waitSynced(lsn)
+	if err := r.waitSynced(lsn, err); err != nil {
+		return nil, fmt.Errorf("replica: AppendEntries: %w", err)
+	}
 	return reply, nil
 }
 
@@ -259,14 +274,14 @@ func (c *control) heartbeat(params []any) ([]any, error) {
 	r.resetElectionDeadline()
 	var lsn uint64
 	if stateDirty {
-		lsn = r.persistStateLocked()
+		lsn, err = r.persistStateLocked()
 	}
 	curTerm := r.term
 	r.mu.Unlock()
 	// The term bump is a promise (no votes below it); sync it before the
 	// reply leaves, like every other consensus acknowledgement.
-	if err := r.waitSynced(lsn); err != nil {
-		return nil, fmt.Errorf("replica: Heartbeat: persist: %w", err)
+	if err := r.waitSynced(lsn, err); err != nil {
+		return nil, fmt.Errorf("replica: Heartbeat: %w", err)
 	}
 	return []any{curTerm, true, confirm}, nil
 }
@@ -324,15 +339,15 @@ func (c *control) installSnapshot(params []any) ([]any, error) {
 	r.snapIndex, r.snapTerm, r.snapBlob = lastIdx, lastTerm, blob
 	r.commitIndex = lastIdx
 	r.pendingSnap = snap
-	lsn := r.persistLocked(subSnapshot, lastIdx, lastTerm, blob)
-	if stateDirty {
-		lsn = r.persistStateLocked()
+	lsn, err := r.persistLocked(subSnapshot, lastIdx, lastTerm, blob)
+	if stateDirty && err == nil {
+		lsn, err = r.persistStateLocked()
 	}
 	curTerm := r.term
 	r.applyCond.Signal()
 	r.mu.Unlock()
-	if err := r.waitSynced(lsn); err != nil {
-		return nil, fmt.Errorf("replica: InstallSnapshot: persist: %w", err)
+	if err := r.waitSynced(lsn, err); err != nil {
+		return nil, fmt.Errorf("replica: InstallSnapshot: %w", err)
 	}
 	r.logf("accepted snapshot through %d/t%d from %s", lastIdx, lastTerm, leader)
 	return []any{curTerm}, nil

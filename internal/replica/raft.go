@@ -61,10 +61,10 @@ func (r *Replica) startElectionLocked() {
 	lastIdx := r.lastIndex()
 	lastTerm, _ := r.termAt(lastIdx)
 	r.resetElectionDeadline()
-	lsn := r.persistStateLocked()
+	lsn, err := r.persistStateLocked()
 	r.mu.Unlock()
-	if err := r.waitSynced(lsn); err != nil {
-		r.logf("election t%d: persist: %v", term, err)
+	if err := r.waitSynced(lsn, err); err != nil {
+		r.logf("election t%d: %v", term, err)
 		return
 	}
 	r.logf("election t%d: soliciting votes (last %d/t%d)", term, lastIdx, lastTerm)
@@ -134,10 +134,10 @@ func (r *Replica) becomeLeader(term uint64) {
 	barrier := entry{Term: term}
 	idx := r.appendLocalLocked(barrier)
 	r.barrierIdx = idx
-	lsn := r.persistAppendLocked(idx, barrier)
+	lsn, err := r.persistAppendLocked(idx, barrier)
 	r.mu.Unlock()
-	if err := r.waitSynced(lsn); err != nil {
-		r.logf("barrier persist: %v", err)
+	if err := r.waitSynced(lsn, err); err != nil {
+		r.logf("barrier: %v", err)
 	}
 	r.logf("leader of t%d (barrier at %d)", term, idx)
 	r.kickPeers()
@@ -148,7 +148,8 @@ func (r *Replica) becomeLeader(term uint64) {
 // keeps stale leaders from splitting the group's brain.
 func (r *Replica) observeTerm(t uint64) {
 	r.mu.Lock()
-	lsn := uint64(0)
+	var lsn uint64
+	var err error
 	if t > r.term {
 		r.term = t
 		r.votedFor = ""
@@ -156,10 +157,12 @@ func (r *Replica) observeTerm(t uint64) {
 		r.leaderID = ""
 		r.failReadsLocked(wire.ErrNotLeader)
 		r.resetElectionDeadline()
-		lsn = r.persistStateLocked()
+		lsn, err = r.persistStateLocked()
 	}
 	r.mu.Unlock()
-	_ = r.waitSynced(lsn)
+	if err := r.waitSynced(lsn, err); err != nil {
+		r.logf("term t%d: %v", t, err) // this answers nobody
+	}
 }
 
 // kickPeers nudges every replication pump: new entries to ship, a commit

@@ -221,6 +221,10 @@ type Replica struct {
 	term     uint64
 	votedFor string
 	leaderID string
+	// journaled is the LSN of the last record this incarnation journaled. A
+	// follower's log holds only entries recovered from disk or journaled at
+	// or below it, so a sync through it covers the whole log.
+	journaled uint64
 
 	// log[i] holds index snapIndex+1+i; everything at or below snapIndex
 	// lives only in the snapshot.
@@ -447,18 +451,16 @@ func (r *Replica) commitRound(batch []proposal) {
 	}
 	last := r.lastIndex()
 	var lsn uint64 // the run's highest: one WaitSynced, one group-committed fsync
-	for idx := first; idx <= last; idx++ {
-		if l := r.persistAppendLocked(idx, r.log[idx-r.snapIndex-1]); l != 0 {
-			lsn = l
-		}
+	var err error
+	for idx := first; idx <= last && err == nil; idx++ {
+		lsn, err = r.persistAppendLocked(idx, r.log[idx-r.snapIndex-1])
 	}
 	r.mu.Unlock()
-
-	if err := r.waitSynced(lsn); err != nil {
-		// The entries stay in the log and may yet commit; pull the waiters
-		// out first so a later apply cannot double-resolve them, then fail
-		// the callers — their retries hit the session table if the entries
-		// do land.
+	if err := r.waitSynced(lsn, err); err != nil {
+		// A refused record or a failed sync. The entries stay in the log and
+		// may yet commit; pull the waiters out first so a later apply cannot
+		// double-resolve them, then fail the callers — their retries hit the
+		// session table if the entries do land.
 		r.mu.Lock()
 		for idx := first; idx <= last; idx++ {
 			delete(r.waiters, idx)

@@ -42,35 +42,36 @@ type checkpoint struct {
 }
 
 // persistLocked journals one consensus record; r.mu held, so journal order
-// is the order the state changed. Returns the LSN to sync through — 0 when
-// in-memory only or the append failed (logged; the member keeps running
-// degraded rather than wedging the group).
-func (r *Replica) persistLocked(sub string, params ...any) uint64 {
+// is the order the state changed. Returns the LSN to sync through (0 when
+// in-memory only), or the journal's refusal: a record the disk refused
+// promises nothing, so the caller must not answer as if it did.
+func (r *Replica) persistLocked(sub string, params ...any) (uint64, error) {
 	if r.journal == nil {
-		return 0
+		return 0, nil
 	}
 	lsn, err := r.journal.Append(sub, params)
 	if err != nil {
-		r.logf("persist %s: %v", sub, err)
-		return 0
+		return 0, fmt.Errorf("persist %s: %w", sub, err)
 	}
-	return lsn
+	r.journaled = lsn
+	return lsn, nil
 }
 
-func (r *Replica) persistStateLocked() uint64 {
+func (r *Replica) persistStateLocked() (uint64, error) {
 	return r.persistLocked(subState, r.term, r.votedFor)
 }
 
-func (r *Replica) persistAppendLocked(idx uint64, e entry) uint64 {
+func (r *Replica) persistAppendLocked(idx uint64, e entry) (uint64, error) {
 	f := encodeEntry(e)
 	return r.persistLocked(subAppend, idx, f[0], f[1], f[2], f[3], f[4])
 }
 
-// waitSynced blocks until lsn is on stable storage (no-op when in-memory
-// or when the append already failed and returned 0).
-func (r *Replica) waitSynced(lsn uint64) error {
-	if r.cfg.Store == nil || lsn == 0 {
-		return nil
+// waitSynced blocks until lsn is on stable storage (no-op when in-memory).
+// It takes persistLocked's results as they come: a refusal is returned as
+// is, with nothing to wait for.
+func (r *Replica) waitSynced(lsn uint64, err error) error {
+	if err != nil || r.cfg.Store == nil || lsn == 0 {
+		return err
 	}
 	return r.cfg.Store.WaitSynced(lsn)
 }

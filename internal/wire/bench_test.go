@@ -19,6 +19,12 @@ func benchFrame() *Frame {
 	}
 }
 
+// fabricAnswer is the shape of a fabric Append answer (status, member,
+// epoch, count, info), the response every keyed append decodes.
+func fabricAnswer() *Frame {
+	return &Frame{Kind: KindResponse, ID: 123456, Results: []any{"ok", "n1", uint64(3), uint64(4711), ""}}
+}
+
 // loopReader replays one encoded frame endlessly, so a single decoder
 // can stream b.N frames without per-iteration reader churn.
 type loopReader struct {
@@ -51,19 +57,20 @@ func BenchmarkWireCodec(b *testing.B) {
 			PutBuf(buf)
 		}
 	})
-	b.Run("decode-frame", func(b *testing.B) {
-		b.ReportAllocs()
-		encoded, err := AppendFrame(nil, benchFrame(), table)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dec := NewDecoder(bufio.NewReader(&loopReader{data: encoded}), table)
-		var f Frame
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := dec.Decode(&f); err != nil {
-				b.Fatal(err)
+	decode := func(f *Frame) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			dec := NewDecoder(bufio.NewReader(&loopReader{data: mustEncode(b, f, table)}), table)
+			var got Frame
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := dec.Decode(&got); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("decode-frame", decode(benchFrame()))
+	// The fabric Append answer: short result strings the cache serves.
+	b.Run("decode-response", decode(fabricAnswer()))
 }

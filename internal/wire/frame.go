@@ -104,6 +104,28 @@ func AppendFrame(dst []byte, f *Frame, t *TypeTable) ([]byte, error) {
 	return append(dst, payload...), nil
 }
 
+// The decoder's short-string cache (docs/WIRE.md §3): every decoded string
+// of 1..shortString bytes — header identifiers and tagString values alike —
+// is looked up in a direct-mapped table of strCacheSlots slots, indexed by
+// an FNV-1a hash of its bytes. A miss overwrites its slot. A table holds at
+// most strCacheSlots strings of at most shortString bytes, whatever the
+// cardinality of the stream.
+const (
+	strCacheSlots = 64
+	shortString   = 32
+)
+
+// strCache is one table of the short-string cache. A slot keeps its string
+// and, once a tagString value has asked for it, the same string boxed: a
+// cached value then costs no allocation, and a string field never pays for
+// a box.
+type strCache [strCacheSlots]cachedStr
+
+type cachedStr struct {
+	s   string
+	box any
+}
+
 // Decoder reads frames off a buffered stream. It is not safe for
 // concurrent use — each link owns one, driven by its read loop.
 type Decoder struct {
@@ -116,11 +138,19 @@ type Decoder struct {
 	// frame. This mirrors PR 2's copy-elision rule: the producer hands the
 	// buffer over instead of copying, and never touches it again.
 	arena []byte
+	// aliased records that a value of the frame being decoded aliases the
+	// arena.
+	aliased bool
 
-	// interned caches small repeated strings — object, entry, client and
-	// channel names recur on every frame of a conversation, so decode them
-	// once instead of allocating per frame.
-	interned map[string]string
+	// crc is the frame header's checksum scratch. As a local it escaped
+	// through io.ReadFull and cost an allocation per frame.
+	crc [4]byte
+
+	// names and strs are the short-string cache's two tables. Header
+	// identifiers (object, entry, client and channel names) have names to
+	// themselves, so payload strings of any cardinality never evict them;
+	// strs serves every other decoded string.
+	names, strs strCache
 
 	// bytesRead counts wire bytes consumed (header + CRC + payload),
 	// drained by the link into its BytesRecv metric.
@@ -131,7 +161,7 @@ type Decoder struct {
 // user types. The table should be an immutable Snapshot when links share
 // a source table across goroutines.
 func NewDecoder(r *bufio.Reader, table *TypeTable) *Decoder {
-	return &Decoder{r: r, table: table, interned: make(map[string]string)}
+	return &Decoder{r: r, table: table}
 }
 
 // BytesRead returns and resets the count of wire bytes consumed since the
@@ -142,30 +172,57 @@ func (d *Decoder) BytesRead() uint64 {
 	return n
 }
 
-// intern returns raw as a string, reusing a prior allocation when the same
-// bytes were seen before. Only used for identifier-ish fields; payload
-// strings are not interned (arbitrary cardinality would grow the map
-// without bound).
-func (d *Decoder) intern(raw []byte) string {
-	if len(raw) == 0 {
-		return ""
+// cacheable reports whether the short-string cache serves raw.
+func cacheable(raw []byte) bool { return len(raw) > 0 && len(raw) <= shortString }
+
+// strSlot indexes raw's slot in the short-string cache (FNV-1a).
+func strSlot(raw []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range raw {
+		h = (h ^ uint32(c)) * 16777619
 	}
-	if s, ok := d.interned[string(raw)]; ok { // no-alloc map lookup
-		return s
-	}
-	s := string(raw)
-	if len(d.interned) < 4096 && len(s) <= 256 {
-		d.interned[s] = s
-	}
-	return s
+	return h % strCacheSlots
 }
 
-func (d *Decoder) internField(b []byte) (string, []byte, error) {
+// lookup returns the slot of raw, a cacheable byte string, refilling it with
+// a copy of raw on a miss. Strings are immutable, so frames may share one;
+// the copy never aliases the arena.
+func (c *strCache) lookup(raw []byte) *cachedStr {
+	e := &c[strSlot(raw)]
+	if e.s != string(raw) { // the comparison does not allocate
+		*e = cachedStr{s: string(raw)}
+	}
+	return e
+}
+
+// str returns raw as a string: from the cache when short, a copy otherwise.
+func (c *strCache) str(raw []byte) string {
+	if !cacheable(raw) {
+		return string(raw)
+	}
+	return c.lookup(raw).s
+}
+
+// value returns raw as a tagString value: boxed once while it stays
+// cached, or a fresh copy when it is too long to cache.
+func (c *strCache) value(raw []byte) any {
+	if !cacheable(raw) {
+		return string(raw)
+	}
+	e := c.lookup(raw)
+	if e.box == nil {
+		e.box = e.s
+	}
+	return e.box
+}
+
+// field reads a string field through the cache.
+func (c *strCache) field(b []byte) (string, []byte, error) {
 	raw, b, err := bytesField(b)
 	if err != nil {
 		return "", nil, err
 	}
-	return d.intern(raw), b, nil
+	return c.str(raw), b, nil
 }
 
 // Decode reads the next frame into f. Frame fields are freshly decoded
@@ -186,11 +243,10 @@ func (d *Decoder) Decode(f *Frame) error {
 	if n > MaxFrame {
 		return fmt.Errorf("%w: frame length %d exceeds MaxFrame", ErrMalformed, n)
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(d.r, crcBuf[:]); err != nil {
+	if _, err := io.ReadFull(d.r, d.crc[:]); err != nil {
 		return fmt.Errorf("%w: short frame header: %v", ErrMalformed, err)
 	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
+	want := binary.LittleEndian.Uint32(d.crc[:])
 	if uint64(cap(d.arena)) < n {
 		d.arena = make([]byte, n)
 	}
@@ -203,11 +259,11 @@ func (d *Decoder) Decode(f *Frame) error {
 		return fmt.Errorf("%w: crc mismatch (got %08x want %08x)", ErrMalformed, got, want)
 	}
 
-	vd := valueDecoder{table: d.table}
-	if err := d.parse(&vd, payload, f); err != nil {
+	d.aliased = false
+	if err := d.parse(payload, f); err != nil {
 		return err
 	}
-	if vd.aliased {
+	if d.aliased {
 		// A decoded []byte aliases the arena: hand the buffer over and
 		// start fresh next frame.
 		d.arena = nil
@@ -215,7 +271,7 @@ func (d *Decoder) Decode(f *Frame) error {
 	return nil
 }
 
-func (d *Decoder) parse(vd *valueDecoder, b []byte, f *Frame) error {
+func (d *Decoder) parse(b []byte, f *Frame) error {
 	*f = Frame{}
 	if len(b) < 1 {
 		return fmt.Errorf("%w: empty payload", ErrMalformed)
@@ -231,19 +287,19 @@ func (d *Decoder) parse(vd *valueDecoder, b []byte, f *Frame) error {
 	}
 	switch f.Kind {
 	case KindRequest:
-		if f.Object, b, err = d.internField(b); err != nil {
+		if f.Object, b, err = d.names.field(b); err != nil {
 			return err
 		}
-		if f.Entry, b, err = d.internField(b); err != nil {
+		if f.Entry, b, err = d.names.field(b); err != nil {
 			return err
 		}
-		if f.Client, b, err = d.internField(b); err != nil {
+		if f.Client, b, err = d.names.field(b); err != nil {
 			return err
 		}
 		if f.Seq, b, err = uvarint(b); err != nil {
 			return err
 		}
-		if f.Params, b, err = vd.values(b); err != nil {
+		if f.Params, b, err = d.values(b); err != nil {
 			return err
 		}
 	case KindResponse:
@@ -255,19 +311,17 @@ func (d *Decoder) parse(vd *valueDecoder, b []byte, f *Frame) error {
 		if !f.ErrKind.Valid() {
 			return fmt.Errorf("%w: unknown error kind %d", ErrMalformed, int(f.ErrKind))
 		}
-		var raw []byte
-		if raw, b, err = bytesField(b); err != nil {
+		if f.Err, b, err = d.strs.field(b); err != nil {
 			return err
 		}
-		f.Err = string(raw)
-		if f.Results, b, err = vd.values(b); err != nil {
+		if f.Results, b, err = d.values(b); err != nil {
 			return err
 		}
 	case KindChanSend:
-		if f.Chan, b, err = d.internField(b); err != nil {
+		if f.Chan, b, err = d.names.field(b); err != nil {
 			return err
 		}
-		if f.Params, b, err = vd.values(b); err != nil {
+		if f.Params, b, err = d.values(b); err != nil {
 			return err
 		}
 	case KindList:
@@ -282,11 +336,9 @@ func (d *Decoder) parse(vd *valueDecoder, b []byte, f *Frame) error {
 		if n > 0 {
 			f.Names = make([]string, n)
 			for i := range f.Names {
-				var raw []byte
-				if raw, b, err = bytesField(b); err != nil {
+				if f.Names[i], b, err = d.strs.field(b); err != nil {
 					return err
 				}
-				f.Names[i] = string(raw)
 			}
 		}
 	}
@@ -297,7 +349,8 @@ func (d *Decoder) parse(vd *valueDecoder, b []byte, f *Frame) error {
 }
 
 // DecodeFrame parses a single standalone framed message from b (tests,
-// fuzzing). Production links use Decoder for arena reuse and interning.
+// fuzzing). Production links use Decoder for arena reuse and its string
+// cache.
 func DecodeFrame(b []byte, table *TypeTable) (*Frame, error) {
 	d := NewDecoder(bufio.NewReader(bytes.NewReader(b)), table)
 	var f Frame

@@ -3,6 +3,9 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -11,7 +14,8 @@ import (
 // codec. readLoop treats any decode failure as link death, so a truncated,
 // corrupted, or adversarial stream must produce an error — never a panic,
 // a hang, or an unbounded allocation — and whatever does decode must pass
-// Validate and round-trip the error codec consistently.
+// Validate, round-trip the error codec consistently, and be the frame a
+// fresh decoder makes of the same bytes.
 func FuzzWireDecode(f *testing.F) {
 	tab := NewTypeTable()
 	seedFrames := []Frame{
@@ -106,13 +110,38 @@ func FuzzWireDecode(f *testing.F) {
 	// Length mutation: inflate the first frame's length prefix.
 	f.Add(append([]byte{0xff, 0xff, 0xff, 0x7f}, full[:16]...))
 	f.Add([]byte{})
+	// The string cache's edges, across frames: two strings sharing a slot,
+	// strings at and one past the length bound, and a []byte beside a
+	// string of the same content.
+	a, b := slotMates()
+	at, over := strings.Repeat("x", shortString), strings.Repeat("y", shortString+1)
+	var cache []byte
+	for _, fr := range []Frame{
+		{Kind: KindRequest, ID: 1, Object: a, Entry: b, Client: a, Params: []any{a, b, "", at}},
+		{Kind: KindRequest, ID: 2, Object: b, Entry: a, Client: b, Params: []any{b, a, over, at}},
+		{Kind: KindResponse, ID: 2, Results: []any{[]byte(a), a, map[string]any{a: b, at: over}}},
+	} {
+		var err error
+		if cache, err = AppendFrame(cache, &fr, tab); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(cache)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d := NewDecoder(bufio.NewReader(bytes.NewReader(data)), tab)
-		for i := 0; i < 64; i++ {
+		// One decoder carries its arena and its string cache from frame to
+		// frame. Every frame it yields must equal what a fresh decoder makes
+		// of the same bytes — checked after the whole stream, so a later
+		// frame cannot have changed an earlier one either.
+		src := bytes.NewReader(data)
+		br := bufio.NewReader(src)
+		d := NewDecoder(br, tab)
+		var frames []Frame
+		var spans [][]byte
+		for off := 0; len(frames) < 64; {
 			var fr Frame
 			if err := d.Decode(&fr); err != nil {
-				return // corrupt/truncated input must fail cleanly
+				break // corrupt/truncated input must fail cleanly
 			}
 			// Anything the decoder accepts must be in-protocol.
 			if err := fr.Validate(); err != nil {
@@ -121,6 +150,65 @@ func FuzzWireDecode(f *testing.F) {
 			if err := DecodeErr(fr.Err, fr.ErrKind); (err == nil) != (fr.ErrKind == ErrNone) {
 				t.Fatalf("DecodeErr(%q, %d) nil-ness inconsistent", fr.Err, fr.ErrKind)
 			}
+			end := len(data) - src.Len() - br.Buffered()
+			frames = append(frames, fr)
+			spans = append(spans, data[off:end])
+			off = end
+		}
+		for i := range frames {
+			fresh, err := DecodeFrame(spans[i], tab)
+			if err != nil {
+				t.Fatalf("frame %d: a fresh decoder refuses %x: %v", i, spans[i], err)
+			}
+			if !sameFrame(&frames[i], fresh) {
+				t.Fatalf("frame %d: one decoder yields %+v, a fresh one %+v", i, frames[i], *fresh)
+			}
 		}
 	})
+}
+
+// sameFrame reports whether two decoded frames are equal: equal fields, and
+// values of equal dynamic type and content.
+func sameFrame(a, b *Frame) bool {
+	x, y := *a, *b
+	x.Params, x.Results, y.Params, y.Results = nil, nil, nil, nil
+	return reflect.DeepEqual(x, y) && sameValue(a.Params, b.Params) && sameValue(a.Results, b.Results)
+}
+
+// sameValue is reflect.DeepEqual that compares floats by their bits, so a
+// decoded NaN equals itself.
+func sameValue(a, b any) bool {
+	if reflect.TypeOf(a) != reflect.TypeOf(b) {
+		return false
+	}
+	switch x := a.(type) {
+	case float32:
+		return math.Float32bits(x) == math.Float32bits(b.(float32))
+	case float64:
+		return math.Float64bits(x) == math.Float64bits(b.(float64))
+	case []any:
+		y := b.([]any)
+		if len(x) != len(y) {
+			return false
+		}
+		for i := range x {
+			if !sameValue(x[i], y[i]) {
+				return false
+			}
+		}
+		return true
+	case map[string]any:
+		y := b.(map[string]any)
+		if len(x) != len(y) {
+			return false
+		}
+		for k, v := range x {
+			if w, ok := y[k]; !ok || !sameValue(v, w) {
+				return false
+			}
+		}
+		return true
+	default:
+		return reflect.DeepEqual(a, b)
+	}
 }

@@ -28,7 +28,7 @@ const (
 	tagUint64
 	tagFloat32
 	tagFloat64
-	tagString  // uvarint len | utf-8 bytes (decoded as a copy: strings are immutable)
+	tagString  // uvarint len | utf-8 bytes (decoded as a copy, short ones shared through the decoder's cache)
 	tagBytes   // uvarint len | bytes     (decoded aliasing the frame arena)
 	tagList    // uvarint n | n values    ([]any)
 	tagMap     // uvarint n | n (string key, value) pairs (map[string]any)
@@ -162,16 +162,10 @@ func appendValue(dst []byte, v any, t *TypeTable) ([]byte, error) {
 	}
 }
 
-// valueDecoder carries per-frame decode state: the type table snapshot and
-// whether any decoded value aliases the frame arena (tagBytes does; the
-// frame buffer must then outlive the values instead of being recycled).
-type valueDecoder struct {
-	table   *TypeTable
-	aliased bool
-}
-
-// value decodes one value off the front of b.
-func (d *valueDecoder) value(b []byte, depth int) (any, []byte, error) {
+// value decodes one value off the front of b. A tagBytes value aliases the
+// frame arena and sets d.aliased, so the arena outlives the value instead
+// of being recycled.
+func (d *Decoder) value(b []byte, depth int) (any, []byte, error) {
 	if depth > maxValueDepth {
 		return nil, nil, fmt.Errorf("%w: value nesting exceeds %d", ErrMalformed, maxValueDepth)
 	}
@@ -235,7 +229,7 @@ func (d *valueDecoder) value(b []byte, depth int) (any, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return string(raw), b, nil
+		return d.strs.value(raw), b, nil
 	case tagBytes:
 		raw, b, err := bytesField(b)
 		if err != nil {
@@ -280,15 +274,15 @@ func (d *valueDecoder) value(b []byte, depth int) (any, []byte, error) {
 			if v, b, err = d.value(b, depth+1); err != nil {
 				return nil, nil, err
 			}
-			out[string(raw)] = v
+			out[d.strs.str(raw)] = v
 		}
 		return out, b, nil
 	case tagChanRef:
-		raw, b, err := bytesField(b)
+		name, b, err := d.strs.field(b)
 		if err != nil {
 			return nil, nil, err
 		}
-		return ChanRef{Name: string(raw)}, b, nil
+		return ChanRef{Name: name}, b, nil
 	case tagPair:
 		a, b, err := varint(b)
 		if err != nil {
@@ -307,13 +301,13 @@ func (d *valueDecoder) value(b []byte, depth int) (any, []byte, error) {
 		if !kind.Valid() || kind == ErrNone {
 			return nil, nil, fmt.Errorf("%w: unknown error kind %d in value", ErrMalformed, kind)
 		}
-		raw, b, err := bytesField(b)
+		msg, b, err := d.strs.field(b)
 		if err != nil {
 			return nil, nil, err
 		}
-		return DecodeErr(string(raw), kind), b, nil
+		return DecodeErr(msg, kind), b, nil
 	case tagNamed:
-		name, b, err := bytesField(b)
+		name, b, err := d.strs.field(b)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -321,7 +315,7 @@ func (d *valueDecoder) value(b []byte, depth int) (any, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		v, err := d.table.decodeNamed(string(name), payload)
+		v, err := d.table.decodeNamed(name, payload)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -344,7 +338,7 @@ func appendValues(dst []byte, vals []any, t *TypeTable) ([]byte, error) {
 	return dst, nil
 }
 
-func (d *valueDecoder) values(b []byte) ([]any, []byte, error) {
+func (d *Decoder) values(b []byte) ([]any, []byte, error) {
 	n, b, err := uvarint(b)
 	if err != nil {
 		return nil, nil, err

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -94,9 +95,14 @@ func randValue(r *rand.Rand, depth int) any {
 	}
 }
 
+// randString draws short strings, which the decoder's cache serves, and now
+// and then one at either side of its length bound.
 func randString(r *rand.Rand) string {
 	const alphabet = "abcdefghijklmnopqrstuvwxyzABC €𝔘\x00"
 	n := r.Intn(24)
+	if r.Intn(8) == 0 {
+		n = shortString + r.Intn(2)
+	}
 	var sb strings.Builder
 	for i := 0; i < n; i++ {
 		sb.WriteByte(alphabet[r.Intn(len(alphabet))])
@@ -107,17 +113,23 @@ func randString(r *rand.Rand) string {
 // TestValueRoundTripProperty is the property-based codec test: random
 // values of every supported type must round-trip to deeply equal values
 // with identical dynamic types — an int8 must come back an int8, not an
-// int64 — including nested lists and maps.
+// int64 — including nested lists and maps. All frames stream through one
+// decoder, so its string cache carries values from frame to frame.
 func TestValueRoundTripProperty(t *testing.T) {
 	tab := NewTypeTable()
 	r := rand.New(rand.NewSource(7))
+	var stream bytes.Buffer
+	d := NewDecoder(bufio.NewReader(&stream), tab)
 	for i := 0; i < 2000; i++ {
 		vals := make([]any, r.Intn(4)+1)
 		for j := range vals {
 			vals[j] = randValue(r, 0)
 		}
-		f := &Frame{Kind: KindRequest, ID: uint64(i), Object: "O", Entry: "E", Params: vals}
-		got := roundTrip(t, f, tab)
+		stream.Write(mustEncode(t, &Frame{Kind: KindRequest, ID: uint64(i), Object: "O", Entry: "E", Params: vals}, tab))
+		got := new(Frame)
+		if err := d.Decode(got); err != nil {
+			t.Fatalf("iteration %d: %v", i, err)
+		}
 		if !reflect.DeepEqual(got.Params, vals) {
 			t.Fatalf("iteration %d: params %#v round-tripped to %#v", i, vals, got.Params)
 		}
@@ -265,6 +277,105 @@ func TestStringsAreCopies(t *testing.T) {
 	}
 }
 
+// slotMates returns two distinct short strings that share a slot of the
+// decoder's string cache.
+func slotMates() (string, string) {
+	first := map[uint32]string{}
+	for i := 0; ; i++ {
+		s := fmt.Sprintf("key-%d", i)
+		slot := strSlot([]byte(s))
+		if mate, ok := first[slot]; ok {
+			return mate, s
+		}
+		first[slot] = s
+	}
+}
+
+// TestStringCache pins the decoder's short-string cache (docs/WIRE.md §3) at
+// its edges. Two strings that share a slot evict each other and still decode
+// intact. A string of shortString bytes is shared across frames; one byte
+// more is copied per frame. The empty string never takes a slot. A []byte
+// beside a string of the same content still aliases the arena, and the
+// string does not.
+func TestStringCache(t *testing.T) {
+	tab := NewTypeTable()
+	a, b := slotMates()
+	at, over := strings.Repeat("x", shortString), strings.Repeat("y", shortString+1)
+	frames := []*Frame{
+		{Kind: KindRequest, ID: 1, Object: a, Entry: b, Client: a, Params: []any{a, b, ""}},
+		{Kind: KindRequest, ID: 2, Object: b, Entry: a, Params: []any{b, a, at, over}},
+		{Kind: KindResponse, ID: 2, Results: []any{at, over, a, []any{b, map[string]any{a: b, b: a}}}},
+		{Kind: KindChanSend, Chan: "same", Params: []any{[]byte("same"), "same"}},
+	}
+	var stream bytes.Buffer
+	for _, f := range frames {
+		stream.Write(mustEncode(t, f, tab))
+	}
+	d := NewDecoder(bufio.NewReader(&stream), tab)
+	got := make([]Frame, len(frames))
+	for i := range got {
+		if err := d.Decode(&got[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, f := range frames {
+		if !reflect.DeepEqual(&got[i], f) {
+			t.Errorf("frame %d: %+v decoded through one decoder as %+v", i, f, got[i])
+		}
+	}
+
+	if p, q := unsafe.StringData(got[1].Params[2].(string)), unsafe.StringData(got[2].Results[0].(string)); p != q {
+		t.Errorf("a %d-byte string was copied per frame, want it cached", shortString)
+	}
+	if p, q := unsafe.StringData(got[1].Params[3].(string)), unsafe.StringData(got[2].Results[1].(string)); p == q {
+		t.Errorf("a %d-byte string was cached, want a copy per frame", shortString+1)
+	}
+	for i, e := range d.strs {
+		if e.s == "" && e.box != nil {
+			t.Errorf("slot %d holds the empty string", i)
+		}
+	}
+
+	bs, s := got[3].Params[0].([]byte), got[3].Params[1].(string)
+	if !bytes.Contains(bs[:cap(bs)], []byte{tagString, 4, 's', 'a', 'm', 'e'}) {
+		t.Error("the []byte value is a copy; want it aliasing the frame arena")
+	}
+	clear(bs[:cap(bs)]) // scribble over the whole arena
+	if s != "same" || got[3].Chan != "same" {
+		t.Errorf("strings %q and %q changed with the arena; want copies", s, got[3].Chan)
+	}
+}
+
+// TestHeaderNamesSurvivePayloadChurn: payload strings of any cardinality
+// never evict a header identifier from the decoder's cache, so a hot object,
+// entry or client name is decoded once however many distinct keys the frames
+// carry.
+func TestHeaderNamesSurvivePayloadChurn(t *testing.T) {
+	tab := NewTypeTable()
+	const n = 8 * strCacheSlots
+	var stream bytes.Buffer
+	for i := 0; i < n; i++ {
+		key := fmt.Sprintf("key-%d", i)
+		stream.Write(mustEncode(t, &Frame{Kind: KindRequest, ID: uint64(i + 1), Object: "fabric", Entry: "Append", Client: "gen-0",
+			Params: []any{key, map[string]any{key: key}}}, tab))
+	}
+	d := NewDecoder(bufio.NewReader(&stream), tab)
+	var first, f Frame
+	if err := d.Decode(&first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < n; i++ {
+		if err := d.Decode(&f); err != nil {
+			t.Fatal(err)
+		}
+		for _, pair := range [][2]string{{first.Object, f.Object}, {first.Entry, f.Entry}, {first.Client, f.Client}} {
+			if unsafe.StringData(pair[0]) != unsafe.StringData(pair[1]) {
+				t.Fatalf("frame %d: header identifier %q decoded afresh; a payload string evicted it", i, pair[1])
+			}
+		}
+	}
+}
+
 // TestFrameKindsRoundTrip covers every frame kind end to end.
 func TestFrameKindsRoundTrip(t *testing.T) {
 	tab := NewTypeTable()
@@ -356,8 +467,7 @@ func TestNegativeControls(t *testing.T) {
 		deep = append(deep, tagList, 1)
 	}
 	deep = append(deep, tagNil)
-	vd := &valueDecoder{table: tab}
-	if _, _, err := vd.value(deep, 0); !errors.Is(err, ErrMalformed) {
+	if _, _, err := NewDecoder(nil, tab).value(deep, 0); !errors.Is(err, ErrMalformed) {
 		t.Errorf("nesting bomb: got %v, want ErrMalformed", err)
 	}
 }
