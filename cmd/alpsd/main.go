@@ -103,7 +103,7 @@ func newServer(args []string) (*server, string, error) {
 
 		// Durability (docs/DURABILITY.md).
 		dataDir   = fs.String("data-dir", "", "durability directory for the database's write-ahead ledger; empty = durability off")
-		snapEvery = fs.Int("snapshot-every", 4096, "journaled records between durability snapshots")
+		snapEvery = fs.Int("snapshot-every", 4096, "journaled records between durability snapshots; 0 = never checkpoint: the journal grows without bound and a restart re-applies all of it")
 
 		// Replication (docs/REPLICATION.md).
 		replicaID = fs.String("replica-id", "", "this member's ID in a replication group (requires -peers)")

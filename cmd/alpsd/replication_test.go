@@ -44,14 +44,11 @@ func TestReplicatedRegistryFailover(t *testing.T) {
 
 	servers := make(map[string]*server, 3)
 	for i, id := range ids {
-		srv, _, err := newServer([]string{
+		srv := bootServer(t, []string{
 			"-addr", addrs[i], "-name", id,
 			"-replica-id", id, "-peers", peers,
 			"-search-cost", "0s",
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		t.Cleanup(srv.Close)
 		servers[id] = srv
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,14 +35,20 @@ func startFabricNode(t *testing.T, id, addr, spec, dir string, maxPending int) *
 	return startFabricNodeWith(t, addr, HostOptions{ID: id, Spec: spec, Shards: 2, MaxPending: maxPending, Dir: dir})
 }
 
+// startFabricNodeWith mounts the node on the Host's store, as alpsd does.
 func startFabricNodeWith(t *testing.T, addr string, opts HostOptions) *testFabricNode {
+	t.Helper()
+	return startFabricNodeOn(t, addr, opts, rpc.NodeOptions{Durable: opts.Store})
+}
+
+func startFabricNodeOn(t *testing.T, addr string, opts HostOptions, nodeOpts rpc.NodeOptions) *testFabricNode {
 	t.Helper()
 	opts.Logf = func(format string, args ...any) { t.Logf(format, args...) }
 	host, err := NewHost(opts)
 	if err != nil {
 		t.Fatalf("start %s: %v", opts.ID, err)
 	}
-	node := rpc.NewNode(opts.ID)
+	node := rpc.NewNodeWith(opts.ID, nodeOpts)
 	if err := node.PublishCallable("fabric", host); err != nil {
 		t.Fatal(err)
 	}
@@ -393,6 +400,65 @@ func TestFabricDuplicateForwardDedup(t *testing.T) {
 	}
 	if a.Count != 3 || a.Clients["cA"] != 2 {
 		t.Fatalf("audit after duplicates: %+v", a)
+	}
+}
+
+// countingObject is a plain published object with no at-most-once of its
+// own: the node's table is what keeps its retries from re-executing.
+type countingObject struct{ n atomic.Int64 }
+
+func (c *countingObject) CallCtx(context.Context, string, ...any) ([]any, error) {
+	return []any{c.n.Add(1)}, nil
+}
+
+// TestFabricTrafficKeepsClientRetries: the Host owns the at-most-once of
+// every fabric call, so fabric traffic takes no entry in the node's table
+// and cannot evict a client's retry from it. A client's seq 1 on a plain
+// object beside the Host, then two tables' worth of appends and one more,
+// then the same seq from a fresh link: the node replays the first response.
+func TestFabricTrafficKeepsClientRetries(t *testing.T) {
+	addr := reserveAddrs(t, 1)[0]
+	spec := specFor(0, map[string]string{"n": addr})
+	nm := &rpc.Metrics{}
+	n := startFabricNodeOn(t, addr, HostOptions{ID: "n", Spec: spec, Shards: 2}, rpc.NodeOptions{Metrics: nm})
+	defer n.stop()
+	obj := &countingObject{}
+	if err := n.node.PublishCallable("Count", obj); err != nil {
+		t.Fatal(err)
+	}
+	ctx := testCtx(t)
+	seq1 := func() []any {
+		t.Helper()
+		rem, err := rpc.DialWith(addr, rpc.DialOptions{ClientID: "c"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rem.Close()
+		res, err := rem.CallCtx(ctx, "Count", "Tick")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := seq1()
+
+	r, err := NewRouter(spec, RouterOptions{ClientID: "appender"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	const appends = 2*1024 + 1 // the node table's default capacity is 1024
+	for seq := uint64(0); seq < appends; seq++ {
+		if _, err := r.Append(ctx, "k", seq, nil); err != nil {
+			t.Fatalf("append %d: %v", seq, err)
+		}
+	}
+	if hits := nm.DedupHits.Value(); hits != 0 {
+		t.Fatalf("the node answered %d fabric calls from its table; no fabric caller resends a seq", hits)
+	}
+	if again := seq1(); fmt.Sprint(again) != fmt.Sprint(first) || obj.n.Load() != 1 || nm.DedupHits.Value() != 1 {
+		t.Fatalf("retry of seq 1 after %d appends = %v (first %v): body ran %d times, %d dedup hits; want a replay: 1 and 1",
+			appends, again, first, obj.n.Load(), nm.DedupHits.Value())
 	}
 }
 

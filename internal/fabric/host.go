@@ -54,11 +54,7 @@ const maxForwardHops = 4
 // opened itself (alpsd's -snapshot-every default).
 const standaloneSnapshotEvery = 4096
 
-// journalObject is the fabric's participant name in the store. It is also
-// the name the Host is published under, so the journal is registered with
-// Skip-all: Store.DurableEntry("fabric", …) stays false and the node does
-// not ack-journal (and fsync a second time) calls whose durability the
-// ledger bodies already paid for.
+// journalObject is the fabric's participant name in the store.
 const journalObject = "fabric"
 
 // Host is one fabric node: a key-affine ledger group, the node's view of
@@ -131,7 +127,7 @@ func NewHost(opts HostOptions) (*Host, error) {
 	}
 	h := &Host{
 		id:      opts.ID,
-		peers:   newPeers("fabric-"+opts.ID, 2*time.Second),
+		peers:   newPeers(2 * time.Second),
 		logf:    opts.Logf,
 		known:   make(map[string]string),
 		settled: make(map[string]uint64),
@@ -153,7 +149,7 @@ func NewHost(opts HostOptions) (*Host, error) {
 		h.ownStore = store
 	}
 	if store != nil {
-		h.journal = store.Journal(journalObject, wal.JournalOptions{Skip: func(string) bool { return true }})
+		h.journal = store.Journal(journalObject, wal.JournalOptions{})
 	}
 	h.group, err = newLedger(opts.Shards, opts.MaxPending, opts.ID, h.stage, h.durable)
 	if err == nil && store != nil {
@@ -576,6 +572,16 @@ func (h *Host) CallCtx(ctx context.Context, entry string, params ...core.Value) 
 	default:
 		return nil, fmt.Errorf("fabric: %q: %w", entry, core.ErrUnknownEntry)
 	}
+}
+
+// CallSession is the node's serve surface for calls that carry a client
+// identity. The Host owns their at-most-once, so the node keeps no dedup
+// entry (and journals no ack) for them: the ledger's per-key client tails
+// answer a duplicate Append from the original execution, the install fence
+// answers a duplicate Install, and every other entry is a max-merge of ring
+// or settled levels, or a read.
+func (h *Host) CallSession(ctx context.Context, _ string, _ uint64, entry string, params []any) ([]any, error) {
+	return h.CallCtx(ctx, entry, params...)
 }
 
 // param extracts a typed parameter, tolerating short slices.

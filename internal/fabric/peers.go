@@ -1,8 +1,6 @@
 package fabric
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"sync"
 	"time"
@@ -13,8 +11,7 @@ import (
 // peers caches one rpc link per fabric member. Host (forwards, installs,
 // gossip) and Router (client calls) share it. Safe for concurrent use.
 type peers struct {
-	identity string        // base of every link's at-most-once identity
-	timeout  time.Duration // bound on each TCP connect
+	timeout time.Duration // bound on each TCP connect
 
 	mu     sync.Mutex
 	conns  map[string]*peerConn
@@ -26,26 +23,8 @@ type peerConn struct {
 	rem  *rpc.Remote
 }
 
-func newPeers(identity string, timeout time.Duration) *peers {
-	return &peers{identity: identity, timeout: timeout, conns: make(map[string]*peerConn)}
-}
-
-// linkIdentity salts base with a fresh nonce, producing the transport
-// at-most-once identity for ONE dialed connection. Each rpc.Remote
-// numbers its calls from 1 and the nodes' replay cache keys on
-// (identity, call number), so two connections sharing an identity — a
-// reconnect after drop, or two processes running the same client —
-// would replay the first connection's cached responses to the second's
-// unrelated calls (an aliased Install "ok" would let pushInstall forget
-// state that never landed). Exactly-once for appends is the ledger's job,
-// keyed on the stable ClientID that travels as a call parameter; the link
-// identity only has to be unique per connection.
-func linkIdentity(base string) (string, error) {
-	nonce := make([]byte, 6)
-	if _, err := rand.Read(nonce); err != nil {
-		return "", fmt.Errorf("fabric: link nonce: %w", err)
-	}
-	return base + "#" + hex.EncodeToString(nonce), nil
+func newPeers(timeout time.Duration) *peers {
+	return &peers{timeout: timeout, conns: make(map[string]*peerConn)}
 }
 
 // conn returns the cached link to member at addr, dialing outside the lock
@@ -64,11 +43,7 @@ func (p *peers) conn(member, addr string) (*rpc.Remote, error) {
 		return c.rem, nil
 	}
 	p.mu.Unlock()
-	linkID, err := linkIdentity(p.identity)
-	if err != nil {
-		return nil, err
-	}
-	rem, err := rpc.DialWith(addr, rpc.DialOptions{Timeout: p.timeout, ClientID: linkID})
+	rem, err := rpc.DialWith(addr, rpc.DialOptions{Timeout: p.timeout})
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,7 @@ import (
 func TestPeersColdCacheDialRace(t *testing.T) {
 	n := soloNode(t, 1)
 	ctx := testCtx(t)
-	p := newPeers("race", 2*time.Second)
+	p := newPeers(2 * time.Second)
 	defer p.close()
 
 	const callers = 16

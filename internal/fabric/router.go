@@ -87,7 +87,7 @@ func NewRouter(spec string, opts RouterOptions) (*Router, error) {
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 2 * time.Second
 	}
-	return &Router{opts: opts, client: opts.ClientID, ring: ring, peers: newPeers(opts.ClientID, opts.DialTimeout)}, nil
+	return &Router{opts: opts, client: opts.ClientID, ring: ring, peers: newPeers(opts.DialTimeout)}, nil
 }
 
 // Ring reports the router's current ring spec.

@@ -36,6 +36,15 @@ func (c *control) CallCtx(_ context.Context, entry string, params ...any) ([]any
 	}
 }
 
+// CallSession is the node's serve surface for peer messages, which carry
+// the sending member's link identity. The endpoint owns their at-most-once,
+// so the node keeps no dedup entry for them: a consensus message is
+// idempotent by term and index — a repeated vote re-grants only to the same
+// candidate, and a repeated append finds its entries already in the log.
+func (c *control) CallSession(ctx context.Context, _ string, _ uint64, entry string, params []any) ([]any, error) {
+	return c.CallCtx(ctx, entry, params...)
+}
+
 // requestVote: params [term, candidateID, lastLogIndex, lastLogTerm],
 // reply [term, granted]. The vote is durable before it is granted — a
 // member that promises, crashes and restarts must keep its promise — and a

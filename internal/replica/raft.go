@@ -260,8 +260,7 @@ func (p *peer) ensure() (*rpc.Remote, error) {
 	}
 	addr := p.addr
 	p.rem = rpc.DialConnWith(conn, rpc.DialOptions{
-		ClientID: p.r.cfg.ID + "->" + p.id,
-		Redial:   func() (net.Conn, error) { return p.r.cfg.Dial(addr) },
+		Redial: func() (net.Conn, error) { return p.r.cfg.Dial(addr) },
 	})
 	return p.rem, nil
 }

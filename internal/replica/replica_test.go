@@ -95,11 +95,12 @@ func (m *member) crash(nw *simnet.Network) {
 }
 
 type groupOpts struct {
-	store    *wal.Store
-	thresh   int // SnapshotThreshold; 0 = default
-	metrics  *rpc.Metrics
-	readOnly func(string) bool
-	logf     func(format string, args ...any)
+	store       *wal.Store
+	thresh      int // SnapshotThreshold; 0 = default
+	metrics     *rpc.Metrics
+	nodeMetrics *rpc.Metrics
+	readOnly    func(string) bool
+	logf        func(format string, args ...any)
 }
 
 func startMember(t testing.TB, nw *simnet.Network, id string, peers map[string]string, seed uint64, o groupOpts) *member {
@@ -125,7 +126,7 @@ func startMember(t testing.TB, nw *simnet.Network, id string, peers map[string]s
 	if err != nil {
 		t.Fatal(err)
 	}
-	node := rpc.NewNode(id)
+	node := rpc.NewNodeWith(id, rpc.NodeOptions{Metrics: o.nodeMetrics})
 	if err := rep.Publish(node); err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +251,66 @@ func TestElectCommitApply(t *testing.T) {
 		if n := m.obj.executions(); n != 20 {
 			t.Errorf("%s executed %d times, want exactly 20", m.id, n)
 		}
+	}
+}
+
+// countingObject is a plain published object with no at-most-once of its
+// own: the node's table is what keeps its retries from re-executing.
+type countingObject struct{ n atomic.Int64 }
+
+func (c *countingObject) CallCtx(context.Context, string, ...any) ([]any, error) {
+	return []any{c.n.Add(1)}, nil
+}
+
+// TestConsensusTrafficKeepsClientRetries: the consensus endpoint owns the
+// at-most-once of every peer message, so a follower's node takes no table
+// entry for them and consensus traffic cannot evict a client's retry. A
+// client's seq 1 on a plain object beside a follower's group, then two
+// tables' worth of replicated writes and one more, then the same seq from a
+// fresh link: the follower's node replays the first response.
+func TestConsensusTrafficKeepsClientRetries(t *testing.T) {
+	nw := simnet.New(simnet.Config{Seed: 23})
+	nm := &rpc.Metrics{}
+	ids := []string{"A", "B", "C"}
+	members := startGroup(t, nw, ids, 7, groupOpts{nodeMetrics: nm})
+	leader := waitLeader(t, members, 2*time.Second)
+	follower := members[0]
+	if follower == leader {
+		follower = members[1]
+	}
+	obj := &countingObject{}
+	if err := follower.node.PublishCallable("Count", obj); err != nil {
+		t.Fatal(err)
+	}
+	seq1 := func() []any {
+		t.Helper()
+		conn, err := nw.DialFrom("c", follower.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rem := rpc.DialConnWith(conn, rpc.DialOptions{ClientID: "c"})
+		defer rem.Close()
+		res, err := rem.Call("Count", "Tick")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := seq1()
+
+	cli := groupClient(t, nw, "writer", ids)
+	const writes = 2*1024 + 1 // the node table's default capacity is 1024
+	for i := 0; i < writes; i++ {
+		if _, err := cli.Call("KV", "Inc", "k"); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	if hits := nm.DedupHits.Value(); hits != 0 {
+		t.Fatalf("the nodes answered %d calls from their tables; no peer resends a seq", hits)
+	}
+	if again := seq1(); fmt.Sprint(again) != fmt.Sprint(first) || obj.n.Load() != 1 || nm.DedupHits.Value() != 1 {
+		t.Fatalf("retry of seq 1 after %d writes = %v (first %v): body ran %d times, %d dedup hits; want a replay: 1 and 1",
+			writes, again, first, obj.n.Load(), nm.DedupHits.Value())
 	}
 }
 

@@ -402,12 +402,13 @@ func TestFoldIdempotentOverFuzzyFloor(t *testing.T) {
 	}
 }
 
-// TestGroupIsSkipAllStoreParticipant pins the other half of the contract: a
+// TestGroupCallsLeaveNoNodeAcks pins the other half of the contract: a
 // group joins its node's store as a participant — its records are ordinary
-// journal records under its control name — but one that skips every entry,
-// so the node never ack-journals (and fsyncs a second time) a replicated
-// call or a consensus message: the quorum round is their durability.
-func TestGroupIsSkipAllStoreParticipant(t *testing.T) {
+// journal records under its control name — while the group and its
+// consensus endpoint own the at-most-once of their calls, so the node never
+// ack-journals (and fsyncs a second time) a replicated call or a consensus
+// message: the quorum round is their durability.
+func TestGroupCallsLeaveNoNodeAcks(t *testing.T) {
 	fs := wal.NewFailFS()
 	st := snapStore(t, fs)
 	nw := simnet.New(simnet.Config{Seed: 19})
@@ -430,13 +431,15 @@ func TestGroupIsSkipAllStoreParticipant(t *testing.T) {
 	go func() { _ = node.Serve(lis) }()
 	t.Cleanup(func() { rep.Close(); node.Close() })
 
-	if st.DurableEntry("KV", "Inc") || st.DurableEntry(ControlName("KV"), "AppendEntries") {
-		t.Fatal("the store classes the group or its control endpoint as ack-journaled")
-	}
 	cli := groupClient(t, nw, "cli", []string{"solo"})
-	for i := uint64(1); i <= 5; i++ {
+	for i := uint64(1); i <= 10; i++ {
 		if res, err := cli.Call("KV", "Inc", "k"); err != nil || res[0].(uint64) != i {
 			t.Fatalf("Inc %d = %v, %v", i, res, err)
+		}
+		if i == 5 {
+			if err := st.ForceSnapshot(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	rep.Close()
@@ -445,8 +448,14 @@ func TestGroupIsSkipAllStoreParticipant(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := snapStore(t, fs)
-	defer st2.Close()
-	if stats := st2.Stats(); stats.Acks != 0 || stats.Outcomes < 6 {
-		t.Fatalf("store holds %d ack records and %d participant records after 5 replicated calls; want 0 and >= 6 (state, barrier, 5 appends)", stats.Acks, stats.Outcomes)
+	stats := st2.Stats()
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Acks != 0 || stats.Outcomes < 5 {
+		t.Fatalf("store holds %d ack records and %d participant records after 5 replicated calls above the checkpoint; want 0 and >= 5", stats.Acks, stats.Outcomes)
+	}
+	if _, entries := testutil.AckLedger(t, fs, "data"); entries != 0 {
+		t.Fatalf("the node's ack ledger checkpoint holds %d entries after 5 replicated calls, want 0", entries)
 	}
 }

@@ -85,12 +85,7 @@ func (r *Replica) recover() error {
 	if r.cfg.Store == nil {
 		return nil
 	}
-	// Skip everything, so Store.DurableEntry stays false: the node must not
-	// ack-journal (and fsync a second time) calls on the group or its
-	// control endpoint — consensus is their durability.
-	r.journal = r.cfg.Store.Journal(ControlName(r.cfg.Group), wal.JournalOptions{
-		Skip: func(string) bool { return true },
-	})
+	r.journal = r.cfg.Store.Journal(ControlName(r.cfg.Group), wal.JournalOptions{})
 	if _, err := r.journal.Recover(wal.RecoverHooks{
 		Restore:  r.restoreCheckpoint,
 		Replay:   r.fold,

@@ -37,28 +37,28 @@ func ackFromRecord(entry string, p []any) (a AckEntry, err error) {
 	return a, fmt.Errorf("not an ack record: %s %v", entry, p)
 }
 
-// recoverAcks seats the ledger in st, Skip-all so Store.DurableEntry never
-// classes it as an object, and folds in what the previous incarnation left.
+// recoverAcks seats the ledger in st and folds in what the previous
+// incarnation left.
 func (n *Node) recoverAcks(st *wal.Store) error {
-	n.acks = st.Journal(wal.AckLedger, wal.JournalOptions{Skip: func(string) bool { return true }})
+	n.acks = st.Journal(wal.AckLedger, wal.JournalOptions{})
 	_, err := n.acks.Recover(wal.RecoverHooks{
 		Restore: func(blob []byte) error {
 			var entries []AckEntry
 			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&entries); err != nil {
 				return err
 			}
-			n.dedup.load(entries)
+			n.dedup.Load(entries)
 			return nil
 		},
 		Replay: func(entry string, p []any) error {
 			a, err := ackFromRecord(entry, p)
 			if err == nil {
-				n.dedup.load([]AckEntry{a})
+				n.dedup.Load([]AckEntry{a})
 			}
 			return err
 		},
 		Snapshot: func() ([]byte, error) {
-			entries := n.dedup.dump()
+			entries := n.dedup.Dump()
 			// A checkpoint reveals nothing that is not durable. The dump can hold
 			// a call that completed after an earlier-registered participant (an
 			// object) gave its checkpoint, its outcome and ack records unsynced:

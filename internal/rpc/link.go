@@ -57,7 +57,7 @@ type objectResolver interface {
 // client wires in its metrics and trace sinks. The zero value is valid
 // (no dedup, no drain gate, no observation).
 type linkHooks struct {
-	dedup      *dedupCache        // at-most-once table (nodes only)
+	dedup      *SessionTable      // at-most-once table (nodes only)
 	serveCtx   context.Context    // execution ctx for dedup-tracked calls (node lifetime)
 	begin      func() bool        // drain gate; false rejects the request
 	end        func()             // paired with a successful begin
@@ -586,8 +586,8 @@ func (l *link) serveRequest(f *frame) {
 	// bounded by replayWait — the wire carries no per-call deadline, so
 	// without the bound a primary stuck in a guard that never fires would
 	// pin this goroutine forever (and, before the bound existed, did).
-	// Session-aware objects (the replicated group) own their at-most-once:
-	// their session table replays retries, so the node keeps no entry.
+	// Session-aware objects (sessionCallable) own their at-most-once, so
+	// the node keeps no entry for their calls.
 	sc, session := obj.(sessionCallable)
 	session = session && f.Client != ""
 	var entry *dedupEntry

@@ -22,7 +22,7 @@ import (
 type Node struct {
 	name  string
 	opts  NodeOptions
-	dedup *dedupCache
+	dedup *SessionTable
 
 	// acks is the dedup table's seat in opts.Durable (acks.go); recoverErr,
 	// when its recovery failed, is what Serve and ListenAndServe return.
@@ -63,7 +63,7 @@ func NewNodeWith(name string, opts NodeOptions) *Node {
 	n := &Node{
 		name:    name,
 		opts:    opts,
-		dedup:   newDedupCache(opts.DedupCap),
+		dedup:   NewSessionTable(opts.DedupCap),
 		ctx:     ctx,
 		cancel:  cancel,
 		objects: make(map[string]Callable),
