@@ -30,11 +30,11 @@ type KeyedExec struct {
 //	per-key-fifo:  for each (client, key), sequence numbers execute in issue
 //	               order with no gaps — a synchronous client's calls are
 //	               totally ordered through its key's object, and the
-//	               drain-then-forward handoff preserves that order across
+//	               drain-then-redirect handoff preserves that order across
 //	               process boundaries.
 //	at-most-once:  no (client, key, seq) executes twice — the dedup ledger
 //	               absorbs retries even under connection kills, partitions
-//	               and duplicate handoff forwards.
+//	               and redirects past a handoff.
 func CheckKeyOrder(execs []KeyedExec) []Divergence {
 	type ck struct{ client, key string }
 	type cks struct {

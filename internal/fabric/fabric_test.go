@@ -346,9 +346,8 @@ func TestFabricLiveReshard(t *testing.T) {
 }
 
 // TestFabricDuplicateForwardDedup drives the same (client, seq) append
-// twice — the wire-level shape of a duplicate handoff forward or a retry
-// after a lost ack. The second call must answer from the ledger with the
-// original count, never re-execute.
+// twice — the wire-level shape of a retry after a lost ack. The second call
+// must answer from the ledger with the original count, never re-execute.
 func TestFabricDuplicateForwardDedup(t *testing.T) {
 	addrs := reserveAddrs(t, 1)
 	members := map[string]string{"n00": addrs[0]}

@@ -8,9 +8,11 @@ package fabric
 // is constructed.
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/testutil"
 )
@@ -378,5 +380,75 @@ func TestHandoffDoesNotSettleOnPartialEnumeration(t *testing.T) {
 	}
 	if a.host.gateOK(2) {
 		t.Fatal("a's fresh-create gate opened at epoch 2 while b could not enumerate its residents")
+	}
+}
+
+// TestHandoffFinishesTombstoneRoutedHome: a node extracts a key for a new
+// owner and stops before the push lands; it restarts under a ring that
+// routes the key back to it. The tombstone holds the key's only state, so
+// the handoff must still finish its push — here the arbiter refuses it
+// with the newer ring and the key is reinstalled at home — or every call
+// for the key would be answered "returning" for good.
+func TestHandoffFinishesTombstoneRoutedHome(t *testing.T) {
+	addrs := reserveAddrs(t, 2)
+	members := map[string]string{"a": addrs[0], "b": addrs[1]}
+	var rings [3]*Ring
+	var key string
+	for seed := uint64(1); key == "" && seed < 100; seed++ {
+		rings[0], rings[1], rings[2] = mustRing(t, 0, 42, members), mustRing(t, 1, seed, members), mustRing(t, 2, seed+100, members)
+		for i := 0; i < 100 && key == ""; i++ {
+			k := keyName("home", i)
+			if rings[0].Owner(k) == "a" && rings[1].Owner(k) == "b" && rings[2].Owner(k) == "a" {
+				key = k
+			}
+		}
+	}
+	if key == "" {
+		t.Fatal("no key goes a -> b -> a")
+	}
+	dir := t.TempDir()
+	a := startFabricNode(t, "a", addrs[0], rings[0].Spec(), dir, 0)
+	ctx := testCtx(t)
+	r, err := NewRouter(rings[0].Spec(), RouterOptions{ClientID: "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for s := uint64(0); s < 2; s++ {
+		if _, err := r.Append(ctx, key, s, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// b is down: the push of the extracted key cannot land.
+	if _, err := a.host.CallCtx(ctx, "Reshard", rings[1].Spec()); err != nil {
+		t.Fatal(err)
+	}
+	testutil.WaitUntil(t, "a's tombstone for "+key, func() bool {
+		res, err := a.host.group.Call("Audit", key)
+		if err != nil || res[0] != statusOK {
+			return false
+		}
+		st, err := decodeState(res[1].([]byte))
+		return err == nil && st.Moved
+	})
+	a.stop()
+
+	a = startFabricNode(t, "a", addrs[0], rings[2].Spec(), dir, 0)
+	defer a.stop()
+	b := startFabricNode(t, "b", addrs[1], rings[2].Spec(), "", 0)
+	defer b.stop()
+	home, err := NewRouter(rings[2].Spec(), RouterOptions{ClientID: "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer home.Close()
+	actx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	exec, err := home.Append(actx, key, 2, nil)
+	if err != nil {
+		t.Fatalf("append after a restarted holding the tombstone: %v", err)
+	}
+	if exec.Node != "a" || exec.Count != 3 || exec.Epoch != 2 {
+		t.Fatalf("exec = %+v, want executed by a at epoch 2, count 3", exec)
 	}
 }

@@ -3,9 +3,10 @@
 // entry is routed by key through the group's key-affinity router and
 // executed inline on the shard's manager, so one key's calls — appends,
 // the Extract tombstone, Install, Forget — form a single FIFO stream.
-// That ordering is what makes drain-then-forward work: an Extract queued
+// That ordering is what makes drain-then-redirect work: an Extract queued
 // behind in-flight Appends executes only after they finish, and every
-// Append queued after it observes the tombstone and is forwarded instead.
+// Append queued after it observes the tombstone and sends its caller to the
+// key's new home instead.
 package fabric
 
 import (
@@ -23,7 +24,7 @@ const (
 	statusOK         = "ok"          // executed (or deduplicated) here
 	statusDup        = "dup"         // idempotent repeat of a completed step
 	statusNone       = "none"        // key not resident
-	statusMoved      = "moved"       // tombstone: forward to the key's new home
+	statusMoved      = "moved"       // tombstone: the key left; redirect to its new home
 	statusWrongOwner = "wrong-owner" // this node never owned the key; re-resolve
 	statusRetry      = "retry"       // transient: ring still settling, try again
 	statusGap        = "gap"         // client sequence gap: oracle-grade failure
@@ -145,7 +146,7 @@ func newLedgerShard(name string, maxPending int, nodeID string, stage journalFn,
 		}
 		if cr, known := st.Clients[client]; known && seq <= cr.Seq {
 			if seq == cr.Seq {
-				// Retry or duplicate forward of the client's last append:
+				// Retry of the client's last append:
 				// answer from the ledger, never re-execute — and describe
 				// the ORIGINAL execution (its epoch and node), not the
 				// key's current placement, so a retry answered after a
@@ -306,8 +307,8 @@ func newLedgerShard(name string, maxPending int, nodeID string, stage journalFn,
 	}
 
 	// Forget(key) -> (status). Drops a tombstone once the install it
-	// covers has been acknowledged; late calls for the key then take the
-	// wrong-owner path instead of the forward path. Only tombstones are
+	// covers has been acknowledged; late calls for the key then meet no
+	// entry instead of the tombstone. Only tombstones are
 	// ever dropped — live state can leave a node exclusively via Extract.
 	forgetBody := func(inv *core.Invocation) error {
 		key, _ := inv.Param(0).(string)
@@ -435,12 +436,12 @@ func newLedgerShard(name string, maxPending int, nodeID string, stage journalFn,
 		return nil
 	}
 
-	// Keys() -> ([]string). One shard's resident keys, tombstones included;
-	// the host broadcasts and merges.
+	// Keys() -> (map[string]bool). One shard's resident keys, each true when
+	// it is a tombstone; the host broadcasts and merges.
 	keysBody := func(inv *core.Invocation) error {
-		keys := make([]string, 0, len(states))
-		for k := range states {
-			keys = append(keys, k)
+		keys := make(map[string]bool, len(states))
+		for k, st := range states {
+			keys[k] = st.Moved
 		}
 		inv.Return(keys)
 		return nil

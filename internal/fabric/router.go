@@ -22,12 +22,13 @@ type RouterOptions struct {
 	// with ErrRetriesExhausted (default 64; the context deadline cuts it
 	// shorter).
 	Retries int
-	// RetryBase is the backoff before the first settle/link retry
-	// (default 5ms, doubling to 250ms).
-	RetryBase time.Duration
 	// DialTimeout bounds each TCP connect (default 2s).
 	DialTimeout time.Duration
 }
+
+// retryBase is the backoff before an Append's or Audit's first retry; it
+// doubles to 250ms.
+const retryBase = 5 * time.Millisecond
 
 // Exec is one acknowledged append: who executed it, at which placement
 // epoch, and the key's running count after it. Feed these (in
@@ -81,9 +82,6 @@ func NewRouter(spec string, opts RouterOptions) (*Router, error) {
 	if opts.Retries <= 0 {
 		opts.Retries = 64
 	}
-	if opts.RetryBase <= 0 {
-		opts.RetryBase = 5 * time.Millisecond
-	}
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 2 * time.Second
 	}
@@ -99,17 +97,19 @@ func (r *Router) ringSnapshot() *Ring {
 	return r.ring
 }
 
-// adopt installs a newer ring spec (no-op otherwise).
-func (r *Router) adopt(spec string) {
+// adopt installs a newer ring spec and reports whether it did.
+func (r *Router) adopt(spec string) bool {
 	ring, err := ParseSpec(spec)
 	if err != nil {
-		return
+		return false
 	}
 	r.mu.Lock()
-	if ring.Epoch() > r.ring.Epoch() {
-		r.ring = ring
+	defer r.mu.Unlock()
+	if ring.Epoch() <= r.ring.Epoch() {
+		return false
 	}
-	r.mu.Unlock()
+	r.ring = ring
+	return true
 }
 
 // Append executes one keyed append with at-most-once semantics: it may
@@ -126,7 +126,7 @@ func (r *Router) adopt(spec string) {
 func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []byte) (Exec, error) {
 	var lastStatus string
 	var lastErr error
-	backoff := r.opts.RetryBase
+	backoff := retryBase
 	for attempt := 0; attempt < r.opts.Retries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return Exec{}, err
@@ -176,13 +176,15 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 			return Exec{Key: key, Client: r.opts.ClientID, Seq: seq, Node: member, Epoch: epoch, Count: count, Info: info}, nil
 		case statusGap:
 			return Exec{}, &GapError{Key: key, Client: r.opts.ClientID, Seq: seq, Expect: count}
-		case statusWrongOwner:
-			// The node's ring is newer (or ours is): adopt and go again
-			// without consuming backoff — this is the fast re-resolve.
-			r.adopt(info)
+		case statusWrongOwner, statusRetry:
 			lastStatus, lastErr = status, nil
-		case statusRetry, statusMoved:
-			lastStatus, lastErr = status, nil
+			// A wrong-owner hint that advances the ring is the fast
+			// re-resolve: go again at once. One that does not (the owner
+			// lags the ring this router already holds) backs off like a
+			// retry, until the owner learns the ring.
+			if status == statusWrongOwner && r.adopt(info) {
+				continue
+			}
 			if serr := r.sleep(ctx, backoff); serr != nil {
 				return Exec{}, serr
 			}
@@ -200,7 +202,7 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 // Audit fetches one key's server-side ledger entry from its current
 // owner, following ring updates like Append does.
 func (r *Router) Audit(ctx context.Context, key string) (Audit, error) {
-	backoff := r.opts.RetryBase
+	backoff := retryBase
 	var last error
 	for attempt := 0; attempt < r.opts.Retries; attempt++ {
 		if err := ctx.Err(); err != nil {

@@ -38,9 +38,9 @@ type keyState struct {
 	// Clients is the per-client dedup tail.
 	Clients map[string]clientRec `json:"clients"`
 	// Moved marks the tombstone left behind by Extract: the key's state
-	// has been handed off and calls must be forwarded, never served here.
+	// has been handed off and calls are redirected, never served here.
 	Moved bool `json:"moved,omitempty"`
-	// MovedSpec is the ring spec the key moved under; forwarding resolves
+	// MovedSpec is the ring spec the key moved under; a redirect resolves
 	// the key's next home against it (or any newer ring).
 	MovedSpec string `json:"movedSpec,omitempty"`
 }

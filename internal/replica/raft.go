@@ -16,7 +16,7 @@ import (
 // heartbeat interval gives both enough resolution.
 func (r *Replica) run() {
 	defer r.wg.Done()
-	t := time.NewTicker(r.cfg.Heartbeat)
+	t := time.NewTicker(r.cfg.heartbeat())
 	defer t.Stop()
 	for {
 		select {
@@ -400,7 +400,7 @@ func (p *peer) pump() {
 		// committed op costs the group one frame per peer, not two.
 		// Followers trail the leader's commit by at most one heartbeat,
 		// which only delays their local applies, never the client reply.
-		heartbeatDue := time.Since(p.lastSent) >= r.cfg.Heartbeat
+		heartbeatDue := time.Since(p.lastSent) >= r.cfg.heartbeat()
 		needConfirm := pendingReads && confirm > p.sentConfirm
 		if n == 0 && !heartbeatDue {
 			if !needConfirm {

@@ -126,9 +126,9 @@ func TestFollowerDiskRefusalStopsPromises(t *testing.T) {
 	// disk refuses outright.
 	inc(1)
 	testutil.WaitUntil(t, "the follower's fsync to fail", failed.Load)
-	time.Sleep(10 * f.rep.cfg.Heartbeat)
+	time.Sleep(10 * f.rep.cfg.heartbeat())
 	inc(39)
-	time.Sleep(10 * f.rep.cfg.Heartbeat)
+	time.Sleep(10 * f.rep.cfg.heartbeat())
 	close(stop)
 	<-sampled
 	sample()
@@ -220,7 +220,7 @@ func TestDeposedLeaderRefusedTruncationCommitsNothing(t *testing.T) {
 		t.Fatalf("the cut-off leader's parked proposal answered %v; want it failed as overwritten", err)
 	}
 	// Let the new leader's frames, every one refused, keep coming.
-	time.Sleep(10 * old.rep.cfg.Heartbeat)
+	time.Sleep(10 * old.rep.cfg.heartbeat())
 	old.rep.mu.Lock()
 	commit, applied := old.rep.commitIndex, old.rep.applied
 	old.rep.mu.Unlock()

@@ -99,16 +99,12 @@ type Config struct {
 	Store *wal.Store
 	// ElectionTimeout is the base follower patience; an election fires
 	// after a seeded-random duration in [T, 2T) without leader contact
-	// (default 150ms). Heartbeats default to T/10.
+	// (default 150ms). The leader heartbeats every T/10.
 	ElectionTimeout time.Duration
-	Heartbeat       time.Duration
 	// Seed drives the randomized election timeouts, XORed with the
 	// member ID's hash so members draw distinct but reproducible
 	// sequences — the knob that makes failover schedules replayable.
 	Seed uint64
-	// SessionCap bounds the replicated session table (default 1024). It
-	// MUST be identical across the group or session eviction diverges.
-	SessionCap int
 	// SnapshotThreshold compacts the log once more than this many applied
 	// entries are retained (default 1024; requires Snapshot/Restore).
 	SnapshotThreshold int
@@ -141,18 +137,19 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// sessionCap bounds the replicated session table. A constant, because every
+// member of a group must evict alike or their session tables diverge.
+const sessionCap = 1024
+
+// heartbeat is the leader's heartbeat interval: a tenth of the election
+// timeout, at least 1ms.
+func (c *Config) heartbeat() time.Duration {
+	return max(c.ElectionTimeout/10, time.Millisecond)
+}
+
 func (c *Config) withDefaults() {
 	if c.ElectionTimeout <= 0 {
 		c.ElectionTimeout = 150 * time.Millisecond
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = c.ElectionTimeout / 10
-		if c.Heartbeat <= 0 {
-			c.Heartbeat = time.Millisecond
-		}
-	}
-	if c.SessionCap <= 0 {
-		c.SessionCap = 1024
 	}
 	if c.SnapshotThreshold <= 0 {
 		c.SnapshotThreshold = 1024
@@ -285,7 +282,7 @@ func New(cfg Config, obj rpc.Callable) (*Replica, error) {
 		obj:       obj,
 		waiters:   make(map[uint64][]waiter),
 		readApply: make(map[uint64][]chan struct{}),
-		sessions:  rpc.NewSessionTable(cfg.SessionCap),
+		sessions:  rpc.NewSessionTable(sessionCap),
 		rng:       workload.NewRNG(cfg.Seed ^ idHash(cfg.ID)),
 		done:      make(chan struct{}),
 	}
@@ -334,9 +331,6 @@ func (r *Replica) Applied() uint64 {
 	defer r.mu.Unlock()
 	return r.applied
 }
-
-// Sessions exposes the replicated session table (tests and diagnostics).
-func (r *Replica) Sessions() *rpc.SessionTable { return r.sessions }
 
 // CallCtx implements rpc.Callable: a call with no at-most-once identity.
 // It commits through the log like any other call but records no session.
