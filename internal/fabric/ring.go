@@ -106,6 +106,14 @@ func NewRing(epoch, seed uint64, vnodes int, members map[string]string) (*Ring, 
 // Epoch reports the ring's generation number.
 func (r *Ring) Epoch() uint64 { return r.epoch }
 
+// newer returns whichever of a and b has the higher epoch; nil loses.
+func newer(a, b *Ring) *Ring {
+	if a == nil || (b != nil && b.Epoch() > a.Epoch()) {
+		return b
+	}
+	return a
+}
+
 // Seed reports the placement seed.
 func (r *Ring) Seed() uint64 { return r.seed }
 
