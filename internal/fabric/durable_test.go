@@ -320,7 +320,7 @@ func TestSettledLevelJournaledBeforeGateOpens(t *testing.T) {
 
 // TestRingReadableWhileAdvanceSyncs: adopting a ring journals an advance
 // record, and the node waits for it outside its lock. While that fsync is
-// held, Ring and Status answer at once with the old ring, the Reshard that
+// held, Status answers at once with the old ring, the Reshard that
 // carries the new one waits, and the new ring is installed once the record
 // is durable.
 func TestRingReadableWhileAdvanceSyncs(t *testing.T) {
@@ -332,26 +332,21 @@ func TestRingReadableWhileAdvanceSyncs(t *testing.T) {
 	<-gate.entered
 	defer gate.release()
 
-	spec := func(entry string) string {
+	spec := func() string {
 		t.Helper()
 		var a answer
 		select {
-		case a = <-w.call(entry):
+		case a = <-w.call("Status"):
 		case <-time.After(time.Second):
-			t.Fatalf("%s blocked behind the advance fsync", entry)
+			t.Fatal("Status blocked behind the advance fsync")
 		}
 		if a.err != nil {
-			t.Fatalf("%s: %v", entry, a.err)
+			t.Fatalf("Status: %v", a.err)
 		}
-		if entry == "Status" {
-			return a.res[1].(string)
-		}
-		return a.res[0].(string)
+		return a.res[1].(string)
 	}
-	for _, entry := range []string{"Ring", "Status"} {
-		if got := spec(entry); got != old {
-			t.Fatalf("%s while the advance syncs = %q, want the old ring %q", entry, got, old)
-		}
+	if got := spec(); got != old {
+		t.Fatalf("Status while the advance syncs = %q, want the old ring %q", got, old)
 	}
 	silent(t, "Reshard with its advance record unsynced", reshard)
 
@@ -359,10 +354,8 @@ func TestRingReadableWhileAdvanceSyncs(t *testing.T) {
 	if a := <-reshard; a.err != nil || a.res[1] != next {
 		t.Fatalf("Reshard = %v, %v; want ok with the new ring", a.res, a.err)
 	}
-	for _, entry := range []string{"Ring", "Status"} {
-		if got := spec(entry); got != next {
-			t.Fatalf("%s after the advance synced = %q, want %q", entry, got, next)
-		}
+	if got := spec(); got != next {
+		t.Fatalf("Status after the advance synced = %q, want %q", got, next)
 	}
 }
 

@@ -321,11 +321,16 @@ func TestFabricLiveReshard(t *testing.T) {
 	// Convergence: every member settles the new epoch, and audits agree
 	// with the client ledgers.
 	grownRing, _ := ParseSpec(grownSpec)
-	testutil.WaitUntil(t, "all members settled epoch 1", func() bool {
+	testutil.WaitUntil(t, "all members settled epoch 1, and each one's settled vector says so", func() bool {
 		for _, id := range grownRing.Members() {
-			_, completed, _, err := admin.Status(ctx, id)
+			_, completed, settled, err := admin.Status(ctx, id)
 			if err != nil || completed < 1 {
 				return false
+			}
+			for _, m := range grownRing.Members() {
+				if settled[m] < 1 {
+					return false
+				}
 			}
 		}
 		return true
@@ -657,8 +662,8 @@ func TestFabricRecovery(t *testing.T) {
 
 	n = startFabricNode(t, "n00", addrs[0], spec, dir, 0)
 	defer n.stop()
-	r.peers.drop("n00") // the old TCP connection died with the node
 
+	// The Router's link died with the node; its Remote redials on its own.
 	// Duplicate of the last pre-crash append: recovered ledger answers.
 	exec, err := r.Append(ctx, "durable-key", 4, nil)
 	if err != nil {

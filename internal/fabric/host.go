@@ -464,9 +464,10 @@ func (h *Host) gateOK(epoch uint64) bool {
 //	Install(key, epoch, state, spec)                -> (status)
 //	Settled(member, epoch, spec)                    -> (status)
 //	Reshard(spec)                                   -> (status, spec)
-//	Ring()                                          -> (spec)
-//	Status([spec])                                  -> (member, spec, completed, settledJSON)
+//	Status([spec])                                  -> (member, spec, completed, settled)
 //	Audit(key)                                      -> (status, state, spec)
+//
+// Status's settled vector is a map[string]any of member id to uint64 epoch.
 func (h *Host) CallCtx(ctx context.Context, entry string, params ...core.Value) ([]core.Value, error) {
 	switch entry {
 	case "Append":
@@ -546,8 +547,6 @@ func (h *Host) CallCtx(ctx context.Context, entry string, params ...core.Value) 
 			return nil, err
 		}
 		return []core.Value{statusOK, h.Spec()}, nil
-	case "Ring":
-		return []core.Value{h.Spec()}, nil
 	case "Status":
 		if len(params) == 1 {
 			if spec, ok := param[string](params, 0); ok {
@@ -557,12 +556,12 @@ func (h *Host) CallCtx(ctx context.Context, entry string, params ...core.Value) 
 			}
 		}
 		h.mu.Lock()
-		vec, err := json.Marshal(h.settled)
+		vec := make(map[string]any, len(h.settled))
+		for id, e := range h.settled {
+			vec[id] = e
+		}
 		completed := h.completed
 		h.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
 		return []core.Value{h.id, h.Spec(), completed, vec}, nil
 	case "Audit":
 		key, kok := param[string](params, 0)
@@ -724,11 +723,7 @@ func (h *Host) pollStatus(member string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	res, err := rem.CallCtx(ctx, "fabric", "Status", h.Spec())
 	cancel()
-	if err != nil {
-		h.peers.drop(member)
-		return
-	}
-	if len(res) != 4 {
+	if err != nil || len(res) != 4 {
 		return
 	}
 	id, _ := res[0].(string)
@@ -740,14 +735,21 @@ func (h *Host) pollStatus(member string) {
 	if id != "" {
 		h.recordSettled(id, completed)
 	}
-	if vec, ok := res[3].([]byte); ok && len(vec) > 0 {
-		var m map[string]uint64
-		if json.Unmarshal(vec, &m) == nil {
-			for mid, e := range m {
-				h.recordSettled(mid, e)
-			}
+	for mid, e := range settledVector(res[3]) {
+		h.recordSettled(mid, e)
+	}
+}
+
+// settledVector reads the settled vector of a Status answer.
+func settledVector(v core.Value) map[string]uint64 {
+	m, _ := v.(map[string]any)
+	vec := make(map[string]uint64, len(m))
+	for id, e := range m {
+		if e, ok := e.(uint64); ok {
+			vec[id] = e
 		}
 	}
+	return vec
 }
 
 func (h *Host) addrOf(member string) string {
@@ -938,8 +940,6 @@ func (h *Host) pushInstall(key string, state []byte) bool {
 				default:
 					return true // ok, dup or stale: the move is complete
 				}
-			} else if cerr != nil {
-				h.peers.drop(target)
 			}
 		}
 		h.sleep(backoff)
@@ -986,11 +986,8 @@ func (h *Host) broadcastSettled() {
 			continue
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		_, err = rem.CallCtx(ctx, "fabric", "Settled", h.id, completed, spec)
+		_, _ = rem.CallCtx(ctx, "fabric", "Settled", h.id, completed, spec)
 		cancel()
-		if err != nil {
-			h.peers.drop(id)
-		}
 	}
 }
 

@@ -8,8 +8,10 @@ import (
 	"repro/internal/rpc"
 )
 
-// peers caches one rpc link per fabric member. Host (installs,
-// gossip) and Router (client calls) share it. Safe for concurrent use.
+// peers caches one rpc.Remote per fabric member. Host (installs,
+// gossip) and Router (client calls) share it. The Remote dials on its
+// first call and redials after a link failure, so nothing here dials.
+// Safe for concurrent use.
 type peers struct {
 	timeout time.Duration // bound on each TCP connect
 
@@ -27,8 +29,8 @@ func newPeers(timeout time.Duration) *peers {
 	return &peers{timeout: timeout, conns: make(map[string]*peerConn)}
 }
 
-// conn returns the cached link to member at addr, dialing outside the lock
-// when there is none.
+// conn returns member's Remote for addr, replacing the one cached for an
+// older address.
 func (p *peers) conn(member, addr string) (*rpc.Remote, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("fabric: no address for member %q", member)
@@ -38,53 +40,20 @@ func (p *peers) conn(member, addr string) (*rpc.Remote, error) {
 		p.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if c := p.conns[member]; c != nil && c.addr == addr {
+	old := p.conns[member]
+	if old != nil && old.addr == addr {
 		p.mu.Unlock()
-		return c.rem, nil
+		return old.rem, nil
 	}
-	p.mu.Unlock()
-	rem, err := rpc.DialWith(addr, rpc.DialOptions{Timeout: p.timeout})
-	if err != nil {
-		return nil, err
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		rem.Close()
-		return nil, ErrClosed
-	}
-	if c := p.conns[member]; c != nil && c.addr == addr {
-		// Lost a dial race. Keep the cached link — it may already carry
-		// in-flight calls (closing it would interrupt them) — and discard
-		// ours.
-		p.mu.Unlock()
-		rem.Close()
-		return c.rem, nil
-	}
-	if old := p.conns[member]; old != nil {
-		// The member moved: the old-address link is stale.
-		old.rem.Close()
-	}
+	rem := rpc.NewRemote(addr, rpc.DialOptions{Timeout: p.timeout})
 	p.conns[member] = &peerConn{addr: addr, rem: rem}
 	p.mu.Unlock()
-	return rem, nil
-}
-
-// drop closes and forgets member's link after a link-level failure.
-func (p *peers) drop(member string) {
-	p.mu.Lock()
-	c := p.conns[member]
-	delete(p.conns, member)
-	p.mu.Unlock()
-	if c != nil {
-		c.rem.Close()
+	if old != nil {
+		// The member moved: the old-address link is stale. Close waits
+		// out a redial in flight on it, so it runs outside the lock.
+		old.rem.Close()
 	}
-}
-
-func (p *peers) isClosed() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.closed
+	return rem, nil
 }
 
 // close closes every link; later conn calls fail with ErrClosed.

@@ -8,10 +8,10 @@ import (
 	"repro/internal/rpc"
 )
 
-// TestPeersColdCacheDialRace: callers racing to a member nobody has dialed
-// yet all dial, one link is cached, and every caller — winner or loser —
-// gets that link, open. A loser must not close a cached link either: it may
-// already carry another caller's in-flight call.
+// TestPeersColdCacheDialRace: callers racing to a member with no cached
+// link all get the one Remote the cache creates for it, which dials on the
+// first call and stays open under its users. conn dials nothing, so no
+// caller can lose a dial race and close a link another caller is using.
 func TestPeersColdCacheDialRace(t *testing.T) {
 	n := soloNode(t, 1)
 	ctx := testCtx(t)
@@ -32,8 +32,8 @@ func TestPeersColdCacheDialRace(t *testing.T) {
 				return
 			}
 			var res []any
-			if res, errs[i] = rems[i].CallCtx(ctx, "fabric", "Ring"); errs[i] == nil && res[0] != n.host.Spec() {
-				t.Errorf("caller %d: Ring() = %v", i, res)
+			if res, errs[i] = rems[i].CallCtx(ctx, "fabric", "Status"); errs[i] == nil && res[1] != n.host.Spec() {
+				t.Errorf("caller %d: Status() = %v", i, res)
 			}
 		}(i)
 	}
@@ -47,7 +47,7 @@ func TestPeersColdCacheDialRace(t *testing.T) {
 			t.Fatalf("caller %d got a link of its own; the cache holds one per member", i)
 		}
 	}
-	if _, err := rems[0].CallCtx(ctx, "fabric", "Ring"); err != nil {
+	if _, err := rems[0].CallCtx(ctx, "fabric", "Status"); err != nil {
 		t.Fatalf("the cached link was closed under its users: %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -131,19 +130,11 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 		if err := ctx.Err(); err != nil {
 			return Exec{}, err
 		}
-		if r.peers.isClosed() {
-			return Exec{}, ErrClosed
-		}
 		ring := r.ringSnapshot()
 		owner := ring.Owner(key)
 		rem, err := r.peers.conn(owner, ring.Addr(owner))
 		if err != nil {
-			lastStatus, lastErr = "dial", err
-			if serr := r.sleep(ctx, backoff); serr != nil {
-				return Exec{}, serr
-			}
-			backoff = bump(backoff)
-			continue
+			return Exec{}, err // ErrClosed: every ring member has an address
 		}
 		res, err := rem.CallCtx(ctx, "fabric", "Append", key, r.client, seq, payload)
 		if err != nil {
@@ -154,8 +145,8 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 				return Exec{}, ctx.Err()
 			}
 			// Link-level failure: the call may or may not have executed;
-			// retrying the same seq is safe against the dedup ledger.
-			r.peers.drop(owner)
+			// retrying the same seq is safe against the dedup ledger, and
+			// the Remote redials a dead link on the retry.
 			lastStatus, lastErr = "link", err
 			if serr := r.sleep(ctx, backoff); serr != nil {
 				return Exec{}, serr
@@ -243,7 +234,6 @@ func (r *Router) Audit(ctx context.Context, key string) (Audit, error) {
 			}
 		}
 		if err != nil {
-			r.peers.drop(owner)
 			last = err
 		}
 		if serr := r.sleep(ctx, backoff); serr != nil {
@@ -281,7 +271,6 @@ func (r *Router) Reshard(ctx context.Context, spec string) (int, error) {
 			continue
 		}
 		if _, err := rem.CallCtx(ctx, "fabric", "Reshard", spec); err != nil {
-			r.peers.drop(id)
 			continue
 		}
 		acked++
@@ -303,7 +292,6 @@ func (r *Router) Status(ctx context.Context, member string) (spec string, comple
 	}
 	res, err := rem.CallCtx(ctx, "fabric", "Status", ring.Spec())
 	if err != nil {
-		r.peers.drop(member)
 		return "", 0, nil, err
 	}
 	if len(res) != 4 {
@@ -311,9 +299,7 @@ func (r *Router) Status(ctx context.Context, member string) (spec string, comple
 	}
 	spec, _ = res[1].(string)
 	completed, _ = res[2].(uint64)
-	if b, ok := res[3].([]byte); ok && len(b) > 0 {
-		_ = json.Unmarshal(b, &settled)
-	}
+	settled = settledVector(res[3])
 	r.adopt(spec)
 	return spec, completed, settled, nil
 }

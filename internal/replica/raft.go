@@ -126,7 +126,6 @@ func (r *Replica) becomeLeader(term uint64) {
 		p.nextIndex = next
 		p.matchIndex = 0
 		p.epoch++ // acks from frames of an older leadership are stale
-		p.sentCommit = 0
 		p.sentConfirm = p.confirmed
 		p.lastSent = time.Time{} // heartbeat immediately
 		p.mu.Unlock()
@@ -212,17 +211,18 @@ func (r *Replica) maybeAdvanceCommit() {
 
 // --- peer: one replication target ---
 
-// peer is the leader-side view of one other member: its lazily-dialed
-// Remote, replication cursors, and the pipeline window of AppendEntries
-// frames currently in flight to it.
+// peer is the leader-side view of one other member: its Remote (which
+// dials on its first call and redials after a link failure, so a peer
+// that is down at startup or restarting becomes reachable the moment its
+// endpoint listens again), replication cursors, and the pipeline window
+// of AppendEntries frames currently in flight to it.
 type peer struct {
 	r    *Replica
 	id   string
-	addr string
+	rem  *rpc.Remote
 	kick chan struct{}
 
 	mu         sync.Mutex
-	rem        *rpc.Remote
 	nextIndex  uint64
 	matchIndex uint64
 
@@ -235,56 +235,25 @@ type peer struct {
 	// safe under reordered acks.
 	inflight    int
 	epoch       uint64
-	sentCommit  uint64    // commit index last advertised
 	confirmed   uint64    // highest read-confirmation round this peer acked
 	sentConfirm uint64    // highest confirmation round shipped
 	lastSent    time.Time // heartbeat pacing
 }
 
 func newPeer(r *Replica, id, addr string) *peer {
-	return &peer{r: r, id: id, addr: addr, kick: make(chan struct{}, 1), nextIndex: 1}
-}
-
-// ensure returns a live Remote, dialing on demand — a peer that is down
-// at startup (or restarting after a crash) becomes reachable the moment
-// its endpoint listens again.
-func (p *peer) ensure() (*rpc.Remote, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.rem != nil {
-		return p.rem, nil
-	}
-	conn, err := p.r.cfg.Dial(p.addr)
-	if err != nil {
-		return nil, err
-	}
-	addr := p.addr
-	p.rem = rpc.DialConnWith(conn, rpc.DialOptions{
-		Redial: func() (net.Conn, error) { return p.r.cfg.Dial(addr) },
+	rem := rpc.NewRemote(addr, rpc.DialOptions{
+		Redial: func() (net.Conn, error) { return r.cfg.Dial(addr) },
 	})
-	return p.rem, nil
-}
-
-func (p *peer) close() {
-	p.mu.Lock()
-	rem := p.rem
-	p.mu.Unlock()
-	if rem != nil {
-		rem.Close()
-	}
+	return &peer{r: r, id: id, rem: rem, kick: make(chan struct{}, 1), nextIndex: 1}
 }
 
 // call issues one consensus RPC, bounded by the election timeout — a
 // wedged peer must not pin a pipeline slot past the point where the
 // group would re-elect anyway.
 func (p *peer) call(entry string, params ...any) ([]any, error) {
-	rem, err := p.ensure()
-	if err != nil {
-		return nil, err
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), p.r.cfg.ElectionTimeout)
 	defer cancel()
-	return rem.CallWith(ctx, rpc.CallOptions{}, ControlName(p.r.cfg.Group), entry, params...)
+	return p.rem.CallWith(ctx, rpc.CallOptions{}, ControlName(p.r.cfg.Group), entry, params...)
 }
 
 func (p *peer) requestVote(term uint64, candidate string, lastIdx, lastTerm uint64) (granted bool, peerTerm uint64, err error) {
@@ -433,9 +402,6 @@ func (p *peer) pump() {
 		p.nextIndex = prev + uint64(n) + 1 // optimistic; the nack path rewinds
 		p.inflight++
 		depth := p.inflight
-		if commit > p.sentCommit {
-			p.sentCommit = commit
-		}
 		if confirm > p.sentConfirm {
 			p.sentConfirm = confirm
 		}
@@ -493,7 +459,6 @@ func (p *peer) sendAppend(term, prev, prevTerm, commit, confirm uint64, f *appen
 				ni = 1
 			}
 			p.nextIndex = ni
-			p.sentCommit = 0
 			p.sentConfirm = p.confirmed
 		}
 		p.mu.Unlock()
@@ -599,7 +564,6 @@ func (p *peer) nack(epoch, rewindTo uint64) {
 		if p.nextIndex <= p.matchIndex {
 			p.nextIndex = p.matchIndex + 1
 		}
-		p.sentCommit = 0
 		p.sentConfirm = p.confirmed
 	}
 	p.mu.Unlock()

@@ -827,7 +827,7 @@ func (r *Replica) Close() {
 		}
 	}
 	for _, p := range r.peers {
-		p.close()
+		p.rem.Close()
 	}
 	r.wg.Wait()
 }

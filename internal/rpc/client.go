@@ -45,22 +45,14 @@ func Dial(addr string) (*Remote, error) {
 	return DialWith(addr, DialOptions{})
 }
 
-// DialWith connects to a node at addr. When opts.Redial is nil it is
-// filled with a TCP redial of addr, so the Remote reconnects through
-// link failures.
+// DialWith connects to a node at addr: NewRemote plus an eager first
+// dial, so an unreachable node fails here rather than on the first call.
 func DialWith(addr string, opts DialOptions) (*Remote, error) {
-	opts = opts.withDefaults()
-	if opts.Redial == nil {
-		timeout := opts.Timeout
-		opts.Redial = func() (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, timeout)
-		}
-	}
-	conn, err := opts.Redial()
-	if err != nil {
+	r := NewRemote(addr, opts)
+	if err := r.connect(); err != nil {
 		return nil, fmt.Errorf("rpc: dial %s: %w", addr, err)
 	}
-	return newRemote(conn, opts), nil
+	return r, nil
 }
 
 // DialMulti connects to a replicated group: it dials the first reachable
@@ -91,11 +83,26 @@ func DialMulti(addrs []string, opts DialOptions) (*Remote, error) {
 			return nil, fmt.Errorf("rpc: dial multi: all %d addresses failed: %w", len(addrs), lastErr)
 		}
 	}
-	conn, err := opts.Redial()
-	if err != nil {
+	r := NewRemote(addrs[0], opts)
+	if err := r.connect(); err != nil {
 		return nil, err
 	}
-	return newRemote(conn, opts), nil
+	return r, nil
+}
+
+// NewRemote returns a Remote for the node at addr that has not dialed
+// yet: it connects on its first call, through opts.Redial or, when that
+// is nil, a TCP dial of addr bounded by opts.Timeout, and redials after
+// a link failure the same way.
+func NewRemote(addr string, opts DialOptions) *Remote {
+	opts = opts.withDefaults()
+	if opts.Redial == nil {
+		timeout := opts.Timeout
+		opts.Redial = func() (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		}
+	}
+	return &Remote{opts: opts, rng: workload.NewRNG(seedFrom(opts.ClientID))}
 }
 
 // DialConn wraps an established connection as a client — the injection
@@ -230,8 +237,9 @@ func (r *Remote) bounceLink() {
 	}
 }
 
-// healthyLink returns the live link, redialling if the current one died.
-// Concurrent callers serialize on the reconnect, so one redial serves all.
+// healthyLink returns the live link, dialing the first one or redialling
+// if the current one died. Concurrent callers serialize on the reconnect,
+// so one redial serves all.
 func (r *Remote) healthyLink() (*link, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -244,9 +252,19 @@ func (r *Remote) healthyLink() (*link, error) {
 	if r.opts.Redial == nil {
 		return nil, fmt.Errorf("rpc: no redial configured: %w", r.link.closeReason())
 	}
+	if err := r.connect(); err != nil {
+		return nil, fmt.Errorf("rpc: redial: %v: %w", err, ErrLinkClosed)
+	}
+	return r.link, nil
+}
+
+// connect dials through opts.Redial and makes the new link r's, announcing
+// the published channels on it. It runs under r.mu, or before r is shared.
+// Only a replaced link counts as a reconnect.
+func (r *Remote) connect() error {
 	conn, err := r.opts.Redial()
 	if err != nil {
-		return nil, fmt.Errorf("rpc: redial: %v: %w", err, ErrLinkClosed)
+		return err
 	}
 	old := r.link
 	r.link = newLink(conn, nil, linkHooks{metrics: r.opts.Metrics, rec: r.opts.Trace})
@@ -255,11 +273,11 @@ func (r *Remote) healthyLink() (*link, error) {
 	}
 	if old != nil {
 		go old.close()
+		if m := r.opts.Metrics; m != nil {
+			m.Reconnects.Inc()
+		}
 	}
-	if m := r.opts.Metrics; m != nil {
-		m.Reconnects.Inc()
-	}
-	return r.link, nil
+	return nil
 }
 
 // jitter draws from the Remote's deterministic backoff stream.
@@ -316,6 +334,9 @@ func (r *Remote) PublishChan(name string, ch *channel.Chan) ChanRef {
 		r.pubs = make(map[string]*channel.Chan)
 	}
 	r.pubs[name] = ch
+	if r.link == nil {
+		return ChanRef{Name: name} // announced by the first connect
+	}
 	return r.link.publishChan(name, ch)
 }
 

@@ -61,13 +61,15 @@ func (p RetryPolicy) delay(attempt int, intn func(int) int) time.Duration {
 // behaviour: 10s dial and list timeouts, no retries, a random client
 // identity, reconnect-on-demand for address-based dials.
 type DialOptions struct {
-	// Timeout bounds the TCP connect in Dial/DialWith (default 10s).
+	// Timeout bounds each TCP connect of an address-based Remote
+	// (default 10s).
 	Timeout time.Duration
 	// ListTimeout bounds List (default 10s).
 	ListTimeout time.Duration
-	// Redial re-establishes the transport after a link failure. DialWith
-	// fills it with a TCP redial of the original address when nil;
-	// DialConnWith leaves it nil, which disables reconnection.
+	// Redial establishes the transport: the first connect and every one
+	// after a link failure. NewRemote and DialWith fill it with a TCP dial
+	// of the address when nil; DialConnWith leaves it nil, which disables
+	// reconnection.
 	Redial func() (net.Conn, error)
 	// Retry is the default policy applied by Call/CallCtx; CallWith can
 	// override it per call.
@@ -109,7 +111,7 @@ type CallOptions struct {
 // instance across Remotes/Nodes to aggregate, or use one each.
 type Metrics struct {
 	Retries    metrics.Counter // call attempts beyond the first
-	Reconnects metrics.Counter // successful redials
+	Reconnects metrics.Counter // successful redials (not first connects)
 	DedupHits  metrics.Counter // retried requests answered from the cache
 	DrainDrops metrics.Counter // requests rejected while draining
 

@@ -161,10 +161,10 @@ func TestMultipleClients(t *testing.T) {
 	wg.Wait()
 }
 
-// TestChannelToExecutingRemoteProcedure exercises the paper's §1 claim: the
-// caller passes a channel to a remote entry call and receives messages from
-// the executing procedure while it runs.
-func TestChannelToExecutingRemoteProcedure(t *testing.T) {
+// startStreamer serves, at addr, a Streamer object whose Run(n, ch) sends
+// 1..n on ch before it answers, and reports the address it listens on.
+func startStreamer(t *testing.T, addr string) (*Node, string) {
+	t.Helper()
 	obj, err := core.New("Streamer",
 		core.WithEntry(core.EntrySpec{Name: "Run", Params: 2, Results: 1,
 			Body: func(inv *core.Invocation) error {
@@ -185,16 +185,23 @@ func TestChannelToExecutingRemoteProcedure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer obj.Close()
-
+	t.Cleanup(func() { obj.Close() })
 	node := NewNode("beta")
 	if err := node.Publish(obj); err != nil {
 		t.Fatal(err)
 	}
-	addr, err := node.ListenAndServe("127.0.0.1:0")
+	addr, err = node.ListenAndServe(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return node, addr
+}
+
+// TestChannelToExecutingRemoteProcedure exercises the paper's §1 claim: the
+// caller passes a channel to a remote entry call and receives messages from
+// the executing procedure while it runs.
+func TestChannelToExecutingRemoteProcedure(t *testing.T) {
+	node, addr := startStreamer(t, "127.0.0.1:0")
 	defer node.Close()
 
 	rem, err := Dial(addr)
