@@ -252,7 +252,7 @@ func TestOverloadCrashSoak(t *testing.T) {
 		}, core.InterceptPR("Apply", 1, 0)),
 		core.WithObjectOptions(core.ObjectOptions{
 			ManagerPolicy: core.Restart,
-			Restart:       core.RestartPolicy{Max: 20, Backoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond},
+			Restart:       core.RestartPolicy{Max: 20, MaxBackoff: 10 * time.Millisecond},
 			MaxPending:    3,
 			Shed:          core.ShedRejectNewest,
 			Metrics:       sup,

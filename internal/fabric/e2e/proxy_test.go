@@ -9,74 +9,91 @@ import (
 
 // proxy is a partitionable TCP forwarder. The cluster advertises proxy
 // addresses in -fabric-members, so every byte between peers — and
-// between clients and nodes — crosses one of these. Stop() simulates a
-// network partition of the node behind it: the listener closes and every
-// live connection is severed; Start() heals it on the same address.
+// between clients and nodes — crosses one of these. The proxy holds its
+// listener from reservation to Close, so its advertised port is never
+// free for another process to take. Stop() simulates a network partition
+// of the node behind it: every live connection is severed and every new
+// one is closed on accept; Start() heals it.
 type proxy struct {
-	addr   string // advertised (stable across Stop/Start cycles)
-	target string // the node's real listen address
+	lis net.Listener // the advertised address
 
-	mu    sync.Mutex
-	lis   net.Listener
-	conns map[net.Conn]struct{}
+	mu     sync.Mutex
+	target string // the node's real listen address; "" while it is down
+	cut    bool   // partitioned
+	gen    uint64 // bumped by every Stop, so a forward that raced one severs
+	conns  map[net.Conn]struct{}
 }
 
-func newProxy(addr, target string) *proxy {
-	return &proxy{addr: addr, target: target, conns: make(map[net.Conn]struct{})}
+// newProxy serves on lis; it forwards once setTarget names the node's
+// address.
+func newProxy(lis net.Listener) *proxy {
+	p := &proxy{lis: lis, conns: make(map[net.Conn]struct{})}
+	go p.accept()
+	return p
+}
+
+func (p *proxy) addr() string { return p.lis.Addr().String() }
+
+// setTarget points the proxy at the node's current real address.
+func (p *proxy) setTarget(addr string) {
+	p.mu.Lock()
+	p.target = addr
+	p.mu.Unlock()
 }
 
 // Start begins (or resumes) forwarding. Idempotent.
-func (p *proxy) Start() error {
+func (p *proxy) Start() {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.lis != nil {
-		return nil
-	}
-	lis, err := net.Listen("tcp", p.addr)
-	if err != nil {
-		return err
-	}
-	p.lis = lis
-	go p.accept(lis)
-	return nil
+	p.cut = false
+	p.mu.Unlock()
 }
 
 // Stop severs the node: no new connections, and every existing one dies
 // mid-stream — exactly what a partition looks like to both ends.
 func (p *proxy) Stop() {
 	p.mu.Lock()
-	lis := p.lis
-	p.lis = nil
+	p.cut = true
+	p.gen++
 	conns := p.conns
 	p.conns = make(map[net.Conn]struct{})
 	p.mu.Unlock()
-	if lis != nil {
-		_ = lis.Close()
-	}
 	for c := range conns {
 		_ = c.Close()
 	}
 }
 
-func (p *proxy) accept(lis net.Listener) {
+// Close partitions the node for good and releases the port.
+func (p *proxy) Close() {
+	_ = p.lis.Close()
+	p.Stop()
+}
+
+func (p *proxy) accept() {
 	for {
-		c, err := lis.Accept()
+		c, err := p.lis.Accept()
 		if err != nil {
 			return
 		}
-		go p.forward(lis, c)
+		go p.forward(c)
 	}
 }
 
-func (p *proxy) forward(lis net.Listener, c net.Conn) {
-	up, err := net.DialTimeout("tcp", p.target, 2*time.Second)
+func (p *proxy) forward(c net.Conn) {
+	p.mu.Lock()
+	target, cut, gen := p.target, p.cut, p.gen
+	p.mu.Unlock()
+	if cut || target == "" {
+		_ = c.Close()
+		return
+	}
+	up, err := net.DialTimeout("tcp", target, 2*time.Second)
 	if err != nil {
 		_ = c.Close()
 		return
 	}
 	p.mu.Lock()
-	if p.lis != lis {
-		// A Stop() raced this accept; sever instead of leaking a healed
+	if p.gen != gen {
+		// A Stop() raced this dial; sever instead of leaking a healed
 		// path through a partition.
 		p.mu.Unlock()
 		_ = c.Close()

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/shard"
 	"repro/internal/wal"
@@ -875,6 +876,14 @@ func (h *Host) residentKeys() (map[string]bool, error) {
 	return out, nil
 }
 
+// A push's backoff step doubles from pushBase to pushCap, so no wait is
+// shorter than 10 ms doubling to 640 ms; seeded per member and key, the
+// pushes of one handoff do not hit a healed destination in lockstep.
+const (
+	pushBase = 20 * time.Millisecond
+	pushCap  = 1280 * time.Millisecond
+)
+
 // pushInstall delivers one extracted key to its new home, retrying with
 // backoff until the destination acknowledges (it may be dead or
 // partitioned — the e2e chaos plan restarts and heals, and the push must
@@ -896,7 +905,7 @@ func (h *Host) pushInstall(key string, state []byte) bool {
 			dest = ring
 		}
 	}
-	backoff := 10 * time.Millisecond
+	b := backoff.Schedule{Base: pushBase, Cap: pushCap, Seed: backoff.Seed(h.id) ^ backoff.Seed(key)}
 	for {
 		if h.isClosed() {
 			return false
@@ -910,11 +919,7 @@ func (h *Host) pushInstall(key string, state []byte) bool {
 				h.kickHandoff()
 				return true
 			}
-			h.sleep(backoff)
-			continue
-		}
-		rem, err := h.peers.conn(target, dest.Addr(target))
-		if err == nil {
+		} else if rem, err := h.peers.conn(target, dest.Addr(target)); err == nil {
 			ctx, cancel := context.WithTimeout(context.Background(), 4*time.Second)
 			res, cerr := rem.CallCtx(ctx, "fabric", "Install", key, dest.Epoch(), state, dest.Spec())
 			cancel()
@@ -942,9 +947,8 @@ func (h *Host) pushInstall(key string, state []byte) bool {
 				}
 			}
 		}
-		h.sleep(backoff)
-		if backoff < 500*time.Millisecond {
-			backoff *= 2
+		if !b.Wait(h.closeCh) {
+			return false
 		}
 	}
 }
@@ -988,13 +992,6 @@ func (h *Host) broadcastSettled() {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		_, _ = rem.CallCtx(ctx, "fabric", "Settled", h.id, completed, spec)
 		cancel()
-	}
-}
-
-func (h *Host) sleep(d time.Duration) {
-	select {
-	case <-h.closeCh:
-	case <-time.After(d):
 	}
 }
 

@@ -86,6 +86,29 @@ func TestStaleWrongOwnerHintBacksOff(t *testing.T) {
 	}
 }
 
+// TestRouterBackoffBudget: every jittered wait is at least half its step,
+// so the shortest 64-attempt Append the Router's constants allow must still
+// wait out the 18.875 s budget of an unjittered 5 ms step doubling to
+// 320 ms (5 + 10 + … + 160 ms, then 58 × 320 ms), which the e2e chaos
+// outages are sized against.
+func TestRouterBackoffBudget(t *testing.T) {
+	const attempts = 64
+	var least, budget time.Duration
+	step, fixed := routerBase, 5*time.Millisecond
+	for i := 0; i < attempts; i++ {
+		if step/2 < fixed {
+			t.Fatalf("wait %d: shortest draw %v < %v", i, step/2, fixed)
+		}
+		least += step / 2
+		budget += fixed
+		step = min(2*step, routerCap)
+		fixed = min(2*fixed, 320*time.Millisecond)
+	}
+	if budget != 18875*time.Millisecond || least < budget {
+		t.Fatalf("shortest %d-attempt wait %v, want >= %v (= 18.875s)", attempts, least, budget)
+	}
+}
+
 // TestStaleRouterRedirectedPastTombstone: a Router on the old ring appends to
 // a key whose tombstone is still in place at the old owner — the new owner's
 // install fsync is held, so the old owner cannot Forget. The old owner

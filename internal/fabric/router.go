@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/core"
 )
 
@@ -25,9 +26,16 @@ type RouterOptions struct {
 	DialTimeout time.Duration
 }
 
-// retryBase is the backoff before an Append's or Audit's first retry; it
-// doubles to 250ms.
-const retryBase = 5 * time.Millisecond
+// An Append's or Audit's backoff step doubles from routerBase to
+// routerCap. A wait is at least half its step, so a 64-attempt Append
+// waits at least 5 + 10 + … + 160 ms + 58 × 320 ms = 18.875 s before
+// ErrRetriesExhausted; the e2e chaos outages are sized against that. The
+// jitter is seeded per client, key and seq: Routers do not retry in
+// lockstep after a reshard.
+const (
+	routerBase = 10 * time.Millisecond
+	routerCap  = 640 * time.Millisecond
+)
 
 // Exec is one acknowledged append: who executed it, at which placement
 // epoch, and the key's running count after it. Feed these (in
@@ -125,7 +133,7 @@ func (r *Router) adopt(spec string) bool {
 func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []byte) (Exec, error) {
 	var lastStatus string
 	var lastErr error
-	backoff := retryBase
+	b := backoff.Schedule{Base: routerBase, Cap: routerCap, Seed: backoff.Seed(r.opts.ClientID) ^ backoff.Seed(key) ^ seq}
 	for attempt := 0; attempt < r.opts.Retries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return Exec{}, err
@@ -139,7 +147,7 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 		res, err := rem.CallCtx(ctx, "fabric", "Append", key, r.client, seq, payload)
 		if err != nil {
 			if errors.Is(err, core.ErrOverload) {
-				return Exec{}, &OverloadError{Node: owner, RetryAfter: backoff, Err: err}
+				return Exec{}, &OverloadError{Node: owner, RetryAfter: b.Step(), Err: err}
 			}
 			if ctx.Err() != nil {
 				return Exec{}, ctx.Err()
@@ -148,10 +156,9 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 			// retrying the same seq is safe against the dedup ledger, and
 			// the Remote redials a dead link on the retry.
 			lastStatus, lastErr = "link", err
-			if serr := r.sleep(ctx, backoff); serr != nil {
-				return Exec{}, serr
+			if !b.Wait(ctx.Done()) {
+				return Exec{}, ctx.Err()
 			}
-			backoff = bump(backoff)
 			continue
 		}
 		if len(res) != 5 {
@@ -176,10 +183,9 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 			if status == statusWrongOwner && r.adopt(info) {
 				continue
 			}
-			if serr := r.sleep(ctx, backoff); serr != nil {
-				return Exec{}, serr
+			if !b.Wait(ctx.Done()) {
+				return Exec{}, ctx.Err()
 			}
-			backoff = bump(backoff)
 		default:
 			return Exec{}, fmt.Errorf("fabric: unexpected append status %q", status)
 		}
@@ -193,7 +199,7 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 // Audit fetches one key's server-side ledger entry from its current
 // owner, following ring updates like Append does.
 func (r *Router) Audit(ctx context.Context, key string) (Audit, error) {
-	backoff := retryBase
+	b := backoff.Schedule{Base: routerBase, Cap: routerCap, Seed: backoff.Seed(r.opts.ClientID) ^ backoff.Seed(key)}
 	var last error
 	for attempt := 0; attempt < r.opts.Retries; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -236,10 +242,9 @@ func (r *Router) Audit(ctx context.Context, key string) (Audit, error) {
 		if err != nil {
 			last = err
 		}
-		if serr := r.sleep(ctx, backoff); serr != nil {
-			return Audit{}, serr
+		if !b.Wait(ctx.Done()) {
+			return Audit{}, ctx.Err()
 		}
-		backoff = bump(backoff)
 	}
 	return Audit{}, fmt.Errorf("%w: audit %q: %v", ErrRetriesExhausted, key, last)
 }
@@ -302,24 +307,6 @@ func (r *Router) Status(ctx context.Context, member string) (spec string, comple
 	settled = settledVector(res[3])
 	r.adopt(spec)
 	return spec, completed, settled, nil
-}
-
-func (r *Router) sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
-	}
-}
-
-func bump(d time.Duration) time.Duration {
-	if d >= 250*time.Millisecond {
-		return d
-	}
-	return d * 2
 }
 
 // Close closes every member connection.

@@ -7,12 +7,11 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/channel"
 	"repro/internal/core"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // errRemoteClosed fails calls on a Remote the user has Closed. It is
@@ -29,14 +28,13 @@ var errRemoteClosed = errors.New("rpc: remote is closed")
 type Remote struct {
 	opts DialOptions
 	seq  atomic.Uint64
+	seed uint64 // the client ID's backoff seed
 
 	mu     sync.Mutex
 	link   *link
 	pubs   map[string]*channel.Chan // published channels, re-announced on reconnect
 	closed bool
 
-	rngMu   sync.Mutex
-	rng     *workload.RNG
 	nextRef atomic.Uint64
 }
 
@@ -102,7 +100,7 @@ func NewRemote(addr string, opts DialOptions) *Remote {
 			return net.DialTimeout("tcp", addr, timeout)
 		}
 	}
-	return &Remote{opts: opts, rng: workload.NewRNG(seedFrom(opts.ClientID))}
+	return &Remote{opts: opts, seed: backoff.Seed(opts.ClientID)}
 }
 
 // DialConn wraps an established connection as a client — the injection
@@ -119,7 +117,7 @@ func DialConnWith(conn net.Conn, opts DialOptions) *Remote {
 }
 
 func newRemote(conn net.Conn, opts DialOptions) *Remote {
-	r := &Remote{opts: opts, rng: workload.NewRNG(seedFrom(opts.ClientID))}
+	r := &Remote{opts: opts, seed: backoff.Seed(opts.ClientID)}
 	r.link = newLink(conn, nil, linkHooks{metrics: opts.Metrics, rec: opts.Trace})
 	return r
 }
@@ -153,6 +151,7 @@ func (r *Remote) CallWith(ctx context.Context, opts CallOptions, object, entry s
 		defer cancel()
 	}
 	seq := r.seq.Add(1)
+	b := pol.schedule(r.seed ^ seq)
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
@@ -160,7 +159,7 @@ func (r *Remote) CallWith(ctx context.Context, opts CallOptions, object, entry s
 				m.Retries.Inc()
 			}
 			r.opts.Trace.Record(object, entry, -1, seq, trace.Retried)
-			if err := r.sleep(ctx, pol.delay(attempt, r.jitter)); err != nil {
+			if !b.Wait(ctx.Done()) {
 				return nil, lastErr
 			}
 		}
@@ -278,28 +277,6 @@ func (r *Remote) connect() error {
 		}
 	}
 	return nil
-}
-
-// jitter draws from the Remote's deterministic backoff stream.
-func (r *Remote) jitter(n int) int {
-	r.rngMu.Lock()
-	defer r.rngMu.Unlock()
-	return r.rng.Intn(n)
-}
-
-// sleep waits for d or the context, whichever first.
-func (r *Remote) sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // List reports the object names hosted by the node, bounded by the

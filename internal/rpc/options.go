@@ -4,10 +4,10 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/wal"
@@ -21,8 +21,9 @@ import (
 type RetryPolicy struct {
 	// Max is the number of retries after the first attempt (0 = no retry).
 	Max int
-	// Backoff is the delay before the first retry (default 5ms). Each
-	// subsequent retry doubles it, with ±50% deterministic jitter.
+	// Backoff is the step before the first retry (default 5ms). Each
+	// subsequent retry doubles it; every wait is drawn from [step/2, step]
+	// by a hash of the client ID and the call's sequence number.
 	Backoff time.Duration
 	// MaxBackoff caps the exponential growth (default 500ms).
 	MaxBackoff time.Duration
@@ -32,29 +33,16 @@ type RetryPolicy struct {
 	AttemptTimeout time.Duration
 }
 
-// delay computes the backoff before the attempt-th retry (attempt >= 1):
-// exponential with a cap, jittered to [d/2, d] via the caller's generator.
-func (p RetryPolicy) delay(attempt int, intn func(int) int) time.Duration {
-	base := p.Backoff
-	if base <= 0 {
-		base = 5 * time.Millisecond
+// schedule is p's backoff with the zero fields defaulted.
+func (p RetryPolicy) schedule(seed uint64) backoff.Schedule {
+	s := backoff.Schedule{Base: p.Backoff, Cap: p.MaxBackoff, Seed: seed}
+	if s.Base <= 0 {
+		s.Base = 5 * time.Millisecond
 	}
-	ceil := p.MaxBackoff
-	if ceil <= 0 {
-		ceil = 500 * time.Millisecond
+	if s.Cap <= 0 {
+		s.Cap = 500 * time.Millisecond
 	}
-	d := base
-	for i := 1; i < attempt && d < ceil; i++ {
-		d *= 2
-	}
-	if d > ceil {
-		d = ceil
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(intn(int(half)+1))
+	return s
 }
 
 // DialOptions configures a Remote. The zero value reproduces the classic
@@ -204,12 +192,4 @@ func randomClientID() string {
 		return fmt.Sprintf("client-%d", time.Now().UnixNano())
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// seedFrom hashes a client ID into a jitter seed, so backoff sequences
-// are deterministic per identity.
-func seedFrom(id string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(id))
-	return h.Sum64()
 }
