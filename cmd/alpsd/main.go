@@ -538,5 +538,8 @@ func (s *server) Close() {
 	// before the process exits.
 	if s.store != nil {
 		_ = s.store.Close()
+		if err := s.store.Stats().SnapshotErr; err != nil {
+			fmt.Printf("alpsd: store: last snapshot failed: %v\n", err)
+		}
 	}
 }

@@ -6,7 +6,8 @@
 //
 // The dump never edits the evidence: wal.Open repairs what it opens (cuts a
 // torn tail, deletes stray snapshots, creates a segment), so it runs on a
-// private copy of DIR's segments and snapshots, removed on exit.
+// private copy of DIR's files (its segments, snapshots and format marker),
+// removed on exit.
 //
 //	alpswal [-grep substr] DIR
 package main
@@ -46,8 +47,8 @@ func dump(w io.Writer, dir, grep string) error {
 	}
 	defer os.RemoveAll(scratch)
 	for _, f := range files {
-		if ext := filepath.Ext(f.Name()); ext != ".log" && ext != ".db" {
-			continue // not a segment or a published snapshot
+		if f.IsDir() || filepath.Ext(f.Name()) == ".tmp" {
+			continue // a subdirectory or an unpublished snapshot
 		}
 		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
 		if err == nil {

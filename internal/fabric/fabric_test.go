@@ -517,10 +517,7 @@ func TestFabricOverloadPropagation(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		big.Clients[fmt.Sprintf("ghost-%05d", i)] = clientRec{Seq: 1, Count: 1}
 	}
-	bigB, err := encodeState(big)
-	if err != nil {
-		t.Fatal(err)
-	}
+	bigB := encodeState(big)
 	stop := make(chan struct{})
 	installerDone := make(chan error, 1)
 	go func() {

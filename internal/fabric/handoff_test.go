@@ -38,11 +38,7 @@ func image(t *testing.T, count uint64, client string, seq, epoch uint64, node st
 	if client != "" {
 		st.Clients[client] = clientRec{Seq: seq, Count: count, Epoch: epoch, Node: node}
 	}
-	b, err := encodeState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return encodeState(st)
 }
 
 // TestInstallLineagePrecedence: installs are ordered by lineage Count

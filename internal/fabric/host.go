@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"maps"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/shard"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // HostOptions configures one fabric node.
@@ -90,23 +90,6 @@ type Recovery struct {
 	Keys          int    // resident ledger entries, tombstones included
 	CheckpointLSN uint64 // floor of the checkpoint restored (0 = none)
 	Replayed      int    // records replayed above it
-}
-
-// checkpoint is the fabric's blob in a store snapshot: the ring, the
-// settled vector and, per ledger shard, every key's entry and install
-// fence (shardCheckpoint, as that shard's manager encoded it).
-type checkpoint struct {
-	Spec    string            `json:"spec"`
-	Settled map[string]uint64 `json:"settled"`
-	Shards  []json.RawMessage `json:"shards"`
-}
-
-// shardCheckpoint is one ledger shard's share of a checkpoint.
-type shardCheckpoint map[string]keyCheckpoint
-
-type keyCheckpoint struct {
-	State *keyState `json:"state,omitempty"` // nil: forgotten, only the fence is left
-	Fence uint64    `json:"fence,omitempty"`
 }
 
 // NewHost builds a node: recovers the ledger from the store (when there is
@@ -203,9 +186,16 @@ func (h *Host) Recovery() Recovery { return h.recovery }
 // count) would put the count back beneath a tail the checkpoint kept. Each
 // shard's states and install fences are captured together by one
 // manager-exclusive entry.
+//
+// The blob is the fabric's own records as one wire list of [entry, params]:
+// the ring's advance, each member's settled level and every shard's restore
+// records. Restore replays them.
 func (h *Host) checkpoint() ([]byte, error) {
 	h.mu.Lock()
-	cp := checkpoint{Spec: newer(h.ring, h.advancing).Spec(), Settled: maps.Clone(h.settled)}
+	recs := []any{[]any{"advance", []any{newer(h.ring, h.advancing).Spec()}}}
+	for member, epoch := range h.settled {
+		recs = append(recs, []any{"settled", []any{member, epoch}})
+	}
 	staged := h.advanceLSN
 	h.mu.Unlock()
 	results, err := h.group.Broadcast(context.Background(), "Checkpoint")
@@ -213,42 +203,35 @@ func (h *Host) checkpoint() ([]byte, error) {
 		return nil, fmt.Errorf("fabric: checkpoint: %w", err)
 	}
 	for _, res := range results {
-		b, _ := res[0].([]byte)
-		cp.Shards = append(cp.Shards, b)
+		shard, _ := res[0].([]any)
+		recs = append(recs, shard...)
 		lsn, _ := res[1].(uint64)
 		staged = max(staged, lsn)
 	}
 	if err := h.durable(staged); err != nil {
 		return nil, fmt.Errorf("fabric: checkpoint: %w", err)
 	}
-	return json.Marshal(cp)
+	return wire.AppendValue(nil, recs)
 }
 
-// restoreCheckpoint is the store's Restore hook; it runs before any replay.
+// restoreCheckpoint is the store's Restore hook; it runs before any replay,
+// and replays the checkpoint's records. Shard membership is recomputed by
+// key, so a restart may change the shard count.
 func (h *Host) restoreCheckpoint(blob []byte) error {
-	var cp checkpoint
-	if err := json.Unmarshal(blob, &cp); err != nil {
+	v, err := wire.DecodeValue(blob)
+	recs, ok := v.([]any)
+	if err != nil || !ok {
 		return fmt.Errorf("%w: checkpoint: %v", ErrBadState, err)
 	}
-	ring, err := ParseSpec(cp.Spec)
-	if err != nil {
-		return fmt.Errorf("%w: checkpoint ring: %v", ErrBadState, err)
-	}
-	h.installRing(ring)
-	for member, epoch := range cp.Settled {
-		h.settled[member] = max(h.settled[member], epoch)
-	}
-	for _, raw := range cp.Shards {
-		var sc shardCheckpoint
-		if err := json.Unmarshal(raw, &sc); err != nil {
-			return fmt.Errorf("%w: checkpoint shard: %v", ErrBadState, err)
+	for _, rec := range recs {
+		f, _ := rec.([]any)
+		entry, eok := param[string](f, 0)
+		p, pok := param[[]any](f, 1)
+		if !eok || !pok || len(f) != 2 {
+			return fmt.Errorf("%w: checkpoint record %v", ErrBadState, rec)
 		}
-		// Shard membership is recomputed by key, so a restart may change
-		// the shard count.
-		for key, kc := range sc {
-			if _, err := h.group.Call("Restore", key, kc.State, kc.Fence); err != nil {
-				return fmt.Errorf("fabric: restore key %q: %w", key, err)
-			}
+		if err := h.replay(entry, p); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -10,7 +10,6 @@
 package fabric
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
@@ -64,7 +63,6 @@ func newLedger(shards, maxPending int, nodeID string, stage journalFn, durable f
 		shard.WithKey("InstallCheck", shard.StringKey(0)),
 		shard.WithKey("Forget", shard.StringKey(0)),
 		shard.WithKey("Audit", shard.StringKey(0)),
-		shard.WithKey("Restore", shard.StringKey(0)),
 		shard.WithKey("Replay", shard.StringKey(0)),
 	)
 }
@@ -198,11 +196,7 @@ func newLedgerShard(name string, maxPending int, nodeID string, stage journalFn,
 			return nil
 		}
 		if st.Moved {
-			b, err := encodeState(st)
-			if err != nil {
-				return err
-			}
-			inv.Return(statusDup, b)
+			inv.Return(statusDup, encodeState(st))
 			return nil
 		}
 		if spec, err := ParseSpec(destSpec); err == nil && st.Epoch > spec.Epoch() {
@@ -222,12 +216,7 @@ func newLedgerShard(name string, maxPending int, nodeID string, stage journalFn,
 		}
 		st.Moved = true
 		st.MovedSpec = destSpec
-		b, err := encodeState(st)
-		if err != nil {
-			st.Moved = false
-			st.MovedSpec = ""
-			return err
-		}
+		b := encodeState(st)
 		if err := record("extract", key, destSpec, b); err != nil {
 			st.Moved = false
 			st.MovedSpec = ""
@@ -336,31 +325,7 @@ func newLedgerShard(name string, maxPending int, nodeID string, stage journalFn,
 			inv.Return(statusNone, []byte(nil), staged)
 			return nil
 		}
-		b, err := encodeState(st)
-		if err != nil {
-			return err
-		}
-		inv.Return(statusOK, b, staged)
-		return nil
-	}
-
-	// Restore(key, *keyState, installedFence) -> (status). Recovery-only
-	// load of one checkpointed key, before the node serves traffic; never
-	// journaled itself. The state is nil for keys whose entry was forgotten
-	// but whose install memory (the fence, epoch+1 form) must survive the
-	// restart.
-	restoreBody := func(inv *core.Invocation) error {
-		key, _ := inv.Param(0).(string)
-		st, _ := inv.Param(1).(*keyState)
-		fence, _ := inv.Param(2).(uint64)
-		installed[key] = max(installed[key], fence)
-		if st != nil {
-			if st.Clients == nil {
-				st.Clients = make(map[string]clientRec)
-			}
-			states[key] = st
-		}
-		inv.Return(statusOK)
+		inv.Return(statusOK, encodeState(st), staged)
 		return nil
 	}
 
@@ -429,6 +394,22 @@ func newLedgerShard(name string, maxPending int, nodeID string, stage journalFn,
 				return badRecord(entry, p)
 			}
 			delete(states, key)
+		case "restore":
+			// A checkpoint's record, never journaled: the key's entry (nil
+			// once forgotten) and its install fence, which must survive the
+			// restart either way.
+			fence, fok := param[uint64](p, 2)
+			if !fok || len(p) != 3 {
+				return badRecord(entry, p)
+			}
+			installed[key] = max(installed[key], fence)
+			if p[1] != nil {
+				st, err := stateFrom(p[1])
+				if err != nil {
+					return err
+				}
+				states[key] = st
+			}
 		default:
 			return badRecord(entry, p)
 		}
@@ -447,22 +428,21 @@ func newLedgerShard(name string, maxPending int, nodeID string, stage journalFn,
 		return nil
 	}
 
-	// Checkpoint() -> (json shardCheckpoint, lsn). Every key's entry and
-	// install fence, captured together because the manager runs nothing else
-	// meanwhile, and the LSN the blob must not be published ahead of.
+	// Checkpoint() -> (records, lsn). Every key's entry and install fence as
+	// a Replay record, restore [key, state value or nil, fence], captured
+	// together because the manager runs nothing else meanwhile, and the LSN
+	// the checkpoint must not be published ahead of.
 	checkpointBody := func(inv *core.Invocation) error {
-		sc := make(shardCheckpoint, len(installed))
+		recs := make([]any, 0, len(installed)+len(states))
 		for k, fence := range installed {
-			sc[k] = keyCheckpoint{Fence: fence}
+			if states[k] == nil {
+				recs = append(recs, []any{"restore", []any{k, nil, fence}})
+			}
 		}
 		for k, st := range states {
-			sc[k] = keyCheckpoint{State: st, Fence: installed[k]}
+			recs = append(recs, []any{"restore", []any{k, st.value(), installed[k]}})
 		}
-		b, err := json.Marshal(sc)
-		if err != nil {
-			return err
-		}
-		inv.Return(b, staged)
+		inv.Return(recs, staged)
 		return nil
 	}
 
@@ -474,7 +454,6 @@ func newLedgerShard(name string, maxPending int, nodeID string, stage journalFn,
 		{Name: "InstallCheck", Params: 2, Results: 1, Body: installCheckBody},
 		{Name: "Forget", Params: 1, Results: 1, Body: forgetBody},
 		{Name: "Audit", Params: 1, Results: 3, Body: auditBody},
-		{Name: "Restore", Params: 3, Results: 1, Body: restoreBody},
 		{Name: "Replay", Params: 3, Results: 1, Body: replayBody},
 		{Name: "Keys", Results: 1, Body: keysBody},
 		{Name: "Checkpoint", Results: 2, Body: checkpointBody},

@@ -5,7 +5,6 @@ package fabric
 // the store's fuzzy floor, and refusal of state that does not decode.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -18,6 +17,7 @@ import (
 
 	"repro/internal/testutil"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // segments lists the store's log segment files.
@@ -326,25 +326,35 @@ type journaled struct {
 // entries re-encoded, so two checkpoints compare by content.
 func merged(t *testing.T, blob []byte) map[string]string {
 	t.Helper()
-	var cp checkpoint
-	if err := json.Unmarshal(blob, &cp); err != nil {
+	v, err := wire.DecodeValue(blob)
+	if err != nil {
 		t.Fatal(err)
 	}
 	out := map[string]string{}
-	for _, raw := range cp.Shards {
-		var sc shardCheckpoint
-		if err := json.Unmarshal(raw, &sc); err != nil {
-			t.Fatal(err)
-		}
-		for k, kc := range sc {
-			b, err := json.Marshal(kc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[k] = string(b)
+	for _, rec := range v.([]any) {
+		if f := rec.([]any); f[0] == "restore" {
+			p := f[1].([]any)
+			out[p[0].(string)] = fmt.Sprint(p[1:]) // fmt prints maps in key order
 		}
 	}
 	return out
+}
+
+// checkpointed is key's entry in a checkpoint blob (zero when it has none).
+func checkpointed(t *testing.T, blob []byte, key string) *keyState {
+	t.Helper()
+	v, err := wire.DecodeValue(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range v.([]any) {
+		if f := rec.([]any); f[0] == "restore" && f[1].([]any)[0] == key {
+			if st, err := stateFrom(f[1].([]any)[1]); err == nil {
+				return st
+			}
+		}
+	}
+	return &keyState{}
 }
 
 // TestReplayIdempotentOverFuzzyFloor: the store reads its floor before it
@@ -388,11 +398,11 @@ func replayWorld(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cp := checkpoint{Spec: specAt(0)}
+		recs := []any{[]any{"advance", []any{specAt(0)}}}
 		for _, r := range res {
-			cp.Shards = append(cp.Shards, r[0].([]byte))
+			recs = append(recs, r[0].([]any)...)
 		}
-		b, err := json.Marshal(cp)
+		b, err := wire.AppendValue(nil, recs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -449,11 +459,7 @@ func replayWorld(t *testing.T, seed int64) {
 				st.Count++
 				st.Clients[client] = clientRec{Seq: st.Clients[client].Seq + 1, Count: st.Count, Epoch: epoch - 1, Node: "other"}
 			}
-			b, err := encodeState(st)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := live.Call("Install", key, epoch, b); err != nil {
+			if _, err := live.Call("Install", key, epoch, encodeState(st)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -511,7 +517,7 @@ func TestReplayRefusesMalformedRecords(t *testing.T) {
 	for _, r := range []journaled{
 		{"append", []any{"k", uint64(1), uint64(1)}},               // the pre-store arity: client/seq were record headers
 		{"append", []any{"k", "c", uint64(0), uint64(0), "three"}}, // count is not a number
-		{"extract", []any{"k", "spec", []byte("{not json")}},
+		{"extract", []any{"k", "spec", []byte("not a wire value")}},
 		{"install", []any{"k", uint64(1)}},
 		{"forget", []any{7}},
 		{"settled", []any{"m", "2"}},
@@ -529,23 +535,28 @@ func TestReplayRefusesMalformedRecords(t *testing.T) {
 // panic.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	spec := specFor(0, map[string]string{"solo": "127.0.0.1:1"})
-	valid, err := json.Marshal(checkpoint{
-		Spec:    spec,
-		Settled: map[string]uint64{"solo": 3},
-		Shards: []json.RawMessage{
-			json.RawMessage(`{"k":{"state":{"epoch":1,"count":2,"clients":{"c":{"seq":1,"count":2,"epoch":1,"node":"solo"}}},"fence":2},"gone":{"fence":4}}`),
-			json.RawMessage(`{}`),
-		},
-	})
-	if err != nil {
-		f.Fatal(err)
+	enc := func(v any) []byte {
+		b, err := wire.AppendValue(nil, v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
 	}
+	st := newKeyState(1)
+	st.Count = 2
+	st.Clients["c"] = clientRec{Seq: 1, Count: 2, Epoch: 1, Node: "solo"}
+	valid := enc([]any{
+		[]any{"advance", []any{spec}},
+		[]any{"settled", []any{"solo", uint64(3)}},
+		[]any{"restore", []any{"k", st.value(), uint64(2)}},
+		[]any{"restore", []any{"gone", nil, uint64(4)}},
+	})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add([]byte(`{"spec":"` + spec + `","shards":[{"k":{"state":null}},null,7]}`))
-	f.Add([]byte(`{"spec":"1;1;1","shards":[]}`))
-	f.Add([]byte(`{"epoch":1,"count":2,"clients":null,"moved":true}`))
-	f.Add([]byte(`null`))
+	f.Add(enc([]any{[]any{"restore", []any{"k", nil}}, nil, 7}))
+	f.Add(enc([]any{[]any{"advance", []any{"1;1;1"}}}))
+	f.Add(encodeState(&keyState{Epoch: 1, Count: 2, Moved: true}))
+	f.Add(enc(nil))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := decodeState(data); err != nil && !errors.Is(err, ErrBadState) {
@@ -562,6 +573,31 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 		// Whatever was accepted must be servable and checkpointable again.
 		if _, err := h.checkpoint(); err != nil {
 			t.Fatalf("checkpoint after an accepted restore: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeState: the bytes a peer's Install carries decode to a key state
+// or an ErrBadState refusal, never a panic, and a decoded state re-encodes
+// to itself.
+func FuzzDecodeState(f *testing.F) {
+	st := newKeyState(3)
+	st.Count, st.Moved, st.MovedSpec = 7, true, "spec"
+	st.Clients["c"] = clientRec{Seq: 2, Count: 7, Epoch: 3, Node: "n1"}
+	good := encodeState(st)
+	for _, seed := range [][]byte{good, good[:len(good)-1], encodeState(newKeyState(0)), {}, []byte(`{"epoch":1,"count":2}`)} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := decodeState(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadState) {
+				t.Fatalf("decodeState: untyped error %v", err)
+			}
+			return
+		}
+		if again, err := decodeState(encodeState(st)); err != nil || !reflect.DeepEqual(again, st) {
+			t.Fatalf("round trip: %+v became %+v, %v", st, again, err)
 		}
 	})
 }

@@ -50,10 +50,10 @@ func (c *control) CallSession(ctx context.Context, _ string, _ uint64, entry str
 // member that promises, crashes and restarts must keep its promise — and a
 // vote the disk refused is answered with that error, never a grant.
 func (c *control) requestVote(params []any) ([]any, error) {
-	term, err := asU64(params, 0)
-	candidate, err2 := asStr(params, 1)
-	lastIdx, err3 := asU64(params, 2)
-	lastTerm, err4 := asU64(params, 3)
+	term, err := as[uint64](params, 0)
+	candidate, err2 := as[string](params, 1)
+	lastIdx, err3 := as[uint64](params, 2)
+	lastTerm, err4 := as[uint64](params, 3)
 	if err = firstErr(err, err2, err3, err4); err != nil {
 		return nil, fmt.Errorf("replica: RequestVote: %w", err)
 	}
@@ -101,12 +101,12 @@ func (c *control) requestVote(params []any) ([]any, error) {
 // earlier frame delivered included. A record the disk refuses stays out of
 // the log, and the frame is answered with the refusal.
 func (c *control) appendEntries(params []any) ([]any, error) {
-	term, err := asU64(params, 0)
-	leader, err2 := asStr(params, 1)
-	prev, err3 := asU64(params, 2)
-	prevTerm, err4 := asU64(params, 3)
-	commit, err5 := asU64(params, 4)
-	batch, err6 := asSlice(params, 5)
+	term, err := as[uint64](params, 0)
+	leader, err2 := as[string](params, 1)
+	prev, err3 := as[uint64](params, 2)
+	prevTerm, err4 := as[uint64](params, 3)
+	commit, err5 := as[uint64](params, 4)
+	batch, err6 := as[[]any](params, 5)
 	if err = firstErr(err, err2, err3, err4, err5, err6); err != nil {
 		return nil, fmt.Errorf("replica: AppendEntries: %w", err)
 	}
@@ -257,9 +257,9 @@ func (r *Replica) replyLocked(stateDirty bool, reply ...any) ([]any, error) {
 // heartbeat that advanced commit over an unverified log could apply the
 // wrong entries.
 func (c *control) heartbeat(params []any) ([]any, error) {
-	term, err := asU64(params, 0)
-	leader, err2 := asStr(params, 1)
-	confirm, err3 := asU64(params, 2)
+	term, err := as[uint64](params, 0)
+	leader, err2 := as[string](params, 1)
+	confirm, err3 := as[uint64](params, 2)
 	if err = firstErr(err, err2, err3); err != nil {
 		return nil, fmt.Errorf("replica: Heartbeat: %w", err)
 	}
@@ -300,15 +300,15 @@ func (c *control) heartbeat(params []any) ([]any, error) {
 // state restore happens on the apply loop, where it cannot race an entry
 // execution.
 func (c *control) installSnapshot(params []any) ([]any, error) {
-	term, err := asU64(params, 0)
-	leader, err2 := asStr(params, 1)
-	lastIdx, err3 := asU64(params, 2)
-	lastTerm, err4 := asU64(params, 3)
-	blob, err5 := asBytes(params, 4)
+	term, err := as[uint64](params, 0)
+	leader, err2 := as[string](params, 1)
+	lastIdx, err3 := as[uint64](params, 2)
+	lastTerm, err4 := as[uint64](params, 3)
+	blob, err5 := as[[]byte](params, 4)
 	if err = firstErr(err, err2, err3, err4, err5); err != nil {
 		return nil, fmt.Errorf("replica: InstallSnapshot: %w", err)
 	}
-	snap, err := decodeGob[snapshotPayload](blob)
+	snap, err := decodeSnapshotPayload(blob)
 	if err != nil {
 		return nil, fmt.Errorf("replica: InstallSnapshot: %w", err)
 	}
@@ -367,11 +367,7 @@ func (c *control) installSnapshot(params []any) ([]any, error) {
 // encodeEntry flattens a log entry into the nested-[]any shape the wire
 // codec carries natively: [term, entry, client, seq, params].
 func encodeEntry(e entry) []any {
-	params := e.Params
-	if params == nil {
-		params = []any{}
-	}
-	return []any{e.Term, e.Entry, e.Client, e.Seq, params}
+	return []any{e.Term, e.Entry, e.Client, e.Seq, e.Params}
 }
 
 func decodeEntry(raw any) (entry, error) {
@@ -390,46 +386,15 @@ func decodeEntry(raw any) (entry, error) {
 	return entry{Term: term, Entry: name, Client: client, Seq: seq, Params: params}, nil
 }
 
-func asU64(params []any, i int) (uint64, error) {
+// as returns params[i] as a T.
+func as[T any](params []any, i int) (T, error) {
+	var v T
 	if i >= len(params) {
-		return 0, fmt.Errorf("missing param %d", i)
+		return v, fmt.Errorf("missing param %d", i)
 	}
-	v, ok := params[i].(uint64)
+	v, ok := params[i].(T)
 	if !ok {
-		return 0, fmt.Errorf("param %d: want uint64, got %T", i, params[i])
-	}
-	return v, nil
-}
-
-func asStr(params []any, i int) (string, error) {
-	if i >= len(params) {
-		return "", fmt.Errorf("missing param %d", i)
-	}
-	v, ok := params[i].(string)
-	if !ok {
-		return "", fmt.Errorf("param %d: want string, got %T", i, params[i])
-	}
-	return v, nil
-}
-
-func asSlice(params []any, i int) ([]any, error) {
-	if i >= len(params) {
-		return nil, fmt.Errorf("missing param %d", i)
-	}
-	v, ok := params[i].([]any)
-	if !ok {
-		return nil, fmt.Errorf("param %d: want []any, got %T", i, params[i])
-	}
-	return v, nil
-}
-
-func asBytes(params []any, i int) ([]byte, error) {
-	if i >= len(params) {
-		return nil, fmt.Errorf("missing param %d", i)
-	}
-	v, ok := params[i].([]byte)
-	if !ok {
-		return nil, fmt.Errorf("param %d: want []byte, got %T", i, params[i])
+		return v, fmt.Errorf("param %d: want %T, got %T", i, v, params[i])
 	}
 	return v, nil
 }

@@ -791,9 +791,9 @@ func (r *Replica) compact() {
 		return
 	}
 	lastTerm, _ := r.termAt(last)
-	blob, err := encodeGob(&snapshotPayload{
+	blob, err := (&snapshotPayload{
 		LastIndex: last, LastTerm: lastTerm, State: state, Sessions: sessions,
-	})
+	}).encode()
 	if err != nil {
 		r.mu.Unlock()
 		r.logf("encode snapshot: %v", err)

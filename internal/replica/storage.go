@@ -1,12 +1,11 @@
 package replica
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/rpc"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // A group is an ordinary participant of the node's wal.Store, under its
@@ -32,15 +31,6 @@ const (
 	subSnapshot = "snapshot"
 )
 
-// checkpoint is the group's contribution to a store snapshot: everything
-// fold would rebuild from the records at or below the snapshot's floor.
-type checkpoint struct {
-	Term, SnapIndex, SnapTerm uint64
-	Vote                      string
-	SnapBlob                  []byte
-	Log                       []entry
-}
-
 // persistLocked journals one consensus record; r.mu held, so journal order
 // is the order the state changed. Returns the LSN to sync through (0 when
 // in-memory only), or the journal's refusal: a record the disk refused
@@ -62,8 +52,13 @@ func (r *Replica) persistStateLocked() (uint64, error) {
 }
 
 func (r *Replica) persistAppendLocked(idx uint64, e entry) (uint64, error) {
-	f := encodeEntry(e)
-	return r.persistLocked(subAppend, idx, f[0], f[1], f[2], f[3], f[4])
+	return r.persistLocked(subAppend, appendParams(idx, e)...)
+}
+
+// appendParams is an append record's params: [idx, term, entryName, client,
+// seq, params].
+func appendParams(idx uint64, e entry) []any {
+	return append([]any{idx}, encodeEntry(e)...)
 }
 
 // waitSynced blocks until lsn is on stable storage (no-op when in-memory).
@@ -97,7 +92,7 @@ func (r *Replica) recover() error {
 	// suffix beyond it re-applies once the group's next leader commits it
 	// (the no-op barrier), exactly the snapshot+replay discipline of PR 6.
 	if r.snapBlob != nil {
-		snap, err := decodeGob[snapshotPayload](r.snapBlob)
+		snap, err := decodeSnapshotPayload(r.snapBlob)
 		if err != nil {
 			return fmt.Errorf("replica %s: recover: %w", r.cfg.ID, err)
 		}
@@ -116,28 +111,44 @@ func (r *Replica) recover() error {
 	return nil
 }
 
-// checkpoint is the store's Snapshot hook. The store read its floor BEFORE
+// checkpoint is the store's Snapshot hook: the group's state as the records
+// fold would rebuild it from — state, snapshot when there is a floor, one
+// append per log entry — in one wire list. The store read its floor BEFORE
 // calling it, so this state may already reflect records above the floor.
 func (r *Replica) checkpoint() ([]byte, error) {
 	r.mu.Lock()
-	cp := checkpoint{
-		Term: r.term, Vote: r.votedFor,
-		SnapIndex: r.snapIndex, SnapTerm: r.snapTerm, SnapBlob: r.snapBlob,
-		Log: append([]entry(nil), r.log...), // entries are immutable once appended
+	recs := []any{[]any{subState, []any{r.term, r.votedFor}}}
+	if r.snapIndex > 0 {
+		recs = append(recs, []any{subSnapshot, []any{r.snapIndex, r.snapTerm, r.snapBlob}})
 	}
+	first, log := r.snapIndex+1, append([]entry(nil), r.log...) // entries are immutable once appended
 	r.mu.Unlock()
-	return encodeGob(&cp)
+	for i, e := range log {
+		recs = append(recs, []any{subAppend, appendParams(first+uint64(i), e)})
+	}
+	return wire.AppendValue(nil, recs)
 }
 
-// restoreCheckpoint is the store's Restore hook; it runs before any fold.
+// restoreCheckpoint is the store's Restore hook; it runs before any fold,
+// and folds the checkpoint's records in order. Bytes it cannot read are
+// wire.ErrMalformed.
 func (r *Replica) restoreCheckpoint(blob []byte) error {
-	cp, err := decodeGob[checkpoint](blob)
-	if err != nil {
-		return err
+	v, err := wire.DecodeValue(blob)
+	recs, ok := v.([]any)
+	if err != nil || !ok {
+		return fmt.Errorf("%w: replica checkpoint: %v", wire.ErrMalformed, err)
 	}
-	r.term, r.votedFor = cp.Term, cp.Vote
-	r.snapIndex, r.snapTerm, r.snapBlob = cp.SnapIndex, cp.SnapTerm, cp.SnapBlob
-	r.log = cp.Log
+	for _, rec := range recs {
+		f, _ := rec.([]any)
+		sub, err := as[string](f, 0)
+		p, err2 := as[[]any](f, 1)
+		if err = firstErr(err, err2, arity(f, 2)); err == nil {
+			err = r.fold(sub, p)
+		}
+		if err != nil {
+			return fmt.Errorf("%w: replica checkpoint: %v", wire.ErrMalformed, err)
+		}
+	}
 	return nil
 }
 
@@ -148,14 +159,14 @@ func (r *Replica) restoreCheckpoint(blob []byte) error {
 func (r *Replica) fold(sub string, p []any) error {
 	switch sub {
 	case subState:
-		term, err := asU64(p, 0)
-		vote, err2 := asStr(p, 1)
+		term, err := as[uint64](p, 0)
+		vote, err2 := as[string](p, 1)
 		if err = firstErr(err, err2, arity(p, 2)); err != nil {
 			return fmt.Errorf("state: %w", err)
 		}
 		r.term, r.votedFor = term, vote
 	case subAppend:
-		idx, err := asU64(p, 0)
+		idx, err := as[uint64](p, 0)
 		if err != nil {
 			return fmt.Errorf("append: %w", err)
 		}
@@ -176,7 +187,7 @@ func (r *Replica) fold(sub string, p []any) error {
 		}
 		r.log = append(r.log, e)
 	case subTruncate:
-		idx, err := asU64(p, 0)
+		idx, err := as[uint64](p, 0)
 		if err = firstErr(err, arity(p, 1)); err != nil {
 			return fmt.Errorf("truncate: %w", err)
 		}
@@ -184,9 +195,9 @@ func (r *Replica) fold(sub string, p []any) error {
 			r.log = r.log[:idx-r.snapIndex-1]
 		}
 	case subSnapshot:
-		lastIdx, err := asU64(p, 0)
-		lastTerm, err2 := asU64(p, 1)
-		blob, err3 := asBytes(p, 2)
+		lastIdx, err := as[uint64](p, 0)
+		lastTerm, err2 := as[uint64](p, 1)
+		blob, err3 := as[[]byte](p, 2)
 		if err = firstErr(err, err2, err3, arity(p, 3)); err != nil {
 			return fmt.Errorf("snapshot: %w", err)
 		}
@@ -220,20 +231,40 @@ type snapshotPayload struct {
 	Sessions  []rpc.AckEntry
 }
 
-// encodeGob and decodeGob are the blob codec of both payloads a member
-// stores: the catch-up snapshot and the store checkpoint.
-func encodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("replica: encode %T: %w", v, err)
+// encode is the payload's wire value: [lastIndex, lastTerm, state,
+// sessions], each session the ack ledger's [client, seq, results, errMsg,
+// errKind].
+func (s *snapshotPayload) encode() ([]byte, error) {
+	sessions := make([]any, len(s.Sessions))
+	for i, a := range s.Sessions {
+		sessions[i] = []any{a.Client, a.Seq, a.Results, a.ErrMsg, a.ErrKind}
 	}
-	return buf.Bytes(), nil
+	return wire.AppendValue(nil, []any{s.LastIndex, s.LastTerm, s.State, sessions})
 }
 
-func decodeGob[T any](blob []byte) (*T, error) {
-	var v T
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("replica: decode %T: %w", v, err)
+// decodeSnapshotPayload is encode's inverse; bytes it cannot read are
+// wire.ErrMalformed.
+func decodeSnapshotPayload(blob []byte) (*snapshotPayload, error) {
+	v, err := wire.DecodeValue(blob)
+	f, _ := v.([]any)
+	last, err2 := as[uint64](f, 0)
+	term, err3 := as[uint64](f, 1)
+	state, err4 := as[[]byte](f, 2)
+	sessions, err5 := as[[]any](f, 3)
+	err = firstErr(err, err2, err3, err4, err5, arity(f, 4))
+	s := &snapshotPayload{LastIndex: last, LastTerm: term, State: state}
+	for _, raw := range sessions {
+		t, _ := raw.([]any)
+		client, err1 := as[string](t, 0)
+		seq, err2 := as[uint64](t, 1)
+		results, err3 := as[[]any](t, 2)
+		msg, err4 := as[string](t, 3)
+		kind, err5 := as[int32](t, 4)
+		err = firstErr(err, err1, err2, err3, err4, err5, arity(t, 5))
+		s.Sessions = append(s.Sessions, rpc.AckEntry{Client: client, Seq: seq, Results: results, ErrMsg: msg, ErrKind: kind})
 	}
-	return &v, nil
+	if err != nil {
+		return nil, fmt.Errorf("%w: replica snapshot: %v", wire.ErrMalformed, err)
+	}
+	return s, nil
 }

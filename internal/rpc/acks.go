@@ -1,11 +1,10 @@
 package rpc
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // The ack ledger is the node's dedup table as an ordinary participant of
@@ -15,7 +14,8 @@ import (
 //
 //	ack [client, seq, results, errMsg, errKind]
 //
-// Its checkpoint is the table's completed entries. A restart restores the
+// Its checkpoint is the table's completed entries as a wire list of the same
+// [client, seq, results, errMsg, errKind] tuples. A restart restores the
 // checkpoint and replays the records above its floor, so a (client, seq)
 // retried across the crash is answered from disk, never re-executed.
 const ackRecord = "ack"
@@ -38,25 +38,32 @@ func ackFromRecord(entry string, p []any) (a AckEntry, err error) {
 }
 
 // recoverAcks seats the ledger in st and folds in what the previous
-// incarnation left.
+// incarnation left: the checkpoint's tuples, then the records above it.
 func (n *Node) recoverAcks(st *wal.Store) error {
+	replay := func(entry string, p []any) error {
+		a, err := ackFromRecord(entry, p)
+		if err == nil {
+			n.dedup.Load([]AckEntry{a})
+		}
+		return err
+	}
 	n.acks = st.Journal(wal.AckLedger, wal.JournalOptions{})
 	_, err := n.acks.Recover(wal.RecoverHooks{
 		Restore: func(blob []byte) error {
-			var entries []AckEntry
-			if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&entries); err != nil {
-				return err
+			v, err := wire.DecodeValue(blob)
+			list, ok := v.([]any)
+			if err != nil || !ok {
+				return fmt.Errorf("ack ledger checkpoint: %v", err)
 			}
-			n.dedup.Load(entries)
+			for _, tuple := range list {
+				p, _ := tuple.([]any)
+				if err := replay(ackRecord, p); err != nil {
+					return err
+				}
+			}
 			return nil
 		},
-		Replay: func(entry string, p []any) error {
-			a, err := ackFromRecord(entry, p)
-			if err == nil {
-				n.dedup.Load([]AckEntry{a})
-			}
-			return err
-		},
+		Replay: replay,
 		Snapshot: func() ([]byte, error) {
 			entries := n.dedup.Dump()
 			// A checkpoint reveals nothing that is not durable. The dump can hold
@@ -66,9 +73,11 @@ func (n *Node) recoverAcks(st *wal.Store) error {
 			if err := st.WaitSynced(st.AppendedLSN()); err != nil {
 				return nil, err
 			}
-			var buf bytes.Buffer
-			err := gob.NewEncoder(&buf).Encode(entries)
-			return buf.Bytes(), err
+			list := make([]any, len(entries))
+			for i, a := range entries {
+				list[i] = a.params()
+			}
+			return wire.AppendValue(nil, list)
 		},
 	})
 	return err

@@ -1,11 +1,10 @@
 package testutil
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // AckLedger reads what a closed store in dir holds of the node's
@@ -34,11 +33,10 @@ func AckLedger(t testing.TB, fs wal.FS, dir string) (records, entries int) {
 	if !ok {
 		return records, entries
 	}
-	// The blob is a gob-encoded []rpc.AckEntry; the client name is enough to
-	// count its entries.
-	var list []struct{ Client string }
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&list); err != nil {
-		t.Fatalf("ack ledger checkpoint: %v", err)
+	// The blob is a wire list, one tuple per entry.
+	list, err := wire.DecodeValue(blob)
+	if _, ok := list.([]any); err != nil || !ok {
+		t.Fatalf("ack ledger checkpoint: %T, %v", list, err)
 	}
-	return records, len(list)
+	return records, len(list.([]any))
 }

@@ -1,9 +1,9 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 )
@@ -12,15 +12,18 @@ import (
 // must survive: truncated tails, flipped CRC bytes, oversized lengths.
 func seedFrames(tb testing.TB) [][]byte {
 	tb.Helper()
-	var buf bytes.Buffer
-	if err := appendFrame(&buf, &Record{
-		Kind: KindOutcome, Object: "kv", Entry: "Write", Params: []any{1, 2},
-	}); err != nil {
-		tb.Fatal(err)
+	frame := func(rec *Record) []byte {
+		b, err := appendFrame(nil, rec.value())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return b
 	}
-	good := append([]byte(nil), buf.Bytes()...)
+	good := frame(&Record{Kind: KindOutcome, Object: "kv", Entry: "Write", Params: []any{1, 2}})
+	ack := frame(&Record{Kind: KindOutcome, Object: AckLedger, Entry: "ack",
+		Params: []any{"c", uint64(3), []any{"r3", []byte{7}}, "", int32(0)}})
 
-	seeds := [][]byte{good, {}, good[:3], parentAckFrame(tb)}
+	seeds := [][]byte{good, {}, good[:3], ack}
 	// Truncated tails at every interesting boundary.
 	for _, cut := range []int{recHeaderLen - 1, recHeaderLen, recHeaderLen + 1, len(good) - 1} {
 		if cut >= 0 && cut < len(good) {
@@ -42,7 +45,16 @@ func seedFrames(tb testing.TB) [][]byte {
 	zero := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(zero[0:4], 0)
 	seeds = append(seeds, zero)
-	return seeds
+	// Intact frames whose payload is not a record: a bare wire value, and
+	// the first bytes of a gob stream.
+	return append(seeds, crcFrame([]byte{3, 2}), crcFrame([]byte{0x2b, 0xff, 0x81, 0x03, 0x01}))
+}
+
+// crcFrame frames payload as it is, with a valid length and CRC.
+func crcFrame(payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, crcTable))
+	return append(b, payload...)
 }
 
 // FuzzDecodeRecord asserts the record decoder never panics, never
@@ -67,11 +79,11 @@ func FuzzDecodeRecord(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		// A decoded record must re-encode; round-tripping must agree.
-		var buf bytes.Buffer
-		if err := appendFrame(&buf, rec); err != nil {
+		buf, err := appendFrame(nil, rec.value())
+		if err != nil {
 			t.Fatalf("re-encode decoded record: %v", err)
 		}
-		rec2, _, err := decodeRecord(buf.Bytes())
+		rec2, _, err := decodeRecord(buf)
 		if err != nil {
 			t.Fatalf("decode re-encoded record: %v", err)
 		}
@@ -91,22 +103,26 @@ func seedSnapshots(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	var parent bytes.Buffer
-	if err := appendFrame(&parent, &parentSnapshot{
-		LSN:     17,
-		Objects: map[string][]byte{"kv": {1, 2, 3}},
-		Dedup:   []parentAck{{Client: "c", Seq: 9, Results: []any{3}}},
-	}); err != nil {
+	two, err := encodeSnapshot(&Snapshot{
+		LSN:     18,
+		Objects: map[string][]byte{"kv": {1, 2, 3}, AckLedger: {}},
+	})
+	if err != nil {
 		tb.Fatal(err)
 	}
-	seeds := [][]byte{good, parent.Bytes(), {}, good[:recHeaderLen-1], good[:len(good)-1]}
+	seeds := [][]byte{good, two, {}, good[:recHeaderLen-1], good[:len(good)-1]}
 	bad := append([]byte(nil), good...)
 	bad[4] ^= 0x10
 	seeds = append(seeds, bad)
 	huge := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(huge[0:4], maxRecordLen+1)
 	seeds = append(seeds, huge)
-	return seeds
+	// An intact frame holding a record, not a snapshot.
+	rec, err := appendFrame(nil, (&Record{Kind: KindOutcome, Object: "kv"}).value())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(seeds, rec)
 }
 
 // FuzzDecodeSnapshot asserts the snapshot decoder never panics and
@@ -135,7 +151,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode re-encoded snapshot: %v", err)
 		}
-		if s2.LSN != s.LSN || len(s2.Objects) != len(s.Objects) || len(s2.acks) != 0 {
+		if s2.LSN != s.LSN || len(s2.Objects) != len(s.Objects) {
 			t.Fatalf("round trip mismatch: %+v vs %+v", s, s2)
 		}
 	})

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"path"
 	"sort"
@@ -11,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // Metrics aggregates the durability counters. Share one instance across a
@@ -159,13 +159,13 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	// The LSN is not part of the payload (recovery restores it by position),
 	// so the frame is built before mu is taken: under it the bytes are only
 	// copied and numbered.
-	frame := encBufPool.Get().(*bytes.Buffer)
-	frame.Reset()
-	defer encBufPool.Put(frame)
-	rec.LSN = 0
-	if err := appendFrame(frame, rec); err != nil {
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	frame, err := appendFrame(*buf, rec.value())
+	if err != nil {
 		return 0, err
 	}
+	*buf = frame
 
 	l.mu.Lock()
 	if l.closed {
@@ -184,7 +184,7 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 			return 0, err
 		}
 	}
-	if _, err := l.bw.Write(frame.Bytes()); err != nil {
+	if _, err := l.bw.Write(frame); err != nil {
 		l.writeErr = fmt.Errorf("wal: write: %w", err)
 		err = l.writeErr
 		l.mu.Unlock()
@@ -192,7 +192,7 @@ func (l *Log) Append(rec *Record) (uint64, error) {
 	}
 	l.lsn++
 	lsn := l.lsn
-	n := int64(frame.Len())
+	n := int64(len(frame))
 	l.segBytes += n
 	l.mu.Unlock()
 

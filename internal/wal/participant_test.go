@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
@@ -49,11 +50,12 @@ func (p *ledger) note(t *testing.T, j *ObjectJournal, n uint64) {
 	}
 }
 
-func dirSizes(fs *FailFS, dir string) map[string]int {
+// dirContents maps every file of dir to its bytes.
+func dirContents(fs *FailFS, dir string) map[string]string {
 	names, _ := fs.List(dir)
-	out := make(map[string]int, len(names))
+	out := make(map[string]string, len(names))
 	for _, name := range names {
-		out[name] = len(fs.bytesOf(dir + "/" + name))
+		out[name] = string(fs.bytesOf(dir + "/" + name))
 	}
 	return out
 }
@@ -168,12 +170,12 @@ func TestSnapshotDefersWhileParticipantUnrecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeWrite(t, jkv2, kv2, 99, 99)
-	before := dirSizes(fs, "data")
+	before := dirContents(fs, "data")
 	err = st2.ForceSnapshot()
 	if err == nil || !strings.Contains(err.Error(), "!ctl:p") {
 		t.Fatalf("ForceSnapshot with !ctl:p unrecovered = %v, want a deferral naming it", err)
 	}
-	if after := dirSizes(fs, "data"); fmt.Sprint(after) != fmt.Sprint(before) {
+	if after := dirContents(fs, "data"); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Fatalf("deferred snapshot touched the directory:\nbefore %v\nafter  %v", before, after)
 	}
 
@@ -192,17 +194,61 @@ func TestSnapshotDefersWhileParticipantUnrecovered(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesRetiredLayoutUntouched: an intact kind-3 record means the
-// directory was written by a build that journaled consensus state outside
-// the snapshot contract. Classing it as corruption would make Open cut the
-// journal there as a "torn tail"; instead Open fails with ErrRetiredLayout
-// and leaves every file — including the *.tmp and stale snapshot it would
-// normally delete — exactly as found.
+// The shapes builds before the format marker wrote, gob-encoded inside the
+// same length|CRC frame: a record (kind 1 outcomes, kind 2 acks, kind 3
+// consensus state) and a snapshot with its Dedup table.
+type gobRecord struct {
+	Kind    Kind
+	Object  string
+	Entry   string
+	Params  []any
+	Client  string
+	Seq     uint64
+	Results []any
+}
+
+type gobSnapshot struct {
+	LSN     uint64
+	Objects map[string][]byte
+	Dedup   []struct {
+		Client  string
+		Seq     uint64
+		Results []any
+	}
+}
+
+func gobFrames(t *testing.T, vs ...any) []byte {
+	t.Helper()
+	var out []byte
+	for _, v := range vs {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, crcFrame(buf.Bytes())...)
+	}
+	return out
+}
+
+// TestOpenRefusesRetiredLayoutUntouched: a directory an older build wrote
+// holds gob frames and no format marker. Open refuses it with
+// ErrRetiredLayout, never ErrCorrupt (which would cut the journal as a torn
+// tail), and changes no byte of it: not the *.tmp, not the snapshot it
+// cannot read — the only copy of what that snapshot covers — and it adds
+// no marker or segment.
 func TestOpenRefusesRetiredLayoutUntouched(t *testing.T) {
+	outcome := func(n int) *gobRecord {
+		return &gobRecord{Kind: KindOutcome, Object: "kv", Entry: "Write", Params: []any{n, n}}
+	}
 	for _, tc := range []struct {
-		name  string
-		final bool // the kind-3 record sits in the final segment
-	}{{"final segment", true}, {"sealed segment", false}} {
+		name string
+		segs [][]any // segment contents, first LSN 1, 4, ...
+	}{
+		{"final segment", [][]any{{outcome(1), &gobRecord{Kind: 3, Object: "KV", Entry: "state", Params: []any{uint64(3), "B"}}, outcome(2)}}},
+		{"sealed segment", [][]any{{outcome(1), &gobRecord{Kind: 3, Object: "KV", Entry: "state"}, outcome(2)}, {outcome(3)}}},
+		{"ack ledger", [][]any{{outcome(3), &gobRecord{Kind: 2, Object: "kv", Entry: "Write", Client: "c", Seq: 3, Results: []any{"r3"}}}}},
+		{"snapshot only", nil},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := NewFailFS()
 			write := func(name string, data []byte) {
@@ -214,39 +260,155 @@ func TestOpenRefusesRetiredLayoutUntouched(t *testing.T) {
 				f.Sync()
 				f.Close()
 			}
-			var seg1, seg2 bytes.Buffer
-			for _, rec := range []*Record{
-				{Kind: KindOutcome, Object: "kv", Entry: "Write", Params: []any{1, 1}},
-				{Kind: 3, Object: "KV", Entry: "state", Params: []any{uint64(3), "B"}},
-				{Kind: KindOutcome, Object: "kv", Entry: "Write", Params: []any{2, 2}},
-			} {
-				if err := appendFrame(&seg1, rec); err != nil {
-					t.Fatal(err)
-				}
+			for i, recs := range tc.segs {
+				write(segmentName(uint64(1+3*i)), gobFrames(t, recs...))
 			}
-			write(segmentName(1), seg1.Bytes())
-			if !tc.final {
-				if err := appendFrame(&seg2, &Record{Kind: KindOutcome, Object: "kv", Entry: "Write", Params: []any{3, 3}}); err != nil {
-					t.Fatal(err)
-				}
-				write(segmentName(4), seg2.Bytes())
-			}
+			snap := &gobSnapshot{LSN: 2, Objects: map[string][]byte{"kv": []byte("kv@2")}}
+			snap.Dedup = append(snap.Dedup, struct {
+				Client  string
+				Seq     uint64
+				Results []any
+			}{"c", 1, []any{"t1"}})
+			write(snapshotName(2), gobFrames(t, snap))
 			write(snapshotName(9)+tmpSuffix, []byte("unpublished"))
 			write(snapshotName(0), []byte("undecodable"))
 			fs.SyncDir("data")
-			before := dirSizes(fs, "data")
+			before := dirContents(fs, "data")
 
 			_, _, err := Open("data", Options{FS: fs})
 			if !errors.Is(err, ErrRetiredLayout) || errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Open = %v, want ErrRetiredLayout and not ErrCorrupt", err)
 			}
-			if !strings.Contains(err.Error(), "remove this member's data dir") {
-				t.Fatalf("error does not name the remedy: %v", err)
+			for _, remedy := range []string{"remove this member's data dir", "rejoins its group", "standalone member"} {
+				if !strings.Contains(err.Error(), remedy) {
+					t.Fatalf("error does not say %q: %v", remedy, err)
+				}
 			}
-			if after := dirSizes(fs, "data"); fmt.Sprint(after) != fmt.Sprint(before) {
-				t.Fatalf("refused Open changed the directory:\nbefore %v\nafter  %v", before, after)
+			if after := dirContents(fs, "data"); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Fatalf("refused Open changed the directory:\nbefore %q\nafter  %q", before, after)
 			}
 		})
+	}
+}
+
+// crashFS pulls the plug on its FailFS at the n-th durability event — a
+// file create, a file sync or a directory sync — and fails that event and
+// every later one: the process is dead from there on.
+type crashFS struct {
+	*FailFS
+	n, seen int
+}
+
+var errPowerCut = errors.New("power cut")
+
+func (c *crashFS) event() error {
+	c.seen++
+	if c.seen == c.n {
+		c.FailFS.Crash()
+	}
+	if c.seen >= c.n {
+		return errPowerCut
+	}
+	return nil
+}
+
+func (c *crashFS) Create(name string) (File, error) {
+	if err := c.event(); err != nil {
+		return nil, err
+	}
+	return c.FailFS.Create(name)
+}
+
+func (c *crashFS) SyncDir(dir string) error {
+	if err := c.event(); err != nil {
+		return err
+	}
+	return c.FailFS.SyncDir(dir)
+}
+
+// TestFirstOpenCrashAtEveryEvent: a power cut at any durability event of a
+// fresh directory's first open and first appends leaves a directory this
+// build reopens — empty, or holding every record that was synced — and
+// never refuses as ErrRetiredLayout or ErrCorrupt.
+func TestFirstOpenCrashAtEveryEvent(t *testing.T) {
+	for n := 1; ; n++ {
+		c := &crashFS{FailFS: NewFailFS(), n: n}
+		c.SyncHook = func(string) error { return c.event() }
+		synced := 0
+		if st, err := OpenStore("data", StoreOptions{FS: c}); err == nil {
+			j := st.Journal("kv", JournalOptions{})
+			for i := 1; i <= 3; i++ {
+				lsn, err := j.Append("note", []any{uint64(i)})
+				if err != nil || st.WaitSynced(lsn) != nil {
+					break
+				}
+				synced = i
+			}
+			_ = st.Close()
+		}
+		reached := c.seen >= n
+		c.SyncHook = nil
+		c.FailFS.Crash()
+
+		st, err := OpenStore("data", StoreOptions{FS: c.FailFS})
+		if err != nil {
+			t.Fatalf("crash at event %d: reopen = %v", n, err)
+		}
+		p := &ledger{}
+		if _, err := st.Journal("kv", JournalOptions{}).Recover(p.hooks()); err != nil {
+			t.Fatalf("crash at event %d: recover = %v", n, err)
+		}
+		if len(p.replayed) < synced {
+			t.Fatalf("crash at event %d: replayed %v, want at least the %d synced", n, p.replayed, synced)
+		}
+		for i, got := range p.replayed {
+			if got != uint64(i+1) {
+				t.Fatalf("crash at event %d: replayed %v, want 1, 2, ...", n, p.replayed)
+			}
+		}
+		_ = st.Close()
+		if !reached {
+			if n < 6 {
+				t.Fatalf("only %d durability events in a first open and three synced appends", n-1)
+			}
+			t.Logf("%d durability events, each a crash point", n-1)
+			return
+		}
+	}
+}
+
+// TestBackgroundSnapshotErrorInStats: a snapshot the append cadence starts
+// in the background reports its failure through Stats — here the deferral
+// an unclaimed participant causes.
+func TestBackgroundSnapshotErrorInStats(t *testing.T) {
+	fs := NewFailFS()
+	st, err := OpenStore("data", StoreOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Journal("orphan", JournalOptions{}).Append("note", []any{uint64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = OpenStore("data", StoreOptions{FS: fs, SnapshotEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &ledger{}
+	j := st.Journal("kv", JournalOptions{})
+	if _, err := j.Recover(p.hooks()); err != nil {
+		t.Fatal(err)
+	}
+	p.note(t, j, 1)
+	st.snapWG.Wait()
+	if err := st.Stats().SnapshotErr; err == nil || !strings.Contains(err.Error(), "deferred") || !strings.Contains(err.Error(), "orphan") {
+		t.Fatalf("Stats().SnapshotErr = %v, want the deferral naming orphan", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,14 +1,13 @@
 package wal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
+
+	"repro/internal/wire"
 )
 
 // Kind discriminates log records.
@@ -17,9 +16,7 @@ type Kind int
 // KindOutcome is the one kind written: a participant record, journaled by
 // the object runtime in delivery order (entry, parameters) or by a
 // participant with a vocabulary of its own through ObjectJournal.Append.
-// Replaying them against a fresh participant rebuilds its state. The decoder
-// also reads kind 2 from older directories (legacy.go) and refuses kind 3
-// (ErrRetiredLayout).
+// Replaying them against a fresh participant rebuilds its state.
 const KindOutcome Kind = 1
 
 // AckLedger is the participant name the node's at-most-once table journals
@@ -29,8 +26,8 @@ const AckLedger = "!acks"
 
 // Record is one durable log entry: Entry names the record's type in the
 // Object participant's vocabulary, and Params are what its Replay hook gets.
-// Params values must be gob-encodable (the same constraint the rpc wire
-// imposes).
+// Params values must be wire-encodable: the types an rpc call carries, with
+// user structs registered through rpc.Register.
 type Record struct {
 	Kind   Kind
 	Object string
@@ -48,12 +45,13 @@ type Record struct {
 // and continue) and anywhere else as data loss (fail).
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// ErrRetiredLayout reports an intact record of kind 3, which builds before
-// PR 18 used for consensus state kept outside the snapshot contract. It is
-// NOT corruption: Open fails and leaves the directory untouched, because
-// cutting the journal there would drop a member's term, vote and log.
-var ErrRetiredLayout = errors.New("wal: journal holds records of the retired replication layout (kind 3); " +
-	"remove this member's data dir and restart it — it rejoins its group by snapshot catch-up")
+// ErrRetiredLayout reports a directory written before the on-disk format
+// version (formatMarker): its records and snapshots are gob, which this build
+// does not read. It is NOT corruption: Open fails and changes nothing in the
+// directory, because its snapshot may be the only copy of what it covers.
+var ErrRetiredLayout = errors.New("wal: data dir predates the on-disk format version and this build cannot read it; " +
+	"a replicated member: remove this member's data dir and restart it — it rejoins its group by snapshot catch-up; " +
+	"a standalone member: its data is not readable by this build — keep the dir for the build that wrote it")
 
 // recHeaderLen is the frame prologue: uint32 payload length, uint32 CRC.
 const recHeaderLen = 8
@@ -63,33 +61,20 @@ const recHeaderLen = 8
 // driving a multi-gigabyte allocation during recovery).
 const maxRecordLen = 64 << 20
 
-var encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func init() {
-	// Values travel inside []any; register the composites the rpc layer
-	// also supports so parameters survive the gob round trip.
-	gob.Register([]any{})
-	gob.Register(map[string]any{})
-	gob.Register([]byte(nil))
-}
-
-// appendFrame encodes v (a record or a snapshot) into a frame appended to
-// buf:
+// appendFrame appends v (a record or a snapshot, as a wire value) to dst as
+// one frame:
 //
-//	uint32 length | uint32 crc32c(payload) | payload (gob)
-func appendFrame(buf *bytes.Buffer, v any) error {
-	start := buf.Len()
-	var hdr [recHeaderLen]byte // patched once the payload is known
-	buf.Write(hdr[:])
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		buf.Truncate(start)
-		return fmt.Errorf("wal: encode %T: %w", v, err)
+//	uint32 length | uint32 crc32c(payload) | payload (wire value)
+func appendFrame(dst []byte, v any) ([]byte, error) {
+	start := len(dst)
+	out, err := wire.AppendValue(append(dst, make([]byte, recHeaderLen)...), v)
+	if err != nil {
+		return dst, fmt.Errorf("wal: encode: %w", err)
 	}
-	frame := buf.Bytes()[start:]
-	payload := frame[recHeaderLen:]
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
-	return nil
+	payload := out[start+recHeaderLen:]
+	binary.LittleEndian.PutUint32(out[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[start+4:], crc32.Checksum(payload, crcTable))
+	return out, nil
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -115,29 +100,28 @@ func decodeFrame(data []byte) ([]byte, int, error) {
 	return payload, recHeaderLen + int(n), nil
 }
 
+// value is the record's payload: [kind, object, entry, params].
+func (r *Record) value() []any { return []any{int(r.Kind), r.Object, r.Entry, r.Params} }
+
 // decodeRecord decodes one framed record from data, returning the record
-// and the bytes consumed, with decodeFrame's error classes.
+// and the bytes consumed, with decodeFrame's error classes. An intact frame
+// whose payload is not a record is ErrCorrupt.
 func decodeRecord(data []byte) (*Record, int, error) {
 	payload, n, err := decodeFrame(data)
 	if err != nil {
 		return nil, 0, err
 	}
-	var rec Record
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&rec); err != nil {
-		return nil, 0, fmt.Errorf("%w: payload: %v", ErrCorrupt, err)
+	v, err := wire.DecodeValue(payload)
+	f, _ := v.([]any)
+	if err != nil || len(f) != 4 {
+		return nil, 0, fmt.Errorf("%w: record payload: %v", ErrCorrupt, err)
 	}
-	switch rec.Kind {
-	case KindOutcome:
-		return &rec, n, nil
-	case legacyKindAck:
-		ack, err := decodeLegacyAck(payload)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ack, n, nil
-	case 3:
-		return nil, 0, ErrRetiredLayout
-	default:
-		return nil, 0, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, int(rec.Kind))
+	kind, ok1 := f[0].(int)
+	object, ok2 := f[1].(string)
+	entry, ok3 := f[2].(string)
+	params, ok4 := f[3].([]any)
+	if !ok1 || !ok2 || !ok3 || !ok4 || Kind(kind) != KindOutcome {
+		return nil, 0, fmt.Errorf("%w: record payload is not [kind 1, object, entry, params]", ErrCorrupt)
 	}
+	return &Record{Kind: KindOutcome, Object: object, Entry: entry, Params: params}, n, nil
 }

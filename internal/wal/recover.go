@@ -1,13 +1,19 @@
 package wal
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"path"
+	"slices"
 	"strings"
 	"time"
 )
+
+// formatMarker is the on-disk format version: an empty file Open creates,
+// and pins with SyncDir, in a fresh directory before its first segment. A
+// directory that holds segments or snapshots without it was written by a
+// build whose payloads were gob, and Open refuses it with ErrRetiredLayout.
+const formatMarker = "format-v2"
 
 // Recovered is what a crashed process left behind: the newest snapshot (if
 // any), every record above its floor in LSN order, and the repair stats the
@@ -34,6 +40,9 @@ type Recovered struct {
 // after everything that survived, plus the recovered state to replay.
 //
 // Recovery protocol:
+//  0. Check the format marker: a directory without it that holds segments or
+//     snapshots fails with ErrRetiredLayout before anything is touched; one
+//     that holds neither is fresh and gets the marker.
 //  1. Note leftover *.tmp files (snapshots that never published).
 //  2. Load the newest snapshot; older snapshots are noted for pruning.
 //  3. Scan segments in LSN order, CRC-checking every record. A short or
@@ -42,8 +51,7 @@ type Recovered struct {
 //     data loss (sealed segments were fsynced before rotation) and fails
 //     recovery rather than silently dropping acknowledged history.
 //  4. Verify LSN continuity from the snapshot floor.
-//  5. Only now delete what steps 1 and 2 noted: ErrRetiredLayout fails step
-//     3 before anything has been truncated, removed or created.
+//  5. Only now delete what steps 1 and 2 noted.
 func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	opts = opts.withDefaults()
 	fs := opts.FS
@@ -55,6 +63,23 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	names, err := fs.List(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: list %s: %w", dir, err)
+	}
+	if !slices.Contains(names, formatMarker) {
+		for _, name := range names {
+			if strings.HasPrefix(name, segPrefix) || strings.HasPrefix(name, snapPrefix) {
+				return nil, nil, fmt.Errorf("wal: %s: %w", dir, ErrRetiredLayout)
+			}
+		}
+		f, err := fs.Create(path.Join(dir, formatMarker))
+		if err == nil {
+			err = f.Close()
+		}
+		if err == nil {
+			err = fs.SyncDir(dir)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("wal: format marker: %w", err)
+		}
 	}
 	var stale []string // deleted only once the scan has succeeded
 	for _, name := range names {
@@ -97,9 +122,6 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 		final := i == len(segs)-1
 		recs, goodLen, total, err := scanSegment(fs, dir, seg)
 		if err != nil {
-			if errors.Is(err, ErrRetiredLayout) {
-				return nil, nil, fmt.Errorf("wal: segment %s: %w", seg.name, err)
-			}
 			if !final {
 				return nil, nil, fmt.Errorf("wal: segment %s: %w (damage before the final segment is data loss)", seg.name, err)
 			}
@@ -156,8 +178,7 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 // scanSegment decodes every record in one segment. It returns the records
 // decoded, the byte offset of the end of the last good record, the
 // segment's total size, and a non-nil error if the tail failed to decode
-// (io.ErrUnexpectedEOF for a short frame, ErrCorrupt for a mangled one,
-// ErrRetiredLayout for an intact record this build refuses to interpret).
+// (io.ErrUnexpectedEOF for a short frame, ErrCorrupt for a mangled one).
 func scanSegment(fs FS, dir string, seg segmentInfo) ([]*Record, int64, int64, error) {
 	r, err := fs.Open(path.Join(dir, seg.name))
 	if err != nil {

@@ -1,10 +1,11 @@
 package wal
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"path"
+
+	"repro/internal/wire"
 )
 
 // Snapshot is a durable checkpoint: every participant's opaque state blob,
@@ -23,22 +24,18 @@ type Snapshot struct {
 	// Objects maps participant name to the opaque state blob its Snapshot
 	// hook produced (decoded by its Restore hook).
 	Objects map[string][]byte
-
-	// acks is an older snapshot's Dedup list as AckLedger records, replayed
-	// before the log's (legacy.go). Never encoded.
-	acks []*Record
 }
 
 func snapshotName(lsn uint64) string { return fmt.Sprintf("%s%016d%s", snapPrefix, lsn, snapSuffix) }
 
-// encodeSnapshot frames a snapshot exactly like a log record, so the
-// decoder shares the corruption taxonomy.
+// encodeSnapshot frames a snapshot, [lsn, {name: blob}], exactly like a log
+// record, so the decoder shares the corruption taxonomy.
 func encodeSnapshot(s *Snapshot) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := appendFrame(&buf, s); err != nil {
-		return nil, err
+	objects := make(map[string]any, len(s.Objects))
+	for name, blob := range s.Objects {
+		objects[name] = blob
 	}
-	return buf.Bytes(), nil
+	return appendFrame(nil, []any{s.LSN, objects})
 }
 
 // decodeSnapshot is the inverse of encodeSnapshot. A short or mangled
@@ -49,7 +46,23 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decodeSnapshotPayload(payload)
+	v, err := wire.DecodeValue(payload)
+	f, _ := v.([]any)
+	if err != nil || len(f) != 2 {
+		return nil, fmt.Errorf("%w: snapshot payload: %v", ErrCorrupt, err)
+	}
+	lsn, ok := f[0].(uint64)
+	objects, ok2 := f[1].(map[string]any)
+	if !ok || !ok2 {
+		return nil, fmt.Errorf("%w: snapshot payload %T, %T", ErrCorrupt, f[0], f[1])
+	}
+	s := &Snapshot{LSN: lsn, Objects: make(map[string][]byte, len(objects))}
+	for name, blob := range objects {
+		if s.Objects[name], ok = blob.([]byte); !ok {
+			return nil, fmt.Errorf("%w: snapshot blob %q is %T", ErrCorrupt, name, blob)
+		}
+	}
+	return s, nil
 }
 
 // writeSnapshot publishes s atomically: write + fsync a temporary file,

@@ -50,15 +50,18 @@ type Store struct {
 	closed        bool
 }
 
-// RecoveryStats summarizes what recovery found; the daemon logs it at
-// startup.
+// RecoveryStats summarizes what recovery found, and how the store's last
+// snapshot went; the daemon logs it at startup and at drain.
 type RecoveryStats struct {
 	Outcomes   int // records to replay, AckLedger's aside
-	Acks       int // AckLedger records to replay (legacy.go's included)
+	Acks       int // AckLedger records to replay
 	SnapshotAt uint64
 	TornBytes  int64
 	Segments   int
 	Duration   time.Duration
+	// SnapshotErr is the last snapshot's failure, a deferral included; nil
+	// until one fails, and again once one succeeds.
+	SnapshotErr error
 }
 
 // OpenStore recovers dir and returns a Store ready for Journal/Recover.
@@ -87,7 +90,6 @@ func OpenStore(dir string, opts StoreOptions) (*Store, error) {
 		for name := range snap.Objects {
 			s.byObject[name] = nil
 		}
-		records = append(snap.acks, records...)
 	}
 	// The cadence counts what a restart would replay, not what this process
 	// wrote: a store reopened again and again before its SnapshotEvery-th
@@ -160,7 +162,7 @@ func (s *Store) append(rec *Record) (uint64, error) {
 		}
 		s.mu.Unlock()
 		if fire {
-			go s.snapshot()
+			go s.snapshot() // its failure lands in Stats().SnapshotErr
 		}
 	}
 	return lsn, nil
@@ -192,10 +194,11 @@ func (s *Store) ForceSnapshot() error {
 // the previous incarnation left records or a blob under a name that has not
 // been through Recover: this snapshot would not cover them, and pruning to
 // its floor would be the only way to lose them.
-func (s *Store) snapshot() error {
+func (s *Store) snapshot() (err error) {
 	defer func() {
 		s.mu.Lock()
 		s.snapping = false
+		s.stats.SnapshotErr = err
 		s.mu.Unlock()
 		s.snapWG.Done()
 	}()

@@ -325,6 +325,32 @@ func (d *Decoder) value(b []byte, depth int) (any, []byte, error) {
 	}
 }
 
+// AppendValue appends v's encoding to dst: the value codec of frames, for
+// records kept outside them (WAL records, checkpoints, ledger images). User
+// types resolve through DefaultTable. On error dst comes back unchanged.
+func AppendValue(dst []byte, v any) ([]byte, error) {
+	out, err := appendValue(dst, v, DefaultTable)
+	if err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// DecodeValue decodes b, which must hold exactly one value; anything else
+// is ErrMalformed. A decoded []byte, at any depth, aliases b: whoever keeps
+// it keeps b, and b must not be written afterwards. Strings are copies.
+func DecodeValue(b []byte) (any, error) {
+	d := Decoder{table: DefaultTable}
+	v, rest, err := d.value(b, 0)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after value", ErrMalformed, len(rest))
+	}
+	return v, nil
+}
+
 // appendValues encodes a value slice as `uvarint n | values`. A nil slice
 // encodes as n == 0 and decodes back to nil.
 func appendValues(dst []byte, vals []any, t *TypeTable) ([]byte, error) {

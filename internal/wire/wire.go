@@ -219,8 +219,11 @@ func rewrap(msg string, sentinel error) error {
 }
 
 // Version is the wire protocol version carried in the hello exchange.
-// Bump it on any incompatible frame-layout or tag change.
-const Version = 1
+// Bump it on any incompatible frame-layout or tag change, and on any change
+// to what a published entry takes or answers that an older peer would
+// misread (docs/WIRE.md §1). Version 2: fabric key state travels as a wire
+// value, not JSON, and Append and Status changed shape.
+const Version = 2
 
 // hello is the fixed banner each side writes before its first frame: a
 // 4-byte magic that no gob stream starts with, then the version byte.

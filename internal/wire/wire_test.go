@@ -141,6 +141,39 @@ func TestValueRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestStandaloneValues: AppendValue and DecodeValue are the frame value
+// codec on their own — random values round-trip with their dynamic types, a
+// decoded []byte aliases its input, and bytes beyond one value, or short of
+// one, are ErrMalformed.
+func TestStandaloneValues(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		v := randValue(r, 0)
+		b, err := AppendValue([]byte("prefix"), v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeValue(b[len("prefix"):])
+		if err != nil || !reflect.DeepEqual(got, v) || reflect.TypeOf(got) != reflect.TypeOf(v) {
+			t.Fatalf("%#v round-tripped to %#v, %v", v, got, err)
+		}
+	}
+	b, _ := AppendValue(nil, []any{[]byte{1, 2}})
+	got, _ := DecodeValue(b)
+	b[len(b)-1] = 9
+	if blob := got.([]any)[0].([]byte); blob[1] != 9 {
+		t.Fatalf("decoded []byte %v does not alias its input", blob)
+	}
+	for _, bad := range [][]byte{nil, append(b, 0), b[:len(b)-1]} {
+		if _, err := DecodeValue(bad); !errors.Is(err, ErrMalformed) {
+			t.Errorf("DecodeValue(%v) = %v, want ErrMalformed", bad, err)
+		}
+	}
+	if out, err := AppendValue([]byte("x"), struct{ A int }{1}); !errors.Is(err, ErrUnsupported) || string(out) != "x" {
+		t.Errorf("unsupported value: %q, %v; want dst unchanged and ErrUnsupported", out, err)
+	}
+}
+
 // TestExplicitValues pins the full supported type set with handpicked
 // edge values (extremes, empties, NaN handling by bits).
 func TestExplicitValues(t *testing.T) {
@@ -487,6 +520,7 @@ func TestHello(t *testing.T) {
 		"gob stream":     {0x2b, 0xff, 0x81, 0x03, 0x01}, // typical gob type-def prefix
 		"foreign":        []byte("HTTP/"),
 		"future version": {'A', 'L', 'P', 'W', Version + 1},
+		"version 1":      {'A', 'L', 'P', 'W', 1},
 	} {
 		if err := ReadHello(bytes.NewReader(banner)); !errors.Is(err, ErrVersionSkew) {
 			t.Errorf("%s: got %v, want ErrVersionSkew", name, err)
