@@ -74,6 +74,21 @@ func TestChaosSoak(t *testing.T) {
 
 	const clients, opsPer = 4, 300
 	cliMetrics := &rpc.Metrics{}
+	// Every run leaves its evidence, passing or not: the fixed seed's wall
+	// time varies by orders of magnitude between runs, and a lost
+	// invocation is only diagnosable from where every goroutine stood.
+	start := time.Now()
+	defer func() {
+		t.Logf("chaos soak: wall %v; client retries %d, reconnects %d",
+			time.Since(start).Round(time.Millisecond), cliMetrics.Retries.Value(), cliMetrics.Reconnects.Value())
+	}()
+	var dumpOnce sync.Once
+	dumpStacks := func() {
+		dumpOnce.Do(func() {
+			buf := make([]byte, 1<<20)
+			t.Logf("goroutine stacks at the first lost invocation:\n%s", buf[:runtime.Stack(buf, true)])
+		})
+	}
 	var clientsDone atomic.Int32
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -104,6 +119,7 @@ func TestChaosSoak(t *testing.T) {
 				tok := fmt.Sprintf("%s-%d", name, i)
 				res, err := rem.Call("Ledger", "Apply", tok)
 				if err != nil {
+					dumpStacks()
 					t.Errorf("%s: lost invocation %q: %v", name, tok, err)
 					return
 				}
@@ -164,6 +180,7 @@ func TestChaosSoak(t *testing.T) {
 	unexpected := len(execs) - clients*opsPer
 	mu.Unlock()
 	if lost != 0 {
+		dumpStacks()
 		t.Errorf("%d invocations lost", lost)
 	}
 	if duplicated != 0 {

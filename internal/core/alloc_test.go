@@ -48,11 +48,34 @@ func TestAllocsManagedExecute(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Steady state measures ~6 allocs/op (was ~26 before the pooled
+	// Steady state measures 4 allocs/op (was ~26 before the pooled
 	// pipeline; see BENCH_baseline.json vs BENCH_PR2.json).
-	const limit = 11.0
+	const limit = 6.0
 	if avg > limit {
 		t.Errorf("managed execute: %.1f allocs/op, want <= %.0f", avg, limit)
+	}
+}
+
+func TestAllocsLoopExecute(t *testing.T) {
+	// The same echo under a Loop manager: the caller finds the manager
+	// parked and runs the selection itself (Mgr.serve). Per call: the
+	// params slice, the Accepted and Awaited handles, the results slice.
+	o := newLoopEcho(t)
+	defer mustClose(t, o)
+	for i := 0; i < 64; i++ {
+		if _, err := o.Call("P", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if _, err := o.Call("P", 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Loop+Execute echo: %.1f allocs/op", avg)
+	const limit = 4.0
+	if avg > limit {
+		t.Errorf("Loop execute: %.1f allocs/op, want <= %.0f", avg, limit)
 	}
 }
 

@@ -39,7 +39,7 @@ type Guard struct {
 	actMsg    func(channel.Message)
 	actCond   func()
 
-	// Filled in by Mgr.prepare (manager goroutine only): the resolved
+	// Filled in by Mgr.prepare (role holder only): the resolved
 	// entry for accept/await guards and the preparation stamp that lets
 	// repeated Selects over the same slice skip validation entirely.
 	res  *entry
@@ -196,13 +196,39 @@ func (t *tieSet) pick(rot int) candidate {
 // alternative; the acceptance condition is evaluated against the values that
 // would be received; the smallest pri value among eligible alternatives
 // wins, with rotating tie-breaks for fairness.
+//
+// A bare Select never lends the manager role (Loop does): user code follows
+// it, and only the manager function's process may run that.
 func (m *Mgr) Select(guards ...Guard) (int, error) {
-	if len(guards) == 0 {
-		return -1, fmt.Errorf("select with no guards: %w", ErrBadState)
-	}
 	if err := m.prepare(guards); err != nil {
 		return -1, err
 	}
+	for {
+		i, err := m.step(guards)
+		if i >= 0 || err != nil {
+			return i, err
+		}
+		if err := m.blockLocked(); err != nil {
+			return -1, err
+		}
+	}
+}
+
+// loopStep is one iteration of Loop: prepare the guards (a cache hit but
+// for the first, or after an action selected over another set), then step.
+func (m *Mgr) loopStep(guards []Guard) (int, error) {
+	if err := m.prepare(guards); err != nil {
+		return -1, err
+	}
+	return m.step(guards)
+}
+
+// step is the one selection path, run by whoever holds the manager role:
+// Select, Loop, and a caller running a parked Loop's iterations (serve).
+// It drains the intake, scans, commits the winning alternative and runs its
+// action, returning the guard's index. With nothing eligible it returns -1
+// with o.mu still held, for the caller to block, lend or give the role back.
+func (m *Mgr) step(guards []Guard) (int, error) {
 	o := m.obj
 	for {
 		o.seqPoint(SeqMgrScan, "", 0)
@@ -217,10 +243,7 @@ func (m *Mgr) Select(guards ...Guard) (int, error) {
 		m.scanLocked(guards)
 		m.inScan = false
 		if len(m.ties.c) == 0 {
-			if err := m.blockLocked(); err != nil {
-				return -1, err
-			}
-			continue
+			return -1, nil
 		}
 		c := m.ties.pick(m.rot)
 		m.rot++
@@ -231,13 +254,11 @@ func (m *Mgr) Select(guards ...Guard) (int, error) {
 			o.mu.Unlock()
 			o.seqPoint(SeqMgrAccept, a.Entry, a.id)
 			g.actAccept(a)
-			return c.guardIdx, nil
 		case guardAwait:
 			aw := m.commitAwaitLocked(g.res, c.s)
 			o.mu.Unlock()
 			o.seqPoint(SeqMgrAwait, aw.Entry, aw.id)
 			g.actAwait(aw)
-			return c.guardIdx, nil
 		case guardReceive:
 			// The message was only peeked during the scan; in the rare case
 			// another receiver consumed it in between, TakeWhere selects the
@@ -248,12 +269,11 @@ func (m *Mgr) Select(guards ...Guard) (int, error) {
 				continue
 			}
 			g.actMsg(msg)
-			return c.guardIdx, nil
 		default: // guardCond
 			o.mu.Unlock()
 			g.actCond()
-			return c.guardIdx, nil
 		}
+		return c.guardIdx, nil
 	}
 }
 
@@ -262,6 +282,9 @@ func (m *Mgr) Select(guards ...Guard) (int, error) {
 // Loop passes the identical slice on every iteration, so the fully prepared
 // case is recognized by (first, len, stamp) and skipped.
 func (m *Mgr) prepare(guards []Guard) error {
+	if len(guards) == 0 {
+		return fmt.Errorf("select with no guards: %w", ErrBadState)
+	}
 	if m.lastFirst == &guards[0] && m.lastLen == len(guards) {
 		hit := true
 		for i := range guards {
@@ -333,7 +356,7 @@ func entryIn(list []*entry, e *entry) bool {
 
 // scanLocked is the guard-selection kernel: one pass over the guards, in
 // order, that leaves in m.ties the eligible alternatives tied at the
-// smallest pri. Called with o.mu held, on the manager goroutine.
+// smallest pri. Called with o.mu held, by the role holder.
 //
 // The evaluation contract (docs/SEMANTICS.md §2.4): for every guard and every
 // datum it ranges over — each attached call of an accept guard, each ready

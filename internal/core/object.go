@@ -39,6 +39,7 @@ type Object struct {
 	pool    *sched.Pool
 	rec     *trace.Recorder
 	gate    bool // priority gate: yield to the manager after state changes
+	oneProc bool // GOMAXPROCS was 1 at New: its Loop lends nothing
 
 	mgrFn      func(*Mgr)
 	mgr        atomic.Pointer[Mgr] // current incarnation; swapped on restart
@@ -176,6 +177,7 @@ func New(name string, opts ...Option) (*Object, error) {
 		closeCh:  make(chan struct{}),
 		rec:      cfg.rec,
 		gate:     cfg.gate && cfg.mgrFn != nil,
+		oneProc:  runtime.GOMAXPROCS(0) == 1,
 		mgrFn:    cfg.mgrFn,
 		initFn:   cfg.initFn,
 		poolMode: cfg.poolMode,
@@ -412,7 +414,7 @@ func (o *Object) submit(ctx context.Context, name string, params []Value, intern
 	o.seqPoint(SeqSubmit, name, 0)
 	if e.fastIntake {
 		if cr, ok := o.submitIntake(e, params); ok {
-			o.wakeManager(e)
+			o.wakeManager(ctx, e, cr)
 			return cr, nil
 		}
 	}
@@ -432,7 +434,7 @@ func (o *Object) submit(ctx context.Context, name string, params []Value, intern
 	e.waitq = append(e.waitq, cr)
 	o.attachWaitingLocked(e)
 	o.mu.Unlock()
-	o.wakeManager(e)
+	o.wakeManager(ctx, e, cr)
 	return cr, nil
 }
 
@@ -590,7 +592,14 @@ func (o *Object) attachWaitingLocked(e *entry) {
 			return
 		}
 		cr := e.waitq[0]
-		e.waitq = e.waitq[1:]
+		if len(e.waitq) == 1 {
+			// Emptied: keep the backing array, so a trickle of one call at
+			// a time appends without allocating.
+			e.waitq[0] = nil
+			e.waitq = e.waitq[:0]
+		} else {
+			e.waitq = e.waitq[1:]
+		}
 		s.state = slotAttached
 		s.call = cr
 		cr.slot = s
@@ -674,7 +683,7 @@ func (o *Object) runBody(cr *callRecord) {
 		e.ready = enlist(e.ready, cr.slot)
 		o.record(e.spec.Name, cr.slotIndex(), cr.id, trace.Ready)
 		o.mu.Unlock()
-		o.wakeManager(e)
+		o.wakeManager(nil, e, nil)
 		return
 	}
 	// Non-intercepted entry (or closing/poisoned object): terminate directly.
@@ -694,7 +703,7 @@ func (o *Object) runBody(cr *callRecord) {
 	o.freeSlotLocked(cr.slot)
 	o.attachWaitingLocked(e)
 	o.mu.Unlock()
-	o.wakeManager(e)
+	o.wakeManager(nil, e, nil)
 }
 
 func runSafely(o *Object, cr *callRecord, body Body, inv *Invocation) (err error) {
@@ -747,13 +756,18 @@ func (o *Object) freeSlotLocked(s *slot) {
 // published watch set says it could react to a change on e (poke elision,
 // §3: the manager need not be disturbed for entries no guard watches) — and,
 // when the priority gate is on, yields the processor so the high-priority
-// manager runs first.
-func (o *Object) wakeManager(e *entry) {
+// manager runs first. A submitting caller (cr non-nil) that finds the
+// manager parked in Loop takes the manager role instead and runs the next
+// selection steps itself (Mgr.serve); it yields only if it handed work
+// back to the manager goroutine.
+func (o *Object) wakeManager(ctx context.Context, e *entry, cr *callRecord) {
 	m := o.mgr.Load()
 	if m == nil || !m.interested(e) {
 		return
 	}
-	m.wake()
+	if m.wake(cr != nil) && !m.serve(ctx, cr) {
+		return
+	}
 	if o.gate {
 		runtime.Gosched()
 	}
@@ -809,7 +823,7 @@ func (o *Object) Close() error {
 	o.lifeCancel()
 
 	if m := o.mgr.Load(); m != nil {
-		m.poke()
+		m.wake(false)
 	}
 	if o.mgrDone != nil {
 		<-o.mgrDone

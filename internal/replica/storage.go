@@ -232,12 +232,11 @@ type snapshotPayload struct {
 }
 
 // encode is the payload's wire value: [lastIndex, lastTerm, state,
-// sessions], each session the ack ledger's [client, seq, results, errMsg,
-// errKind].
+// sessions], each session an rpc.AckEntry's Tuple.
 func (s *snapshotPayload) encode() ([]byte, error) {
 	sessions := make([]any, len(s.Sessions))
 	for i, a := range s.Sessions {
-		sessions[i] = []any{a.Client, a.Seq, a.Results, a.ErrMsg, a.ErrKind}
+		sessions[i] = a.Tuple()
 	}
 	return wire.AppendValue(nil, []any{s.LastIndex, s.LastTerm, s.State, sessions})
 }
@@ -255,13 +254,9 @@ func decodeSnapshotPayload(blob []byte) (*snapshotPayload, error) {
 	s := &snapshotPayload{LastIndex: last, LastTerm: term, State: state}
 	for _, raw := range sessions {
 		t, _ := raw.([]any)
-		client, err1 := as[string](t, 0)
-		seq, err2 := as[uint64](t, 1)
-		results, err3 := as[[]any](t, 2)
-		msg, err4 := as[string](t, 3)
-		kind, err5 := as[int32](t, 4)
-		err = firstErr(err, err1, err2, err3, err4, err5, arity(t, 5))
-		s.Sessions = append(s.Sessions, rpc.AckEntry{Client: client, Seq: seq, Results: results, ErrMsg: msg, ErrKind: kind})
+		a, err1 := rpc.AckFromTuple(t)
+		err = firstErr(err, err1)
+		s.Sessions = append(s.Sessions, a)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%w: replica snapshot: %v", wire.ErrMalformed, err)

@@ -20,10 +20,14 @@ import (
 // retried across the crash is answered from disk, never re-executed.
 const ackRecord = "ack"
 
-func (a AckEntry) params() []any { return []any{a.Client, a.Seq, a.Results, a.ErrMsg, a.ErrKind} }
+// Tuple is an AckEntry's wire value, [client, seq, results, errMsg,
+// errKind]: the one shape of an acknowledged call in the ack ledger's
+// records and checkpoint and in a replica snapshot's session table.
+func (a AckEntry) Tuple() []any { return []any{a.Client, a.Seq, a.Results, a.ErrMsg, a.ErrKind} }
 
-func ackFromRecord(entry string, p []any) (a AckEntry, err error) {
-	if entry == ackRecord && len(p) == 5 {
+// AckFromTuple is Tuple's inverse; any other shape is an error.
+func AckFromTuple(p []any) (a AckEntry, err error) {
+	if len(p) == 5 {
 		var ok [5]bool
 		a.Client, ok[0] = p[0].(string)
 		a.Seq, ok[1] = p[1].(uint64)
@@ -34,14 +38,17 @@ func ackFromRecord(entry string, p []any) (a AckEntry, err error) {
 			return a, nil
 		}
 	}
-	return a, fmt.Errorf("not an ack record: %s %v", entry, p)
+	return a, fmt.Errorf("not an ack tuple: %v", p)
 }
 
 // recoverAcks seats the ledger in st and folds in what the previous
 // incarnation left: the checkpoint's tuples, then the records above it.
 func (n *Node) recoverAcks(st *wal.Store) error {
 	replay := func(entry string, p []any) error {
-		a, err := ackFromRecord(entry, p)
+		if entry != ackRecord {
+			return fmt.Errorf("not an ack record: %s %v", entry, p)
+		}
+		a, err := AckFromTuple(p)
 		if err == nil {
 			n.dedup.Load([]AckEntry{a})
 		}
@@ -75,7 +82,7 @@ func (n *Node) recoverAcks(st *wal.Store) error {
 			}
 			list := make([]any, len(entries))
 			for i, a := range entries {
-				list[i] = a.params()
+				list[i] = a.Tuple()
 			}
 			return wire.AppendValue(nil, list)
 		},

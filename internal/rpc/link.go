@@ -642,7 +642,7 @@ func (l *link) serveRequest(f *frame) {
 	// them on retry after a crash is the desired behaviour.
 	var ackLSN uint64
 	if st := l.hooks.durable; st != nil && entry != nil && err == nil && st.DurableEntry(objName, entryName) {
-		lsn, aerr := l.hooks.acks.Append(ackRecord, AckEntry{Client: client, Seq: seq, Results: r.Results}.params())
+		lsn, aerr := l.hooks.acks.Append(ackRecord, AckEntry{Client: client, Seq: seq, Results: r.Results}.Tuple())
 		if aerr != nil {
 			r.Results = nil
 			r.Err, r.ErrKind = encodeErr(fmt.Errorf("rpc: %s.%s executed but journal append failed: %w", objName, entryName, aerr))
