@@ -304,8 +304,11 @@ func BenchmarkE7PoolModes(b *testing.B) {
 	}
 }
 
-// BenchmarkE8PriorityGate measures buffer ops with the manager wake-
-// ordering gate on and off.
+// BenchmarkE8PriorityGate measures one deposit/remove pair with the
+// manager wake-ordering gate on and off. A producer goroutine deposits
+// while the benchmark goroutine removes, as E8 does: with two callers one
+// finds the manager role busy and hands its call to the manager, which is
+// where the gate acts. One caller alone would run every step itself.
 func BenchmarkE8PriorityGate(b *testing.B) {
 	for _, gate := range []bool{true, false} {
 		b.Run(fmt.Sprintf("gate=%v", gate), func(b *testing.B) {
@@ -316,13 +319,23 @@ func BenchmarkE8PriorityGate(b *testing.B) {
 			}
 			defer buf.Close()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := buf.Deposit(i); err != nil {
-					b.Fatal(err)
+			produced := make(chan error, 1)
+			go func() {
+				for i := 0; i < b.N; i++ {
+					if err := buf.Deposit(i); err != nil {
+						produced <- err
+						return
+					}
 				}
+				produced <- nil
+			}()
+			for i := 0; i < b.N; i++ {
 				if _, err := buf.Remove(); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if err := <-produced; err != nil {
+				b.Fatal(err)
 			}
 		})
 	}

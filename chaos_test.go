@@ -62,7 +62,7 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	nodeMetrics := &rpc.Metrics{}
-	node := rpc.NewNodeWith("server", rpc.NodeOptions{DedupCap: 8192, Metrics: nodeMetrics})
+	node := rpc.NewNodeWith("server", rpc.NodeOptions{Metrics: nodeMetrics})
 	if err := node.Publish(obj); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestOverloadCrashSoak(t *testing.T) {
 		}, core.InterceptPR("Apply", 1, 0)),
 		core.WithObjectOptions(core.ObjectOptions{
 			ManagerPolicy: core.Restart,
-			Restart:       core.RestartPolicy{Max: 20, MaxBackoff: 10 * time.Millisecond},
+			Restart:       core.RestartPolicy{Max: 20},
 			MaxPending:    3,
 			Shed:          core.ShedRejectNewest,
 			Metrics:       sup,
@@ -280,7 +280,7 @@ func TestOverloadCrashSoak(t *testing.T) {
 	}
 
 	nodeMetrics := &rpc.Metrics{}
-	node := rpc.NewNodeWith("server", rpc.NodeOptions{DedupCap: 8192, Metrics: nodeMetrics})
+	node := rpc.NewNodeWith("server", rpc.NodeOptions{Metrics: nodeMetrics})
 	if err := node.Publish(obj); err != nil {
 		t.Fatal(err)
 	}

@@ -263,7 +263,9 @@ func (m *Mgr) step(guards []Guard) (int, error) {
 			// The message was only peeked during the scan; in the rare case
 			// another receiver consumed it in between, TakeWhere selects the
 			// next message satisfying the same condition, or we rescan.
+			m.inScan = true // whenMsg runs again, still under o.mu
 			msg, ok := g.ch.TakeWhere(g.whenMsg)
+			m.inScan = false
 			o.mu.Unlock()
 			if !ok {
 				continue
@@ -274,6 +276,17 @@ func (m *Mgr) step(guards []Guard) (int, error) {
 			g.actCond()
 		}
 		return c.guardIdx, nil
+	}
+}
+
+// abandonScan releases o.mu after a guard's condition or pri function
+// panicked mid-scan, where the scan holds it (inScan). The panic's
+// recoverers (runManagerOnce, serve) call it, so the supervisor can take
+// the lock to poison or restart, and the scan itself carries no defer.
+func (m *Mgr) abandonScan() {
+	if m.inScan {
+		m.inScan = false
+		m.obj.mu.Unlock()
 	}
 }
 

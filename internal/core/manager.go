@@ -44,7 +44,8 @@ type Mgr struct {
 
 	// inScan is true while Select holds the object lock to evaluate guards.
 	// Guard predicates run in that window on the role holder's process, so
-	// Pending/Active must read state directly instead of re-locking. Only
+	// Pending/Active must read state directly instead of re-locking, and a
+	// predicate's panic leaves the lock for abandonScan to release. Only
 	// the role holder reads or writes this field.
 	inScan bool
 
@@ -212,8 +213,9 @@ const serveAfter = 1
 func (m *Mgr) serve(ctx context.Context, cr *callRecord) (resumed bool) {
 	held := true
 	defer func() {
-		if held { // an action panicked (or exited its goroutine) mid-step
+		if held { // a guard or action panicked (or exited its goroutine) mid-step
 			m.reraise = recover()
+			m.abandonScan()
 			resumed = m.resume(roleHeld)
 		}
 	}()

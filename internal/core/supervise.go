@@ -47,21 +47,19 @@ type RestartPolicy struct {
 	// Max is the restart budget: the number of restarts allowed before the
 	// object is poisoned (default 5).
 	Max int
-	// MaxBackoff caps the restart backoff, which starts at 1ms and doubles
-	// per restart (default 250ms).
-	MaxBackoff time.Duration
 }
 
-// restartBase is the backoff step before an object's first restart; each
-// wait is drawn from [step/2, step], seeded by the object's name.
-const restartBase = time.Millisecond
+// The restart backoff step starts at restartBase and doubles per restart
+// up to restartCap; each wait is drawn from [step/2, step], seeded by the
+// object's name.
+const (
+	restartBase = time.Millisecond
+	restartCap  = 250 * time.Millisecond
+)
 
 func (p RestartPolicy) withDefaults() RestartPolicy {
 	if p.Max <= 0 {
 		p.Max = 5
-	}
-	if p.MaxBackoff <= 0 {
-		p.MaxBackoff = 250 * time.Millisecond
 	}
 	return p
 }
@@ -113,22 +111,15 @@ type StallInfo struct {
 type WatchdogConfig struct {
 	// Threshold is the pending age that trips the watchdog (0 disables it).
 	Threshold time.Duration
-	// Interval is the poll cadence (default Threshold/4, at least 1ms).
-	Interval time.Duration
 	// OnStall, when non-nil, is invoked outside all runtime locks for each
 	// detection (at most once per distinct oldest call).
 	OnStall func(StallInfo)
 }
 
+// interval is the watchdog's poll cadence: a quarter of the threshold, at
+// least 1ms.
 func (c WatchdogConfig) interval() time.Duration {
-	if c.Interval > 0 {
-		return c.Interval
-	}
-	iv := c.Threshold / 4
-	if iv < time.Millisecond {
-		iv = time.Millisecond
-	}
-	return iv
+	return max(c.Threshold/4, time.Millisecond)
 }
 
 // ObjectOptions bundles the supervision and admission-control configuration
@@ -229,7 +220,7 @@ func (o *Object) Poisoned() bool {
 func (o *Object) superviseManager() {
 	defer close(o.mgrDone)
 	pol := o.sup.Restart.withDefaults()
-	b := backoff.Schedule{Base: restartBase, Cap: pol.MaxBackoff, Seed: backoff.Seed(o.name)}
+	b := backoff.Schedule{Base: restartBase, Cap: restartCap, Seed: backoff.Seed(o.name)}
 	for {
 		m := newMgr(o)
 		o.mgr.Store(m)
@@ -275,6 +266,7 @@ func (o *Object) superviseManager() {
 func (o *Object) runManagerOnce(m *Mgr) (reason error) {
 	defer func() {
 		if r := recover(); r != nil {
+			m.abandonScan()
 			reason = fmt.Errorf("alps: manager of %s panicked: %v", o.name, r)
 		}
 		m.unsubscribeAll()

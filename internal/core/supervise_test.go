@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -261,6 +262,109 @@ func TestRestartBudgetExhaustionPoisons(t *testing.T) {
 	}
 	if !o.Poisoned() {
 		t.Fatal("object not poisoned after budget exhaustion")
+	}
+}
+
+// guardPanicRun calls "ok" and then "boom" on an object whose accept
+// guard's acceptance condition panics on "boom", then closes it, and
+// reports what supervision exposes. The scan runs with the object lock
+// held, so the panic must release it: before that, the supervisor blocked
+// on the lock and the call and Close hung. loop runs a Loop manager and
+// waits for it to park, so the "boom" caller takes the manager role and
+// the condition panics on the caller's goroutine; on one processor Loop
+// lends nothing and it panics on the manager's. Every wait is bounded by
+// 2s.
+func guardPanicRun(t *testing.T, pol RestartPolicy, policy ManagerPolicy, loop bool) string {
+	t.Helper()
+	var seen, onCaller atomic.Bool
+	o, err := New("Guarded",
+		WithEntry(EntrySpec{Name: "P", Params: 1, Results: 1, Body: echoBody}),
+		WithManager(func(m *Mgr) {
+			g := OnAccept("P", func(a *Accepted) { _, _ = m.Execute(a) }).When(func(a *Accepted) bool {
+				if a.Params[0] == "boom" {
+					if seen.CompareAndSwap(false, true) { // restarts re-run it on the manager
+						onCaller.Store(m.role.Load() == roleHeld)
+					}
+					panic("guard")
+				}
+				return true
+			})
+			if loop {
+				_ = m.Loop(g)
+				return
+			}
+			for {
+				if _, err := m.Select(g); err != nil {
+					return
+				}
+			}
+		}, InterceptPR("P", 1, 0)),
+		WithObjectOptions(ObjectOptions{ManagerPolicy: policy, Restart: pol}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	within := func(what string, f func() error) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s did not return within 2s: the object is wedged", what)
+			return nil
+		}
+	}
+	call := func(p string) error {
+		return within("call "+p, func() error { _, err := o.Call("P", p); return err })
+	}
+	if err := call("ok"); err != nil {
+		t.Fatalf("call ok: %v", err)
+	}
+	if loop && !o.oneProc && !pollUntil(func() bool { return o.mgr.Load().role.Load() == roleParked }) {
+		t.Fatal("manager never parked in Loop")
+	}
+	boom := call("boom")
+	if got, want := onCaller.Load(), loop && !o.oneProc; got != want {
+		t.Fatalf("loop=%v: condition panicked on a caller = %v, want %v", loop, got, want)
+	}
+	after := call("ok")
+	if err := within("Close", o.Close); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	st := o.SupervisionStats()
+	return fmt.Sprintf("boom=%v after=%v ManagerErr=%v restarts=%d poisoned=%v",
+		errors.Is(boom, ErrObjectPoisoned), errors.Is(after, ErrObjectPoisoned), o.ManagerErr(), st.Restarts, st.Poisoned)
+}
+
+const guardPanicPoisoned = "boom=true after=true ManagerErr=alps: manager of Guarded panicked: guard "
+
+func TestGuardPanicPoisonsSelect(t *testing.T) {
+	want := guardPanicPoisoned + "restarts=0 poisoned=true"
+	if got := guardPanicRun(t, RestartPolicy{}, FailFast, false); got != want {
+		t.Fatalf("got\n  %s\nwant\n  %s", got, want)
+	}
+}
+
+func TestGuardPanicRestartsSelect(t *testing.T) {
+	want := guardPanicPoisoned + "restarts=2 poisoned=true"
+	if got := guardPanicRun(t, RestartPolicy{Max: 2}, Restart, false); got != want {
+		t.Fatalf("got\n  %s\nwant\n  %s", got, want)
+	}
+}
+
+// TestGuardPanicOnCallerMatchesSelect: a condition that panics while a
+// caller runs the parked Loop's step gives what the same panic gives a bare
+// Select on the manager goroutine, under both policies.
+func TestGuardPanicOnCallerMatchesSelect(t *testing.T) {
+	for _, policy := range []ManagerPolicy{FailFast, Restart} {
+		pol := RestartPolicy{Max: 2}
+		onSelect := guardPanicRun(t, pol, policy, false)
+		onCaller := guardPanicRun(t, pol, policy, true)
+		if onSelect != onCaller {
+			t.Errorf("%v: on the manager goroutine\n  %s\non a caller's goroutine\n  %s", policy, onSelect, onCaller)
+		}
 	}
 }
 
@@ -627,7 +731,6 @@ func TestWatchdogDetectsStall(t *testing.T) {
 				Metrics: sup,
 				Watchdog: WatchdogConfig{
 					Threshold: 20 * time.Millisecond,
-					Interval:  5 * time.Millisecond,
 					OnStall: func(si StallInfo) {
 						info.Store(si) // before the count the test waits on
 						stalls.Add(1)
@@ -693,7 +796,6 @@ func TestWatchdogIdleManagerNoFalsePositive(t *testing.T) {
 		WithObjectOptions(ObjectOptions{
 			Watchdog: WatchdogConfig{
 				Threshold: 10 * time.Millisecond,
-				Interval:  2 * time.Millisecond,
 				OnStall:   func(StallInfo) { stalls.Add(1) },
 			},
 		}),

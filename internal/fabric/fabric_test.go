@@ -740,10 +740,11 @@ func TestFabricReshardWhileNodeDead(t *testing.T) {
 	// dead node's settled level lags: a short-budget append only sees
 	// retry statuses.
 	shortCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
-	gated, err := NewRouter(grownSpec, RouterOptions{ClientID: "cA", Retries: 8})
+	gated, err := NewRouter(grownSpec, RouterOptions{ClientID: "cA"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	gated.retries = 8
 	defer gated.Close()
 	_, err = gated.Append(shortCtx, movingKey, 4, nil)
 	cancel()

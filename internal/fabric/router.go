@@ -17,24 +17,22 @@ type RouterOptions struct {
 	// is the dedup key on the ledger, so it must survive reconnects and
 	// even process restarts of the client when exactly-once matters).
 	ClientID string
-	// Retries bounds how many retriable responses (node down, ring
-	// settling, handoff in flight) one Append absorbs before giving up
-	// with ErrRetriesExhausted (default 64; the context deadline cuts it
-	// shorter).
-	Retries int
 	// DialTimeout bounds each TCP connect (default 2s).
 	DialTimeout time.Duration
 }
 
-// An Append's or Audit's backoff step doubles from routerBase to
-// routerCap. A wait is at least half its step, so a 64-attempt Append
-// waits at least 5 + 10 + … + 160 ms + 58 × 320 ms = 18.875 s before
-// ErrRetriesExhausted; the e2e chaos outages are sized against that. The
-// jitter is seeded per client, key and seq: Routers do not retry in
-// lockstep after a reshard.
+// An Append or Audit absorbs up to routerRetries retriable responses (node
+// down, ring settling, handoff in flight) before giving up with
+// ErrRetriesExhausted; the context deadline cuts it shorter. Its backoff
+// step doubles from routerBase to routerCap. A wait is at least half its
+// step, so a 64-attempt Append waits at least 5 + 10 + … + 160 ms + 58 ×
+// 320 ms = 18.875 s before ErrRetriesExhausted; the e2e chaos outages are
+// sized against that. The jitter is seeded per client, key and seq:
+// Routers do not retry in lockstep after a reshard.
 const (
-	routerBase = 10 * time.Millisecond
-	routerCap  = 640 * time.Millisecond
+	routerRetries = 64
+	routerBase    = 10 * time.Millisecond
+	routerCap     = 640 * time.Millisecond
 )
 
 // Exec is one acknowledged append: who executed it, at which placement
@@ -70,6 +68,8 @@ type Router struct {
 	// client is opts.ClientID boxed once: every Append passes it as a call
 	// parameter, and boxing it there cost an allocation per call.
 	client any
+	// retries is routerRetries; tests lower it.
+	retries int
 
 	peers *peers
 
@@ -86,13 +86,10 @@ func NewRouter(spec string, opts RouterOptions) (*Router, error) {
 	if opts.ClientID == "" {
 		return nil, errors.New("fabric: RouterOptions.ClientID is required")
 	}
-	if opts.Retries <= 0 {
-		opts.Retries = 64
-	}
 	if opts.DialTimeout <= 0 {
 		opts.DialTimeout = 2 * time.Second
 	}
-	return &Router{opts: opts, client: opts.ClientID, ring: ring, peers: newPeers(opts.DialTimeout)}, nil
+	return &Router{opts: opts, client: opts.ClientID, retries: routerRetries, ring: ring, peers: newPeers(opts.DialTimeout)}, nil
 }
 
 // Ring reports the router's current ring spec.
@@ -134,7 +131,7 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 	var lastStatus string
 	var lastErr error
 	b := backoff.Schedule{Base: routerBase, Cap: routerCap, Seed: backoff.Seed(r.opts.ClientID) ^ backoff.Seed(key) ^ seq}
-	for attempt := 0; attempt < r.opts.Retries; attempt++ {
+	for attempt := 0; attempt < r.retries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return Exec{}, err
 		}
@@ -191,9 +188,9 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 		}
 	}
 	if lastErr != nil {
-		return Exec{}, fmt.Errorf("%w after %d attempts (last: %s): %v", ErrRetriesExhausted, r.opts.Retries, lastStatus, lastErr)
+		return Exec{}, fmt.Errorf("%w after %d attempts (last: %s): %v", ErrRetriesExhausted, r.retries, lastStatus, lastErr)
 	}
-	return Exec{}, fmt.Errorf("%w after %d attempts (last status %q)", ErrRetriesExhausted, r.opts.Retries, lastStatus)
+	return Exec{}, fmt.Errorf("%w after %d attempts (last status %q)", ErrRetriesExhausted, r.retries, lastStatus)
 }
 
 // Audit fetches one key's server-side ledger entry from its current
@@ -201,7 +198,7 @@ func (r *Router) Append(ctx context.Context, key string, seq uint64, payload []b
 func (r *Router) Audit(ctx context.Context, key string) (Audit, error) {
 	b := backoff.Schedule{Base: routerBase, Cap: routerCap, Seed: backoff.Seed(r.opts.ClientID) ^ backoff.Seed(key)}
 	var last error
-	for attempt := 0; attempt < r.opts.Retries; attempt++ {
+	for attempt := 0; attempt < r.retries; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return Audit{}, err
 		}

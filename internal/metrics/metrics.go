@@ -9,31 +9,21 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Counter is a monotonically increasing counter safe for concurrent use.
-type Counter struct {
-	mu sync.Mutex
-	v  uint64
-}
+type Counter struct{ v atomic.Uint64 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n uint64) {
-	c.mu.Lock()
-	c.v += n
-	c.mu.Unlock()
-}
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
-func (c *Counter) Value() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
+func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Supervision aggregates the object-layer supervision counters: admission
 // sheds, manager restarts, object poisonings and watchdog stall detections.

@@ -105,9 +105,6 @@ type Config struct {
 	// member ID's hash so members draw distinct but reproducible
 	// sequences — the knob that makes failover schedules replayable.
 	Seed uint64
-	// SnapshotThreshold compacts the log once more than this many applied
-	// entries are retained (default 1024; requires Snapshot/Restore).
-	SnapshotThreshold int
 	// Snapshot captures the applied object's state for log compaction and
 	// rejoin catch-up; Restore rebuilds it. Both are invoked only from the
 	// apply loop. Leaving them nil disables compaction: catch-up then
@@ -135,11 +132,15 @@ type Config struct {
 	Metrics *rpc.Metrics
 	// Logf, when non-nil, receives debug lines (role changes, elections).
 	Logf func(format string, args ...any)
+
+	// snapshotThreshold is the constant of that name when zero; tests
+	// lower it.
+	snapshotThreshold int
 }
 
-// sessionCap bounds the replicated session table. A constant, because every
-// member of a group must evict alike or their session tables diverge.
-const sessionCap = 1024
+// snapshotThreshold compacts the log once more than this many applied
+// entries are retained (with Snapshot and Restore set).
+const snapshotThreshold = 1024
 
 // heartbeat is the leader's heartbeat interval: a tenth of the election
 // timeout, at least 1ms.
@@ -151,8 +152,8 @@ func (c *Config) withDefaults() {
 	if c.ElectionTimeout <= 0 {
 		c.ElectionTimeout = 150 * time.Millisecond
 	}
-	if c.SnapshotThreshold <= 0 {
-		c.SnapshotThreshold = 1024
+	if c.snapshotThreshold <= 0 {
+		c.snapshotThreshold = snapshotThreshold
 	}
 	if c.Dial == nil {
 		c.Dial = func(addr string) (net.Conn, error) {
@@ -282,7 +283,7 @@ func New(cfg Config, obj rpc.Callable) (*Replica, error) {
 		obj:       obj,
 		waiters:   make(map[uint64][]waiter),
 		readApply: make(map[uint64][]chan struct{}),
-		sessions:  rpc.NewSessionTable(sessionCap),
+		sessions:  rpc.NewSessionTable(),
 		rng:       workload.NewRNG(cfg.Seed ^ idHash(cfg.ID)),
 		done:      make(chan struct{}),
 	}
@@ -741,7 +742,7 @@ func (r *Replica) applyLoop() {
 			}
 		}
 		r.resolveReadApplyLocked()
-		compact := r.cfg.Snapshot != nil && r.applied-r.snapIndex > uint64(r.cfg.SnapshotThreshold)
+		compact := r.cfg.Snapshot != nil && r.applied-r.snapIndex > uint64(r.cfg.snapshotThreshold)
 		r.mu.Unlock()
 		for i, w := range resolved {
 			w.ch <- resolvedRes[i]

@@ -96,7 +96,7 @@ func (m *member) crash(nw *simnet.Network) {
 
 type groupOpts struct {
 	store       *wal.Store
-	thresh      int // SnapshotThreshold; 0 = default
+	thresh      int // Config.snapshotThreshold; 0 = the constant
 	metrics     *rpc.Metrics
 	nodeMetrics *rpc.Metrics
 	readOnly    func(string) bool
@@ -116,7 +116,7 @@ func startMember(t testing.TB, nw *simnet.Network, id string, peers map[string]s
 		Store:             o.store,
 		ElectionTimeout:   60 * time.Millisecond,
 		Seed:              seed,
-		SnapshotThreshold: o.thresh,
+		snapshotThreshold: o.thresh,
 		Snapshot:          obj.snapshot,
 		Restore:           obj.restore,
 		Metrics:           o.metrics,

@@ -309,7 +309,7 @@ func TestFoldIdempotentOverFuzzyFloor(t *testing.T) {
 			ID: "A", Group: "KV", Peers: peers, Store: st,
 			Dial:              func(string) (net.Conn, error) { return nil, fmt.Errorf("peers are driven by hand") },
 			ElectionTimeout:   time.Hour, // never campaigns
-			SnapshotThreshold: 4,
+			snapshotThreshold: 4,
 			Snapshot:          obj.snapshot, Restore: obj.restore,
 		}, obj)
 		if err != nil {

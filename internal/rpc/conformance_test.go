@@ -48,7 +48,7 @@ func TestRPCKeyOrderConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	node := NewNodeWith("srv", NodeOptions{DedupCap: 8192})
+	node := NewNodeWith("srv", NodeOptions{})
 	if err := node.Publish(obj); err != nil {
 		t.Fatal(err)
 	}

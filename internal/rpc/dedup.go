@@ -49,14 +49,16 @@ type SessionTable struct {
 	order   []dedupKey // completion order, for FIFO eviction
 }
 
-// NewSessionTable creates a table retaining up to capacity completed
-// responses (<= 0 selects the default of 1024). Capacity must be identical
-// across the members of a replication group or their tables diverge.
-func NewSessionTable(capacity int) *SessionTable {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &SessionTable{cap: capacity, entries: make(map[dedupKey]*dedupEntry)}
+// sessionCap is how many completed responses a SessionTable retains. A
+// constant, because every member of a replication group must evict alike or
+// their tables diverge. Retries arriving after eviction re-execute, so it
+// sits well above clients × in-flight window.
+const sessionCap = 1024
+
+// NewSessionTable creates a table retaining up to sessionCap completed
+// responses.
+func NewSessionTable() *SessionTable {
+	return &SessionTable{cap: sessionCap, entries: make(map[dedupKey]*dedupEntry)}
 }
 
 // completed reports whether the entry's response is recorded. The

@@ -133,7 +133,7 @@ func TestDedupPreload(t *testing.T) {
 // TestDuplicateWaitHonorsReplayWait is the regression test for the
 // unbounded duplicate wait: a duplicate request whose primary execution
 // never completes used to block on the dedup entry forever, pinning the
-// serve goroutine. Now the node bounds the wait with ReplayWait and
+// serve goroutine. Now the node bounds the wait with replayWait and
 // answers a typed, retryable ErrReplayTimeout; once the primary finally
 // completes, a same-sequence retry replays its result without
 // re-executing the body.
@@ -157,7 +157,8 @@ func TestDuplicateWaitHonorsReplayWait(t *testing.T) {
 	defer obj.Close()
 
 	nm := &Metrics{}
-	node := NewNodeWith("srv", NodeOptions{ReplayWait: 50 * time.Millisecond, Metrics: nm})
+	node := NewNodeWith("srv", NodeOptions{Metrics: nm})
+	node.replayWait = 50 * time.Millisecond
 	if err := node.PublishCallable("Slow", obj); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestDuplicateWaitHonorsReplayWait(t *testing.T) {
 		t.Fatalf("duplicate wait returned %v, want ErrReplayTimeout", err)
 	}
 	if waited := time.Since(t0); waited > 5*time.Second {
-		t.Fatalf("duplicate blocked %v — ReplayWait not honored", waited)
+		t.Fatalf("duplicate blocked %v — replayWait not honored", waited)
 	}
 	if got := nm.ReplayTimeouts.Value(); got == 0 {
 		t.Error("ReplayTimeouts counter not incremented")

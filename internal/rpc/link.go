@@ -65,9 +65,20 @@ type linkHooks struct {
 	rec        *trace.Recorder    // nil-safe event sink
 	durable    *wal.Store         // durability store (nodes with -data-dir only)
 	acks       *wal.ObjectJournal // the node's ack ledger in durable (acks.go)
-	replayWait time.Duration      // duplicate wait bound; 0 = unbounded
-	flushGrace time.Duration      // graceful-close flush bound; 0 = 1s default, < 0 = none
+	replayWait time.Duration      // duplicate wait bound (with dedup)
+	flushGrace time.Duration      // graceful-close flush bound; 0 = flushGrace
 }
+
+// A duplicate request waits at most replayWait for the in-flight primary
+// execution of its (client, seq) before answering ErrReplayTimeout: the
+// wire carries no per-call deadline, so the node bounds the wait itself or
+// a stalled primary pins the duplicate's serve goroutine forever. A
+// graceful link close waits at most flushGrace for queued frames to reach
+// the wire, so a peer that stopped reading cannot turn Close into a hang.
+const (
+	replayWait = 30 * time.Second
+	flushGrace = time.Second
+)
 
 // link is one end of a connection: it can issue requests, serve requests
 // (when it has a resolver), and route channel messages both ways. Frames
@@ -682,12 +693,8 @@ func (l *link) replayDuplicate(id uint64, objName, entryName, client string, seq
 		m.DedupHits.Inc()
 	}
 	l.hooks.rec.Record(objName, entryName, -1, seq, trace.Replayed)
-	var timeout <-chan time.Time
-	if l.hooks.replayWait > 0 {
-		t := time.NewTimer(l.hooks.replayWait)
-		defer t.Stop()
-		timeout = t.C
-	}
+	timeout := time.NewTimer(l.hooks.replayWait)
+	defer timeout.Stop()
 	select {
 	case <-l.hooks.dedup.waitCh(entry):
 		// The primary wrote entry.lsn before closing done; sync through it
@@ -702,7 +709,7 @@ func (l *link) replayDuplicate(id uint64, objName, entryName, client string, seq
 		}
 		resp.Results, resp.Err, resp.ErrKind = entry.results, entry.errMsg, entry.errKind
 		l.sendResponse(&resp)
-	case <-timeout:
+	case <-timeout.C:
 		if m := l.hooks.metrics; m != nil {
 			m.ReplayTimeouts.Inc()
 		}
@@ -775,17 +782,12 @@ func (l *link) close() {
 }
 
 // flushPending waits, briefly and best-effort, until the write queue is
-// empty and no combiner is mid-batch. Bounded by the owner's flush grace
-// (NodeOptions.FlushGrace; 1s when unset): a peer that stopped reading
-// must not turn a graceful close into a hang. A negative grace skips the
-// wait entirely — teardown-speed over response delivery.
+// empty and no combiner is mid-batch. Bounded by flushGrace: a peer that
+// stopped reading must not turn a graceful close into a hang.
 func (l *link) flushPending() {
 	grace := l.hooks.flushGrace
 	if grace == 0 {
-		grace = time.Second
-	}
-	if grace < 0 {
-		return
+		grace = flushGrace
 	}
 	deadline := time.Now().Add(grace)
 	l.wmu.Lock()

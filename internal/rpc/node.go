@@ -29,6 +29,10 @@ type Node struct {
 	acks       *wal.ObjectJournal
 	recoverErr error
 
+	// replayWait and flushGrace are the bounds handed to accepted links:
+	// the constants of the same names, which tests shrink.
+	replayWait, flushGrace time.Duration
+
 	// ctx outlives individual links: dedup-tracked executions run under it
 	// so a retry after a connection failure can replay their results. It
 	// is cancelled at Close, after the drain grace.
@@ -61,13 +65,15 @@ func NewNode(name string) *Node {
 func NewNodeWith(name string, opts NodeOptions) *Node {
 	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
-		name:    name,
-		opts:    opts,
-		dedup:   NewSessionTable(opts.DedupCap),
-		ctx:     ctx,
-		cancel:  cancel,
-		objects: make(map[string]Callable),
-		links:   make(map[*link]struct{}),
+		name:       name,
+		opts:       opts,
+		dedup:      NewSessionTable(),
+		replayWait: replayWait,
+		flushGrace: flushGrace,
+		ctx:        ctx,
+		cancel:     cancel,
+		objects:    make(map[string]Callable),
+		links:      make(map[*link]struct{}),
 	}
 	if opts.Durable != nil {
 		// At-most-once across process death: the ledger the previous
@@ -128,13 +134,6 @@ func (n *Node) Objects() []string {
 // hooks builds the link callbacks wiring this node's dedup cache, drain
 // gate and observation sinks into each accepted connection.
 func (n *Node) hooks() linkHooks {
-	replayWait := n.opts.ReplayWait
-	switch {
-	case replayWait == 0:
-		replayWait = 30 * time.Second
-	case replayWait < 0:
-		replayWait = 0 // explicit "wait forever"
-	}
 	return linkHooks{
 		dedup:      n.dedup,
 		serveCtx:   n.ctx,
@@ -144,8 +143,8 @@ func (n *Node) hooks() linkHooks {
 		rec:        n.opts.Trace,
 		durable:    n.opts.Durable,
 		acks:       n.acks,
-		replayWait: replayWait,
-		flushGrace: n.opts.FlushGrace,
+		replayWait: n.replayWait,
+		flushGrace: n.flushGrace,
 	}
 }
 

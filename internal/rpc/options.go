@@ -148,12 +148,8 @@ type Metrics struct {
 }
 
 // NodeOptions configures a Node. The zero value reproduces the classic
-// behaviour: immediate teardown on Close and a 1024-entry dedup cache.
+// behaviour: immediate teardown on Close.
 type NodeOptions struct {
-	// DedupCap bounds the at-most-once cache (completed calls retained
-	// for replay); default 1024. Retries arriving after eviction
-	// re-execute, so size it above clients × in-flight window.
-	DedupCap int
 	// DrainGrace is how long Close waits for in-flight invocations to
 	// finish before cancelling them (default 0: cancel immediately).
 	DrainGrace time.Duration
@@ -169,21 +165,6 @@ type NodeOptions struct {
 	// Node.Close. Nil — the default — keeps the serve path free of
 	// durability work.
 	Durable *wal.Store
-	// ReplayWait bounds how long a duplicate request waits for the
-	// in-flight primary execution of its (client, seq) before answering
-	// ErrReplayTimeout (the wire carries no per-call deadline, so the node
-	// must bound this wait itself or a stalled primary pins the duplicate's
-	// serve goroutine forever). 0 selects the 30s default; negative
-	// disables the bound.
-	ReplayWait time.Duration
-	// FlushGrace bounds how long a graceful link close waits for queued
-	// response frames to reach the wire before tearing the connection
-	// down — the bound that keeps a peer who stopped reading from turning
-	// Close into a hang. 0 selects the historical 1s; negative skips the
-	// flush wait entirely (teardown speed over response delivery — a
-	// deliberately failing-over replica uses this so a wedged follower
-	// cannot slow its exit).
-	FlushGrace time.Duration
 }
 
 func randomClientID() string {

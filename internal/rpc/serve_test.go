@@ -117,7 +117,8 @@ func TestWedgedPeerDoesNotStallOtherLinks(t *testing.T) {
 		}}, core.ObjectOptions{})
 	defer obj.Close()
 	nm := &Metrics{}
-	node := NewNodeWith("wedge", NodeOptions{DrainGrace: drainGrace, FlushGrace: flushGrace, Metrics: nm})
+	node := NewNodeWith("wedge", NodeOptions{DrainGrace: drainGrace, Metrics: nm})
+	node.flushGrace = flushGrace
 	if err := node.Publish(obj); err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +144,6 @@ func TestWedgedPeerDoesNotStallOtherLinks(t *testing.T) {
 	if err := wire.WriteHello(a); err != nil {
 		t.Fatalf("A: %v", err)
 	}
-	if _, err := a.Write(request(nil, 1)); err != nil {
-		t.Fatalf("A: %v", err)
-	}
 	var aLink *link
 	testutil.WaitUntil(t, "the node to register A's link", func() bool {
 		node.mu.Lock()
@@ -159,6 +157,16 @@ func TestWedgedPeerDoesNotStallOtherLinks(t *testing.T) {
 		aLink.wmu.Lock()
 		defer aLink.wmu.Unlock()
 		return len(aLink.wbuf), aLink.writing
+	}
+	// The goroutine that flushed the hello stays the combiner until it
+	// finds the queue empty; a response queued before then rides its
+	// batch, and no responder is left in conn.Write to count in flight.
+	testutil.WaitUntil(t, "the hello's flush to finish", func() bool {
+		_, writing := queued()
+		return !writing
+	})
+	if _, err := a.Write(request(nil, 1)); err != nil {
+		t.Fatalf("A: %v", err)
 	}
 	// Queued (FramesSent) and then swapped out of the queue by a combiner
 	// that is still writing: the frame is inside conn.Write. Without the

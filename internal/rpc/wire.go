@@ -72,8 +72,8 @@ var ErrVersionSkew = wire.ErrVersionSkew
 var ErrLinkClosed = errors.New("rpc: connection closed")
 
 // ErrReplayTimeout is returned to a duplicate request that waited
-// NodeOptions.ReplayWait for the primary execution of its (client, seq)
-// without seeing it complete. The original execution continues; its result
+// 30s (the node's replay bound) for the primary execution of its
+// (client, seq) without seeing it complete. The original execution continues; its result
 // stays in the dedup cache, so a later retry of the same sequence number
 // replays it. Retryable with the SAME sequence number.
 var ErrReplayTimeout = wire.ErrReplayTimeout

@@ -119,7 +119,7 @@ var ErrUnsupported = errors.New("wire: unsupported value type")
 var ErrUnknownObject = errors.New("rpc: unknown object")
 
 // ErrReplayTimeout is returned to a duplicate request that waited out the
-// node's ReplayWait without seeing the primary execution of its
+// node's 30s replay bound without seeing the primary execution of its
 // (client, seq) complete. Retryable with the SAME sequence number.
 var ErrReplayTimeout = errors.New("rpc: timed out waiting for in-flight duplicate")
 
