@@ -194,7 +194,7 @@ func (c *checker) step(idx int, ev trace.Event) {
 		// a call event. Requeue transitions are validated via c.requeues.
 		c.restarts++
 		return
-	case trace.Stalled, trace.LinkUp, trace.LinkDown, trace.Retried, trace.Replayed:
+	case trace.Stalled:
 		return // informational; no lifecycle transition
 	}
 

@@ -28,7 +28,6 @@ type Clock struct {
 // Config configures the clock.
 type Config struct {
 	SleeperMax int // hidden Wakeme array size: max simultaneous sleepers (default 16)
-	ObjOpts    []alps.Option
 }
 
 // New creates a stopped clock; call Tick (or run Ticker) to advance time.
@@ -94,12 +93,12 @@ func New(cfg Config) (*Clock, error) {
 		)
 	}
 
-	obj, err := alps.New("AlarmClock", append(cfg.ObjOpts,
+	obj, err := alps.New("AlarmClock",
 		alps.WithEntry(alps.EntrySpec{
 			Name: "Wakeme", Params: 1, Results: 1, Array: cfg.SleeperMax, Body: wakeme,
 		}),
 		alps.WithManager(manager, alps.InterceptPR("Wakeme", 1, 1)),
-	)...)
+	)
 	if err != nil {
 		return nil, err
 	}

@@ -35,7 +35,6 @@ type Config struct {
 	Units      int    // total resource units
 	AcquireMax int    // hidden Acquire array size (default 16)
 	Policy     Policy // admission policy (default FirstFit)
-	ObjOpts    []alps.Option
 }
 
 // Allocator manages a pool of identical resource units.
@@ -133,11 +132,11 @@ func New(cfg Config) (*Allocator, error) {
 		_ = m.Loop(guards...)
 	}
 
-	obj, err := alps.New("Allocator", append(cfg.ObjOpts,
+	obj, err := alps.New("Allocator",
 		alps.WithEntry(alps.EntrySpec{Name: "Acquire", Params: 1, Array: cfg.AcquireMax, Body: acquire}),
 		alps.WithEntry(alps.EntrySpec{Name: "Release", Params: 1, Array: 4, Body: release}),
 		alps.WithManager(manager, alps.InterceptPR("Acquire", 1, 0), alps.InterceptPR("Release", 1, 0)),
-	)...)
+	)
 	if err != nil {
 		return nil, err
 	}

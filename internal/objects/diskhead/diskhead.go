@@ -57,7 +57,6 @@ type Config struct {
 	Cylinders int           // track space, needed by SCAN (default 1000)
 	Policy    Policy        // scheduling discipline (default SSTF)
 	TrackCost time.Duration // simulated head travel time per track moved
-	ObjOpts   []alps.Option
 }
 
 // New creates a disk-head scheduler.
@@ -150,13 +149,13 @@ func New(cfg Config) (*Scheduler, error) {
 		)
 	}
 
-	obj, err := alps.New("DiskHead", append(cfg.ObjOpts,
+	obj, err := alps.New("DiskHead",
 		alps.WithEntry(alps.EntrySpec{
 			Name: "Seek", Params: 1, Results: 1, Array: cfg.QueueMax,
 			HiddenParams: 1, Body: seek,
 		}),
 		alps.WithManager(manager, alps.InterceptPR("Seek", 1, 0)),
-	)...)
+	)
 	if err != nil {
 		return nil, err
 	}

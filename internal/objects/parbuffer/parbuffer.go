@@ -23,7 +23,6 @@ type Config struct {
 	ProducerMax int           // Deposit hidden array size (default 4)
 	ConsumerMax int           // Remove hidden array size (default 4)
 	CopyCost    time.Duration // simulated per-message copy time (long messages)
-	ObjOpts     []alps.Option
 }
 
 // Buffer is a parallel bounded buffer.
@@ -144,7 +143,7 @@ func New(cfg Config) (*Buffer, error) {
 		)
 	}
 
-	obj, err := alps.New("ParBuffer", append(cfg.ObjOpts,
+	obj, err := alps.New("ParBuffer",
 		alps.WithEntry(alps.EntrySpec{
 			Name: "Deposit", Params: 1, Array: cfg.ProducerMax,
 			HiddenParams: 1, HiddenResults: 1, Body: deposit,
@@ -154,7 +153,7 @@ func New(cfg Config) (*Buffer, error) {
 			HiddenParams: 1, HiddenResults: 1, Body: remove,
 		}),
 		alps.WithManager(manager, alps.Intercept("Deposit"), alps.Intercept("Remove")),
-	)...)
+	)
 	if err != nil {
 		return nil, err
 	}

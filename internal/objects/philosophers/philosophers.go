@@ -28,7 +28,6 @@ type Table struct {
 type Config struct {
 	Seats   int           // philosophers (and forks); at least 2
 	EatTime time.Duration // simulated eating time per meal
-	ObjOpts []alps.Option
 }
 
 // New lays the table.
@@ -109,12 +108,12 @@ func New(cfg Config) (*Table, error) {
 		return nil
 	}
 
-	obj, err := alps.New("Philosophers", append(cfg.ObjOpts,
+	obj, err := alps.New("Philosophers",
 		alps.WithEntry(alps.EntrySpec{
 			Name: "Dine", Params: 1, Array: cfg.Seats, HiddenResults: 1, Body: body,
 		}),
 		alps.WithManager(manager, alps.InterceptPR("Dine", 1, 0)),
-	)...)
+	)
 	if err != nil {
 		return nil, err
 	}

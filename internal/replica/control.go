@@ -20,15 +20,13 @@ type control struct {
 	r *Replica
 }
 
-// CallCtx implements rpc.Callable for the four consensus procedures.
+// CallCtx implements rpc.Callable for the three consensus procedures.
 func (c *control) CallCtx(_ context.Context, entry string, params ...any) ([]any, error) {
 	switch entry {
 	case "RequestVote":
 		return c.requestVote(params)
 	case "AppendEntries":
 		return c.appendEntries(params)
-	case "Heartbeat":
-		return c.heartbeat(params)
 	case "InstallSnapshot":
 		return c.installSnapshot(params)
 	default:
@@ -98,8 +96,10 @@ func (c *control) requestVote(params []any) ([]any, error) {
 // toward quorum, so "acknowledged" must mean "on stable storage" — the same
 // contract client acks honor (docs/DURABILITY.md): the log is synced through
 // every record this member journaled before the reply leaves, entries an
-// earlier frame delivered included. A record the disk refuses stays out of
-// the log, and the frame is answered with the refusal.
+// earlier frame delivered included. A frame with nothing past the snapshot
+// floor is the exception: all it can acknowledge is already committed. A
+// record the disk refuses stays out of the log, and the frame is answered
+// with the refusal.
 func (c *control) appendEntries(params []any) ([]any, error) {
 	term, err := as[uint64](params, 0)
 	leader, err2 := as[string](params, 1)
@@ -157,8 +157,12 @@ func (c *control) appendEntries(params []any) ([]any, error) {
 	}
 
 	// Entries at or below our snapshot floor are already committed and
-	// applied here; trim them off rather than refusing the batch.
-	if prev < r.snapIndex {
+	// applied here; trim them off rather than refusing the batch. A frame
+	// with nothing past the floor answers at once, waiting on no fsync but
+	// a term it raised: the leader's ReadIndex confirmation is such a frame
+	// (prev 0, no entries), so a read with no other frame to ride never
+	// queues behind this member's in-flight writes.
+	if prev <= r.snapIndex {
 		trim := r.snapIndex - prev
 		if trim >= uint64(len(entries)) {
 			return r.replyLocked(stateDirty, r.term, true, uint64(0))
@@ -246,53 +250,6 @@ func (r *Replica) replyLocked(stateDirty bool, reply ...any) ([]any, error) {
 		return nil, fmt.Errorf("replica: AppendEntries: %w", err)
 	}
 	return reply, nil
-}
-
-// heartbeat: params [term, leaderID, confirm], reply [term, ok, confirm].
-// A pure leadership probe for the ReadIndex fast path: no prev/entries
-// consistency check, no commit advance — just "do you still recognize my
-// term", with the confirmation round echoed back so the leader can count
-// this reply toward a read quorum. Commit advertisement stays on
-// AppendEntries, whose prev check is what makes advancing commit safe; a
-// heartbeat that advanced commit over an unverified log could apply the
-// wrong entries.
-func (c *control) heartbeat(params []any) ([]any, error) {
-	term, err := as[uint64](params, 0)
-	leader, err2 := as[string](params, 1)
-	confirm, err3 := as[uint64](params, 2)
-	if err = firstErr(err, err2, err3); err != nil {
-		return nil, fmt.Errorf("replica: Heartbeat: %w", err)
-	}
-	r := c.r
-	r.mu.Lock()
-	if term < r.term {
-		reply := []any{r.term, false, confirm}
-		r.mu.Unlock()
-		return reply, nil
-	}
-	stateDirty := term > r.term
-	r.term = term
-	if r.role != Follower {
-		r.role = Follower
-		r.failReadsLocked(wire.ErrNotLeader)
-	}
-	if stateDirty {
-		r.votedFor = ""
-	}
-	r.leaderID = leader
-	r.resetElectionDeadline()
-	var lsn uint64
-	if stateDirty {
-		lsn, err = r.persistStateLocked()
-	}
-	curTerm := r.term
-	r.mu.Unlock()
-	// The term bump is a promise (no votes below it); sync it before the
-	// reply leaves, like every other consensus acknowledgement.
-	if err := r.waitSynced(lsn, err); err != nil {
-		return nil, fmt.Errorf("replica: Heartbeat: %w", err)
-	}
-	return []any{curTerm, true, confirm}, nil
 }
 
 // installSnapshot: params [term, leaderID, lastIndex, lastTerm, blob],

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/rpc"
 	"repro/internal/simnet"
+	"repro/internal/testutil"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -272,4 +275,226 @@ func TestPipelinedFailoverChaosSoak(t *testing.T) {
 	}
 	kills, _, _ := nw.Stats()
 	t.Logf("survived %d connection kills plus one leader kill", kills)
+}
+
+// syncHold holds a FailFS's fsyncs open until release. A Sync that enters
+// the hold announces itself on entered, unless an announcement is already
+// waiting there.
+type syncHold struct {
+	entered chan struct{}
+	hold    chan struct{}
+	once    sync.Once
+}
+
+func holdSyncs(fs *wal.FailFS) *syncHold {
+	h := &syncHold{entered: make(chan struct{}, 1), hold: make(chan struct{})}
+	fs.SyncHook = func(string) error {
+		select {
+		case h.entered <- struct{}{}:
+		default:
+		}
+		<-h.hold
+		return nil
+	}
+	return h
+}
+
+func (h *syncHold) release() { h.once.Do(func() { close(h.hold) }) }
+
+// TestReadIndexWhileFollowerSyncsHeld is the held-fsync liveness row for
+// ReadIndex reads on a settled leader: with both followers' fsyncs held and
+// one write in flight behind them, a read on the leader still confirms its
+// leadership with a quorum and returns the last committed value. The
+// confirmation is an empty AppendEntries at prev 0, which a follower
+// answers at its snapshot floor without waiting on its own fsyncs. The
+// election timeout is long enough that no heartbeat falls due between the
+// write and the read, so the read's round rides that empty frame.
+func TestReadIndexWhileFollowerSyncsHeld(t *testing.T) {
+	nw := simnet.New(simnet.Config{Seed: 35})
+	members, disks, stores := diskGroup(t, nw, 41, groupOpts{readOnly: isGet, election: 500 * time.Millisecond})
+	lead := waitLeader(t, members, 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	const writes = 3
+	for i := uint64(1); i <= writes; i++ {
+		if _, err := lead.rep.CallSession(ctx, "w", i, "Inc", []any{"k"}); err != nil {
+			t.Fatalf("Inc %d: %v", i, err)
+		}
+	}
+	var followers []*member
+	for _, m := range members {
+		if m != lead {
+			followers = append(followers, m)
+		}
+	}
+	testutil.WaitUntil(t, "the followers to hold the leader's log on disk", func() bool {
+		for _, f := range followers {
+			if logTail(f) != logTail(lead) || stores[f.id].SyncedLSN() != stores[f.id].AppendedLSN() {
+				return false
+			}
+		}
+		return true
+	})
+
+	var holds []*syncHold
+	for _, f := range followers {
+		h := holdSyncs(disks[f.id])
+		holds = append(holds, h)
+		t.Cleanup(h.release) // before the stores close
+	}
+	written := make(chan error, 1)
+	go func() {
+		_, err := lead.rep.CallSession(ctx, "w", writes+1, "Inc", []any{"k"})
+		written <- err
+	}()
+	for _, h := range holds {
+		select {
+		case <-h.entered:
+		case <-time.After(2 * time.Second):
+			t.Fatal("the in-flight write never reached a follower's fsync")
+		}
+	}
+
+	readCtx, readCancel := context.WithTimeout(ctx, 2*time.Second)
+	defer readCancel()
+	start := time.Now()
+	res, err := lead.rep.CallCtx(readCtx, "Get", "k")
+	if err != nil {
+		t.Fatalf("Get with the followers' fsyncs held: %v after %v", err, time.Since(start))
+	}
+	if got := res[0].(uint64); got != writes {
+		t.Fatalf("Get returned %d, want the committed %d", got, writes)
+	}
+	select {
+	case err := <-written:
+		t.Fatalf("the write finished (%v) while both followers' fsyncs were held", err)
+	default:
+	}
+	t.Logf("read confirmed in %v with both followers' fsyncs held", time.Since(start))
+
+	for _, h := range holds {
+		h.release()
+	}
+	if err := <-written; err != nil {
+		t.Fatalf("the held write: %v", err)
+	}
+	waitValue(t, members, "k", writes+1, 5*time.Second)
+}
+
+// floorFollower is a lone follower that never campaigns and never dials
+// out: the test plays its leader by calling its control endpoint directly.
+func floorFollower(t *testing.T) (*control, *wal.FailFS) {
+	t.Helper()
+	fs := wal.NewFailFS()
+	st, err := wal.OpenStore("data", wal.StoreOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = st.Close() })
+	obj := newKV()
+	rep, err := New(Config{
+		ID:              "F",
+		Group:           "KV",
+		Peers:           map[string]string{"F": "F", "L": "L"},
+		Dial:            func(string) (net.Conn, error) { return nil, errors.New("no network") },
+		Store:           st,
+		ElectionTimeout: time.Hour,
+		Snapshot:        obj.snapshot,
+		Restore:         obj.restore,
+	}, obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rep.Close)
+	return &control{r: rep}, fs
+}
+
+// TestEmptyFrameAtFloorSkipsFsync: an AppendEntries with no entries and
+// prev 0 — the leader's ReadIndex confirmation — is answered with success
+// at once while the follower's fsync of an earlier frame is held, and moves
+// the follower's commitIndex nowhere, whether the follower's snapshot floor
+// is 0 or above it.
+func TestEmptyFrameAtFloorSkipsFsync(t *testing.T) {
+	const term = uint64(1)
+	inc := []any{encodeEntry(entry{Term: term, Entry: "Inc", Params: []any{"k"}})}
+	for _, floor := range []uint64{0, 5} {
+		t.Run(fmt.Sprintf("floor=%d", floor), func(t *testing.T) {
+			c, fs := floorFollower(t)
+			if floor > 0 {
+				state, err := newKV().snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				blob, err := (&snapshotPayload{LastIndex: floor, LastTerm: term, State: state}).encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.installSnapshot([]any{term, "L", floor, term, blob}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			prevTerm := uint64(0)
+			if floor > 0 {
+				prevTerm = term
+			}
+			reply, err := c.appendEntries([]any{term, "L", floor, prevTerm, floor + 1, inc})
+			if err != nil || !reply[1].(bool) {
+				t.Fatalf("first entry: %v, %v", reply, err)
+			}
+
+			h := holdSyncs(fs)
+			t.Cleanup(h.release)
+			held := make(chan error, 1)
+			go func() {
+				_, err := c.appendEntries([]any{term, "L", floor + 1, term, floor + 1, inc})
+				held <- err
+			}()
+			select {
+			case <-h.entered:
+			case <-time.After(2 * time.Second):
+				t.Fatal("the second entry's fsync never started")
+			}
+			c.r.mu.Lock()
+			commit := c.r.commitIndex
+			c.r.mu.Unlock()
+
+			answered := make(chan []any, 1)
+			go func() {
+				reply, err := c.appendEntries([]any{term, "L", uint64(0), uint64(0), floor + 2, []any{}})
+				if err != nil {
+					t.Error(err)
+				}
+				answered <- reply
+			}()
+			select {
+			case reply := <-answered:
+				if len(reply) != 3 || reply[0] != term || reply[1] != true || reply[2] != uint64(0) {
+					t.Fatalf("empty frame at prev 0 answered %v, want [%d true 0]", reply, term)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("empty frame at prev 0 waited on the held fsync")
+			}
+			c.r.mu.Lock()
+			after := c.r.commitIndex
+			c.r.mu.Unlock()
+			if after != commit {
+				t.Fatalf("empty frame moved commitIndex %d → %d", commit, after)
+			}
+			h.release()
+			if err := <-held; err != nil {
+				t.Fatalf("the held frame: %v", err)
+			}
+		})
+	}
+}
+
+// TestStrayHeartbeatIsUnknownEntry: the consensus endpoint serves Raft's
+// three messages and nothing else, so a Heartbeat, which a read round no
+// longer sends, is answered as any unknown entry is.
+func TestStrayHeartbeatIsUnknownEntry(t *testing.T) {
+	c, _ := floorFollower(t)
+	if _, err := c.CallCtx(context.Background(), "Heartbeat", uint64(1), "L", uint64(1)); !errors.Is(err, core.ErrUnknownEntry) {
+		t.Fatalf("Heartbeat answered %v, want core.ErrUnknownEntry", err)
+	}
 }

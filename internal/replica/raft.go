@@ -261,13 +261,10 @@ func (p *peer) requestVote(term uint64, candidate string, lastIdx, lastTerm uint
 	if err != nil {
 		return false, 0, err
 	}
-	if len(res) != 2 {
-		return false, 0, fmt.Errorf("replica: RequestVote: bad reply arity %d", len(res))
-	}
-	t, ok1 := res[0].(uint64)
-	g, ok2 := res[1].(bool)
-	if !ok1 || !ok2 {
-		return false, 0, fmt.Errorf("replica: RequestVote: bad reply types")
+	t, err := as[uint64](res, 0)
+	g, err2 := as[bool](res, 1)
+	if err = firstErr(err, err2, arity(res, 2)); err != nil {
+		return false, 0, fmt.Errorf("replica: RequestVote reply: %w", err)
 	}
 	return g, t, nil
 }
@@ -302,8 +299,8 @@ func (p *peer) loop() {
 }
 
 // pump tops up the pipeline: while we lead and the window has room, ship
-// the next AppendEntries frame (or a lightweight Heartbeat when only a
-// read round needs confirming). Each frame's ack is handled on its own
+// the next AppendEntries frame (an empty one at prev 0 when only a read
+// round needs confirming). Each frame's ack is handled on its own
 // goroutine, so follower RTT, leader work and frame encode overlap — the
 // stop-and-wait replicateOnce of PR 8, unrolled N deep. Safe to call from
 // multiple goroutines: the r.mu+p.mu hold reserves each frame's log range
@@ -377,20 +374,11 @@ func (p *peer) pump() {
 				r.mu.Unlock()
 				return
 			}
-			// Only a read round to confirm: a Heartbeat frame skips the
-			// log-consistency machinery entirely.
-			epoch := p.epoch
-			p.inflight++
-			depth := p.inflight
-			p.sentConfirm = confirm
-			p.lastSent = time.Now()
-			p.mu.Unlock()
-			r.mu.Unlock()
-			if m := r.cfg.Metrics; m != nil {
-				m.ReplWindow.Observe(depth)
-			}
-			go p.sendHeartbeat(term, confirm, epoch)
-			continue
+			// Only a read round to confirm: an empty frame at prev 0, which
+			// every follower's log holds. The follower answers it at its
+			// snapshot floor without waiting on its own fsyncs, and its ack
+			// moves no cursor here: nextIndex stays put and the match is 0.
+			prev, prevTerm = 0, 0
 		}
 
 		f := getAppendFrame()
@@ -399,7 +387,7 @@ func (p *peer) pump() {
 			f.add(e)
 		}
 		epoch := p.epoch
-		p.nextIndex = prev + uint64(n) + 1 // optimistic; the nack path rewinds
+		p.nextIndex += uint64(n) // optimistic; the nack path rewinds
 		p.inflight++
 		depth := p.inflight
 		if confirm > p.sentConfirm {
@@ -409,7 +397,9 @@ func (p *peer) pump() {
 		p.mu.Unlock()
 		r.mu.Unlock()
 		if m := r.cfg.Metrics; m != nil {
-			m.ReplBatch.Observe(n)
+			if n > 0 || heartbeatDue {
+				m.ReplBatch.Observe(n) // log frames only, not read confirmations
+			}
 			m.ReplWindow.Observe(depth)
 		}
 		go p.sendAppend(term, prev, prevTerm, commit, confirm, f, epoch)
@@ -420,7 +410,8 @@ func (p *peer) pump() {
 // advances matchIndex (monotonic — valid whatever order acks land in) and
 // counts toward any read round at or below confirm; a conflict or
 // transport failure rewinds nextIndex under the epoch guard, so only the
-// FIRST failure of a burst rewinds and stale acks are inert.
+// FIRST failure of a burst rewinds and stale acks are inert. A failed read
+// confirmation (prev 0) rewinds to matchIndex+1, the hard evidence.
 func (p *peer) sendAppend(term, prev, prevTerm, commit, confirm uint64, f *appendFrame, epoch uint64) {
 	r := p.r
 	res, err := p.call("AppendEntries", term, r.cfg.ID, prev, prevTerm, commit, f.vals)
@@ -483,59 +474,23 @@ func (p *peer) sendAppend(term, prev, prevTerm, commit, confirm uint64, f *appen
 	p.pump()
 }
 
-// sendHeartbeat ships a pure leadership/read-confirmation probe: params
-// [term, leaderID, confirm], reply [term, ok, confirm]. The echoed round
-// is what advanceReads counts toward the read quorum.
-func (p *peer) sendHeartbeat(term, confirm, epoch uint64) {
-	r := p.r
-	res, err := p.call("Heartbeat", term, r.cfg.ID, confirm)
-	if err == nil {
-		var peerTerm, echoed uint64
-		var ok bool
-		peerTerm, ok, echoed, err = decodeHeartbeatReply(res)
-		if err == nil {
-			if peerTerm > term {
-				p.finish()
-				r.observeTerm(peerTerm)
-				return
-			}
-			p.mu.Lock()
-			p.inflight--
-			if ok && echoed > p.confirmed {
-				p.confirmed = echoed
-			}
-			p.mu.Unlock()
-			if ok {
-				r.advanceReads()
-			}
-			p.pump()
-			return
-		}
-	}
-	p.mu.Lock()
-	p.inflight--
-	if p.epoch == epoch {
-		p.epoch++
-		p.sentConfirm = p.confirmed // retry the round on the next kick
-	}
-	p.mu.Unlock()
-}
-
 // sendSnapshot ships the compaction snapshot and resumes the log from its
 // floor.
 func (p *peer) sendSnapshot(term, snapIdx, snapTerm uint64, blob []byte, epoch uint64) {
 	r := p.r
 	res, err := p.call("InstallSnapshot", term, r.cfg.ID, snapIdx, snapTerm, blob)
-	if err != nil {
-		p.finish()
-		return
+	var peerTerm uint64
+	if err == nil {
+		peerTerm, err = as[uint64](res, 0)
+		err = firstErr(err, arity(res, 1))
 	}
-	if len(res) == 1 {
-		if t, ok := res[0].(uint64); ok && t > term {
-			p.finish()
-			r.observeTerm(t)
-			return
+	if err != nil || peerTerm > term {
+		// A reply that does not decode proves no install: the cursors stay.
+		p.finish()
+		if err == nil {
+			r.observeTerm(peerTerm)
 		}
+		return
 	}
 	p.mu.Lock()
 	p.inflight--
@@ -577,29 +532,13 @@ func (p *peer) finish() {
 }
 
 func decodeAppendReply(res []any) (term uint64, success bool, conflict uint64, err error) {
-	if len(res) != 3 {
-		return 0, false, 0, fmt.Errorf("replica: AppendEntries: bad reply arity %d", len(res))
+	term, err = as[uint64](res, 0)
+	success, err2 := as[bool](res, 1)
+	conflict, err3 := as[uint64](res, 2)
+	if err = firstErr(err, err2, err3, arity(res, 3)); err != nil {
+		return 0, false, 0, fmt.Errorf("replica: AppendEntries reply: %w", err)
 	}
-	t, ok1 := res[0].(uint64)
-	s, ok2 := res[1].(bool)
-	c, ok3 := res[2].(uint64)
-	if !ok1 || !ok2 || !ok3 {
-		return 0, false, 0, fmt.Errorf("replica: AppendEntries: bad reply types")
-	}
-	return t, s, c, nil
-}
-
-func decodeHeartbeatReply(res []any) (term uint64, ok bool, confirm uint64, err error) {
-	if len(res) != 3 {
-		return 0, false, 0, fmt.Errorf("replica: Heartbeat: bad reply arity %d", len(res))
-	}
-	t, ok1 := res[0].(uint64)
-	o, ok2 := res[1].(bool)
-	c, ok3 := res[2].(uint64)
-	if !ok1 || !ok2 || !ok3 {
-		return 0, false, 0, fmt.Errorf("replica: Heartbeat: bad reply types")
-	}
-	return t, o, c, nil
+	return term, success, conflict, nil
 }
 
 // --- pooled AppendEntries encode scratch ---

@@ -15,8 +15,8 @@ import (
 )
 
 // diskGroup starts a three-member group, A, B and C, each journaling to a
-// store on a FailFS of its own.
-func diskGroup(t *testing.T, nw *simnet.Network, seed uint64) ([]*member, map[string]*wal.FailFS, map[string]*wal.Store) {
+// store on a FailFS of its own; o's store is ignored.
+func diskGroup(t *testing.T, nw *simnet.Network, seed uint64, o groupOpts) ([]*member, map[string]*wal.FailFS, map[string]*wal.Store) {
 	t.Helper()
 	peers := map[string]string{"A": "A", "B": "B", "C": "C"}
 	disks := map[string]*wal.FailFS{}
@@ -30,7 +30,8 @@ func diskGroup(t *testing.T, nw *simnet.Network, seed uint64) ([]*member, map[st
 		}
 		t.Cleanup(func() { _ = st.Close() }) // after the member's own cleanup
 		stores[id] = st
-		members = append(members, startMember(t, nw, id, peers, seed, groupOpts{store: st}))
+		o.store = st
+		members = append(members, startMember(t, nw, id, peers, seed, o))
 	}
 	return members, disks, stores
 }
@@ -45,7 +46,7 @@ func logTail(m *member) uint64 { hs := m.rep.hardState(); return hs.SnapIndex + 
 // other two members keep committing; and it grants no vote in a later term.
 func TestFollowerDiskRefusalStopsPromises(t *testing.T) {
 	nw := simnet.New(simnet.Config{Seed: 28})
-	members, disks, stores := diskGroup(t, nw, 28)
+	members, disks, stores := diskGroup(t, nw, 28, groupOpts{})
 	lead := waitLeader(t, members, 2*time.Second)
 	var f *member
 	for _, m := range members {
@@ -161,7 +162,7 @@ func TestFollowerDiskRefusalStopsPromises(t *testing.T) {
 // proposal must fail: a success would report a write the group dropped.
 func TestDeposedLeaderRefusedTruncationCommitsNothing(t *testing.T) {
 	nw := simnet.New(simnet.Config{Seed: 29})
-	members, disks, stores := diskGroup(t, nw, 29)
+	members, disks, stores := diskGroup(t, nw, 29, groupOpts{})
 	old := waitLeader(t, members, 2*time.Second)
 	var rest []*member
 	for _, m := range members {

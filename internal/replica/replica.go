@@ -475,12 +475,13 @@ func failProposals(batch []proposal, err error) {
 }
 
 // readCall is the ReadIndex fast path: capture the commit frontier,
-// confirm we are still the leader with one quorum round (piggybacked on
-// in-flight AppendEntries when traffic is moving, a lightweight Heartbeat
-// frame when not), wait for the local apply frontier to reach the
-// captured index, and serve from local state — no log append, no fsync,
-// no per-read replication. Failures are typed retryable (wire.ErrNotLeader)
-// so DialMulti clients bounce exactly as they do for writes.
+// confirm we are still the leader with one quorum round (carried by the
+// next AppendEntries frame to each peer: an entry frame or heartbeat when
+// one is due, an empty frame at prev 0 when not), wait for the local apply
+// frontier to reach the captured index, and serve from local state — no
+// log append, no fsync, no per-read replication. Failures are typed
+// retryable (wire.ErrNotLeader) so DialMulti clients bounce exactly as
+// they do for writes.
 func (r *Replica) readCall(ctx context.Context, entryName string, params []any) ([]any, error) {
 	r.mu.Lock()
 	if r.closed {

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/gob"
 	"fmt"
@@ -101,6 +102,7 @@ type groupOpts struct {
 	nodeMetrics *rpc.Metrics
 	readOnly    func(string) bool
 	logf        func(format string, args ...any)
+	election    time.Duration // Config.ElectionTimeout; 0 = 60ms
 }
 
 func startMember(t testing.TB, nw *simnet.Network, id string, peers map[string]string, seed uint64, o groupOpts) *member {
@@ -114,7 +116,7 @@ func startMember(t testing.TB, nw *simnet.Network, id string, peers map[string]s
 			return nw.DialFrom(id, addr)
 		},
 		Store:             o.store,
-		ElectionTimeout:   60 * time.Millisecond,
+		ElectionTimeout:   cmp.Or(o.election, 60*time.Millisecond),
 		Seed:              seed,
 		snapshotThreshold: o.thresh,
 		Snapshot:          obj.snapshot,
@@ -490,6 +492,53 @@ func TestRejoinCatchesUpViaSnapshot(t *testing.T) {
 		t.Errorf("rejoined member executed %d entries — caught up by full replay, want snapshot install", n)
 	} else {
 		t.Logf("rejoined member executed only %d/%d entries (snapshot carried the rest)", n, calls)
+	}
+}
+
+// emptyReplies answers every call with an empty result list.
+type emptyReplies struct{}
+
+func (emptyReplies) CallCtx(context.Context, string, ...any) ([]any, error) { return []any{}, nil }
+
+// TestUndecodableSnapshotReplyKeepsCursors: a peer that answers
+// InstallSnapshot with a reply carrying no term has not shown an install,
+// so the leader's cursors for it stay where they were and the window slot
+// is freed.
+func TestUndecodableSnapshotReplyKeepsCursors(t *testing.T) {
+	nw := simnet.New(simnet.Config{Seed: 5})
+	node := rpc.NewNodeWith("F", rpc.NodeOptions{})
+	if err := node.PublishCallable(ControlName("KV"), emptyReplies{}); err != nil {
+		t.Fatal(err)
+	}
+	lis, err := nw.Listen("F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = node.Serve(lis) }()
+	t.Cleanup(node.Close)
+	rep, err := New(Config{
+		ID:              "L",
+		Group:           "KV",
+		Peers:           map[string]string{"L": "L", "F": "F"},
+		Dial:            func(addr string) (net.Conn, error) { return nw.DialFrom("L", addr) },
+		ElectionTimeout: time.Hour,
+	}, newKV())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rep.Close)
+
+	p := rep.peers[0]
+	p.mu.Lock()
+	p.matchIndex, p.nextIndex, p.inflight = 2, 3, 1
+	epoch := p.epoch
+	p.mu.Unlock()
+	p.sendSnapshot(1, 10, 1, []byte("snapshot"), epoch)
+	p.mu.Lock()
+	match, next, inflight := p.matchIndex, p.nextIndex, p.inflight
+	p.mu.Unlock()
+	if match != 2 || next != 3 || inflight != 0 {
+		t.Fatalf("after an empty InstallSnapshot reply: matchIndex %d, nextIndex %d, inflight %d; want 2, 3, 0", match, next, inflight)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/trace"
 )
 
 // errRemoteClosed fails calls on a Remote the user has Closed. It is
@@ -118,7 +117,7 @@ func DialConnWith(conn net.Conn, opts DialOptions) *Remote {
 
 func newRemote(conn net.Conn, opts DialOptions) *Remote {
 	r := &Remote{opts: opts, seed: backoff.Seed(opts.ClientID)}
-	r.link = newLink(conn, nil, linkHooks{metrics: opts.Metrics, rec: opts.Trace})
+	r.link = newLink(conn, nil, linkHooks{metrics: opts.Metrics})
 	return r
 }
 
@@ -158,7 +157,6 @@ func (r *Remote) CallWith(ctx context.Context, opts CallOptions, object, entry s
 			if m := r.opts.Metrics; m != nil {
 				m.Retries.Inc()
 			}
-			r.opts.Trace.Record(object, entry, -1, seq, trace.Retried)
 			if !b.Wait(ctx.Done()) {
 				return nil, lastErr
 			}
@@ -266,7 +264,7 @@ func (r *Remote) connect() error {
 		return err
 	}
 	old := r.link
-	r.link = newLink(conn, nil, linkHooks{metrics: r.opts.Metrics, rec: r.opts.Trace})
+	r.link = newLink(conn, nil, linkHooks{metrics: r.opts.Metrics})
 	for name, ch := range r.pubs {
 		_ = r.link.publishChan(name, ch)
 	}

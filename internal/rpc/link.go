@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/trace"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -54,7 +53,7 @@ type objectResolver interface {
 
 // linkHooks are the owner-supplied callbacks of a link: a node wires in
 // its dedup cache, drain gate and node-lifetime execution context; a
-// client wires in its metrics and trace sinks. The zero value is valid
+// client wires in its metrics sink. The zero value is valid
 // (no dedup, no drain gate, no observation).
 type linkHooks struct {
 	dedup      *SessionTable      // at-most-once table (nodes only)
@@ -62,7 +61,6 @@ type linkHooks struct {
 	begin      func() bool        // drain gate; false rejects the request
 	end        func()             // paired with a successful begin
 	metrics    *Metrics           // nil-safe counters
-	rec        *trace.Recorder    // nil-safe event sink
 	durable    *wal.Store         // durability store (nodes with -data-dir only)
 	acks       *wal.ObjectJournal // the node's ack ledger in durable (acks.go)
 	replayWait time.Duration      // duplicate wait bound (with dedup)
@@ -145,7 +143,6 @@ func newLink(conn net.Conn, res objectResolver, hooks linkHooks) *link {
 		cancel:  cancel,
 	}
 	l.wcond = sync.NewCond(&l.wmu)
-	hooks.rec.Record("", conn.RemoteAddr().String(), -1, 0, trace.LinkUp)
 	// Announce the protocol as the first bytes on the queue: both sides
 	// read their peer's hello before decoding frames, and queueing it
 	// ahead of any frame keeps the write loop the only writer.
@@ -692,7 +689,6 @@ func (l *link) replayDuplicate(id uint64, objName, entryName, client string, seq
 	if m := l.hooks.metrics; m != nil {
 		m.DedupHits.Inc()
 	}
-	l.hooks.rec.Record(objName, entryName, -1, seq, trace.Replayed)
 	timeout := time.NewTimer(l.hooks.replayWait)
 	defer timeout.Stop()
 	select {
@@ -768,7 +764,6 @@ func (l *link) shutdown(reason error) {
 	for _, p := range proxies {
 		p.Close()
 	}
-	l.hooks.rec.Record("", l.conn.RemoteAddr().String(), -1, 0, trace.LinkDown)
 }
 
 // close shuts the link down gracefully: frames already committed to the

@@ -140,7 +140,6 @@ func (n *Node) hooks() linkHooks {
 		begin:      n.beginServe,
 		end:        n.endServe,
 		metrics:    n.opts.Metrics,
-		rec:        n.opts.Trace,
 		durable:    n.opts.Durable,
 		acks:       n.acks,
 		replayWait: n.replayWait,

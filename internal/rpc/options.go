@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -68,8 +67,6 @@ type DialOptions struct {
 	ClientID string
 	// Metrics, when non-nil, accumulates resilience counters.
 	Metrics *Metrics
-	// Trace, when non-nil, records link and retry events.
-	Trace *trace.Recorder
 }
 
 // withDefaults fills the zero fields.
@@ -155,8 +152,6 @@ type NodeOptions struct {
 	DrainGrace time.Duration
 	// Metrics, when non-nil, accumulates dedup/drain counters.
 	Metrics *Metrics
-	// Trace, when non-nil, records link lifecycle and replay events.
-	Trace *trace.Recorder
 	// Durable mounts a write-ahead durability store on the node. The dedup
 	// cache joins it as the participant wal.AckLedger: acks for journaled
 	// entries are synced to it before their responses leave, and the cache

@@ -35,14 +35,6 @@ const (
 	Combined
 	// Failed: the call ended with an error (panic, cancellation, close).
 	Failed
-	// LinkUp: an rpc connection was established (or re-established).
-	LinkUp
-	// LinkDown: an rpc connection failed or was torn down.
-	LinkDown
-	// Retried: a client re-issued a call after a link failure or timeout.
-	Retried
-	// Replayed: a node answered a retried call from its at-most-once cache.
-	Replayed
 	// Shed: admission control rejected a call (entry MaxPending bound full).
 	Shed
 	// Stalled: the stall watchdog found the oldest pending call older than
@@ -71,10 +63,6 @@ var kindNames = map[Kind]string{
 	Finished:   "finished",
 	Combined:   "combined",
 	Failed:     "failed",
-	LinkUp:     "link-up",
-	LinkDown:   "link-down",
-	Retried:    "retried",
-	Replayed:   "replayed",
 	Shed:       "shed",
 	Stalled:    "stalled",
 	MgrRestart: "mgr-restart",

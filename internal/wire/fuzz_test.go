@@ -57,17 +57,17 @@ func FuzzWireDecode(f *testing.F) {
 		{Kind: KindRequest, ID: 9, Object: "!raft:KV", Entry: "InstallSnapshot",
 			Params: []any{uint64(8), "a", uint64(1 << 62), uint64(8), []byte("snapshot-blob")}},
 		{Kind: KindResponse, ID: 9, Err: "replica: not the leader", ErrKind: ErrKindNotLeader},
-		// ReadIndex control traffic: the lightweight Heartbeat frame a
-		// leader uses to confirm leadership for a read round
-		// ([term, leaderID, confirm]), its [term, ok, confirm] echo, and
-		// an AppendEntries ack carrying a piggybacked confirmation.
+		// Three-parameter request shapes under a consensus entry name,
+		// with a three-result echo and a four-result AppendEntries ack.
+		// The replica no longer serves "Heartbeat" (its ReadIndex round
+		// rides an empty AppendEntries), but the codec never reads entry
+		// names, so these stay as shape seeds.
 		{Kind: KindRequest, ID: 10, Object: "!raft:KV", Entry: "Heartbeat",
 			Params: []any{uint64(7), "a", uint64(19)}, Client: "a", Seq: 14},
 		{Kind: KindResponse, ID: 10, Results: []any{uint64(7), true, uint64(19)}},
 		{Kind: KindResponse, ID: 7, Results: []any{uint64(7), true, uint64(0), uint64(19)}},
-		// Hostile confirmation values: a round counter from the far future
-		// and a zero-term heartbeat — structurally legal, rejected by value
-		// at the replica layer, passed through unharmed by the codec.
+		// Hostile values: a counter from the far future and a zero term —
+		// structurally legal, passed through unharmed by the codec.
 		{Kind: KindRequest, ID: 11, Object: "!raft:KV", Entry: "Heartbeat",
 			Params: []any{uint64(0), "", uint64(1<<64 - 1)}},
 	}
@@ -85,8 +85,8 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(append([]byte(nil), full[:cut]...))
 	}
 	// Truncated consensus frames: a vote, an append-entries batch and the
-	// ReadIndex heartbeat/ack shapes cut mid-payload — what a leader kill
-	// between confirmation and serve leaves on the wire.
+	// three-parameter request and ack shapes cut mid-payload — what a
+	// leader kill mid-round leaves on the wire.
 	for _, i := range []int{5, 6, 7, 13, 14, 16} {
 		b, err := AppendFrame(nil, &seedFrames[i], tab)
 		if err != nil {
