@@ -155,11 +155,6 @@ type entry struct {
 	// path (intercepted, no admission bound). Resolved at New, immutable.
 	fastIntake bool
 
-	// watchSelf is the singleton watch set {this entry}, pre-built so the
-	// manager's single-entry fast paths (Accept, Await, AwaitCall) can
-	// publish their interest without allocating.
-	watchSelf *watchSet
-
 	slots     []*slot
 	attached  []pend        // slots in state slotAttached (accept candidates)
 	ready     []pend        // slots in state slotReady (await candidates)
@@ -215,7 +210,6 @@ func newEntry(spec EntrySpec) *entry {
 	}
 	spec.Array = n
 	e := &entry{spec: spec, slots: make([]*slot, n)}
-	e.watchSelf = &watchSet{entries: []*entry{e}}
 	for i := range e.slots {
 		e.slots[i] = &slot{index: i, state: slotFree, listPos: -1}
 	}

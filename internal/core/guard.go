@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/channel"
 	"repro/internal/trace"
@@ -307,12 +308,6 @@ func (m *Mgr) prepare(guards []Guard) error {
 			}
 		}
 		if hit {
-			// A fast-path primitive (Accept/Await/AwaitCall) may have
-			// narrowed the published watch set since the last Select over
-			// this slice; restore it.
-			if ws := m.lastWatch; ws != nil && m.watch.Load() != ws {
-				m.watch.Store(ws)
-			}
 			return nil
 		}
 	}
@@ -350,7 +345,13 @@ func (m *Mgr) prepare(guards []Guard) error {
 	m.sweepSubs()
 	ws := watchAllSet
 	if !watchAll {
-		ws = &watchSet{entries: append([]*entry(nil), m.watchScratch...)}
+		// Keep the published set when it watches the same entries (a
+		// manager alternating Accept and Await on one entry), so switching
+		// between two guard sets allocates nothing.
+		ws = m.lastWatch
+		if ws == nil || ws.all || !slices.Equal(ws.entries, m.watchScratch) {
+			ws = &watchSet{entries: slices.Clone(m.watchScratch)}
+		}
 	}
 	m.watch.Store(ws)
 	m.lastWatch = ws

@@ -13,6 +13,9 @@ import (
 // synchronization and scheduling. It provides the paper's four primitives —
 // accept, start, await, finish — plus the packaged execute, combining
 // (FinishAccepted), pending-call counts, and the select/loop guard engine.
+// There is one selection path: a standalone accept, await or receive is a
+// Select over one guard, so it scans, rotates among tied calls and reports
+// sequencer points exactly as that Select does.
 //
 // All methods must be called by the process holding the manager role. That
 // is the manager function's own process, except while the manager is
@@ -79,6 +82,17 @@ type Mgr struct {
 	watchScratch []*entry
 	scratchA     Accepted
 	scratchAw    Awaited
+
+	// one is the guard set of the standalone primitives (Accept, AcceptSlot,
+	// Await, AwaitCall), rebuilt only when the kind, entry or element
+	// changes, so a manager looping on one primitive hits prepare's cache.
+	// Its actions, bound once in newMgr, park the selected handle in gotA or
+	// gotAw for the primitive to return.
+	one      [1]Guard
+	onAccept func(*Accepted)
+	onAwait  func(*Awaited)
+	gotA     *Accepted
+	gotAw    *Awaited
 }
 
 // watchSet is an immutable set of entries a blocked manager can react to.
@@ -108,12 +122,15 @@ const (
 )
 
 func newMgr(o *Object) *Mgr {
-	return &Mgr{
+	m := &Mgr{
 		obj:    o,
 		pokeCh: make(chan struct{}, 1),
 		roleCh: make(chan struct{}, 1),
 		subs:   make(map[*channel.Chan]*subRec),
 	}
+	m.onAccept = func(a *Accepted) { m.gotA = a }
+	m.onAwait = func(aw *Awaited) { m.gotAw = aw }
+	return m
 }
 
 // Object returns the object this manager controls.
@@ -268,14 +285,6 @@ func (m *Mgr) blockLocked() error {
 	}
 }
 
-// watchEntry publishes the single-entry watch set for the fast-path
-// primitives, using the entry's pre-built singleton to avoid allocating.
-func (m *Mgr) watchEntry(e *entry) {
-	if m.watch.Load() != e.watchSelf {
-		m.watch.Store(e.watchSelf)
-	}
-}
-
 func (m *Mgr) unsubscribeAll() {
 	for _, s := range m.subs {
 		s.unsub()
@@ -419,68 +428,38 @@ func (m *Mgr) resolveIntercepted(entryName string, slotIdx int) (*entry, error) 
 
 // Accept blocks until a call to the named entry is attached to some array
 // element and accepts it ("accept P[i](...)"), returning the intercepted
-// parameter prefix in the handle. This is the single-guard fast path of
-// Select(OnAccept(entryName, ...)): no guard machinery, no scan.
+// parameter prefix in the handle: Select(OnAccept(entryName, ...)).
 func (m *Mgr) Accept(entryName string) (*Accepted, error) {
-	e, err := m.resolveIntercepted(entryName, -1)
-	if err != nil {
-		return nil, err
-	}
-	o := m.obj
-	m.watchEntry(e)
-	for {
-		o.seqPoint(SeqMgrScan, e.spec.Name, 0)
-		m.dirty.Store(0)
-		o.mu.Lock()
-		if o.closed {
-			o.mu.Unlock()
-			return nil, ErrClosed
-		}
-		o.drainIntakeLocked()
-		if len(e.attached) > 0 {
-			a := m.commitAcceptLocked(e, e.attached[0].s)
-			o.mu.Unlock()
-			o.seqPoint(SeqMgrAccept, e.spec.Name, a.id)
-			return a, nil
-		}
-		if err := m.blockLocked(); err != nil {
-			return nil, err
-		}
-	}
+	return m.acceptOne(OnAccept(entryName, m.onAccept))
 }
 
 // AcceptSlot blocks until a call is attached to the specific element i and
 // accepts it. Per §2.5, "if P[i] does not have a request attached and an
 // accept P[i] is executed, it is delayed until a request is attached".
 func (m *Mgr) AcceptSlot(entryName string, i int) (*Accepted, error) {
-	e, err := m.resolveIntercepted(entryName, i)
-	if err != nil {
-		return nil, err
-	}
 	if i < 0 {
 		return nil, fmt.Errorf("entry %q: negative element %d: %w", entryName, i, ErrBadArity)
 	}
-	o := m.obj
-	m.watchEntry(e)
-	for {
-		o.seqPoint(SeqMgrScan, e.spec.Name, 0)
-		m.dirty.Store(0)
-		o.mu.Lock()
-		if o.closed {
-			o.mu.Unlock()
-			return nil, ErrClosed
-		}
-		o.drainIntakeLocked()
-		if s := e.slots[i]; s.state == slotAttached {
-			a := m.commitAcceptLocked(e, s)
-			o.mu.Unlock()
-			o.seqPoint(SeqMgrAccept, e.spec.Name, a.id)
-			return a, nil
-		}
-		if err := m.blockLocked(); err != nil {
-			return nil, err
-		}
+	return m.acceptOne(OnAccept(entryName, m.onAccept).Slot(i))
+}
+
+func (m *Mgr) acceptOne(g Guard) (*Accepted, error) {
+	if err := m.selectOne(g); err != nil {
+		return nil, err
 	}
+	a := m.gotA
+	m.gotA = nil
+	return a, nil
+}
+
+// selectOne runs Select over the one-guard set m.one, replacing its guard
+// with g only when g names another kind, entry or element.
+func (m *Mgr) selectOne(g Guard) error {
+	if o := &m.one[0]; o.kind != g.kind || o.entry != g.entry || o.slotIdx != g.slotIdx {
+		*o = g
+	}
+	_, err := m.Select(m.one[:]...)
+	return err
 }
 
 // Start begins executing an accepted call asynchronously with respect to
@@ -493,94 +472,67 @@ func (m *Mgr) Start(a *Accepted, hidden ...Value) error {
 	o.seqPoint(SeqMgrStart, a.Entry, a.id)
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	cr := a.call
-	if !liveHandle(a.s, cr, a.id, slotAccepted) {
-		return fmt.Errorf("start %s.%s: call not in accepted state: %w", o.name, a.Entry, ErrBadState)
+	regular, err := o.startParamsLocked("start", a, hidden)
+	if err != nil {
+		return err
 	}
-	e := cr.entry
-	if len(a.Params) != e.ipParams {
-		return fmt.Errorf("start %s.%s: manager supplies %d params, intercepts clause says %d: %w",
-			o.name, a.Entry, len(a.Params), e.ipParams, ErrBadArity)
-	}
-	if len(hidden) != e.spec.HiddenParams {
-		return fmt.Errorf("start %s.%s: %d hidden params, declared %d: %w",
-			o.name, a.Entry, len(hidden), e.spec.HiddenParams, ErrBadArity)
-	}
-	regular := cr.params
-	if e.ipParams > 0 {
-		// Re-merge the (possibly replaced) intercepted prefix with the
-		// caller's remaining parameters.
-		regular = make([]Value, 0, e.spec.Params)
-		regular = append(regular, a.Params...)
-		regular = append(regular, cr.params[e.ipParams:]...)
-	}
-	o.startBodyLocked(cr, regular, hidden)
+	o.startBodyLocked(a.call, regular, hidden)
 	return nil
 }
 
+// startParamsLocked checks that a still denotes an accepted call and that
+// the manager supplies the declared intercepted and hidden parameter counts,
+// then merges the (possibly replaced) intercepted prefix with the caller's
+// remaining parameters into the vector the body sees. op names the
+// primitive in errors.
+func (o *Object) startParamsLocked(op string, a *Accepted, hidden []Value) ([]Value, error) {
+	cr := a.call
+	if !liveHandle(a.s, cr, a.id, slotAccepted) {
+		return nil, fmt.Errorf("%s %s.%s: call not in accepted state: %w", op, o.name, a.Entry, ErrBadState)
+	}
+	e := cr.entry
+	if len(a.Params) != e.ipParams {
+		return nil, fmt.Errorf("%s %s.%s: manager supplies %d params, intercepts clause says %d: %w",
+			op, o.name, a.Entry, len(a.Params), e.ipParams, ErrBadArity)
+	}
+	if len(hidden) != e.spec.HiddenParams {
+		return nil, fmt.Errorf("%s %s.%s: %d hidden params, declared %d: %w",
+			op, o.name, a.Entry, len(hidden), e.spec.HiddenParams, ErrBadArity)
+	}
+	if e.ipParams == 0 {
+		return cr.params, nil
+	}
+	regular := make([]Value, 0, e.spec.Params)
+	regular = append(regular, a.Params...)
+	return append(regular, cr.params[e.ipParams:]...), nil
+}
+
 // Await blocks until some started execution of the named entry is ready to
-// terminate and awaits it ("await P[i](...)"). Fast path of
-// Select(OnAwait(entryName, ...)).
+// terminate and awaits it ("await P[i](...)"): Select(OnAwait(entryName, ...)).
 func (m *Mgr) Await(entryName string) (*Awaited, error) {
-	e, err := m.resolveIntercepted(entryName, -1)
-	if err != nil {
-		return nil, err
-	}
-	o := m.obj
-	m.watchEntry(e)
-	for {
-		o.seqPoint(SeqMgrScan, e.spec.Name, 0)
-		m.dirty.Store(0)
-		o.mu.Lock()
-		if o.closed {
-			o.mu.Unlock()
-			return nil, ErrClosed
-		}
-		o.drainIntakeLocked()
-		if len(e.ready) > 0 {
-			aw := m.commitAwaitLocked(e, e.ready[0].s)
-			o.mu.Unlock()
-			o.seqPoint(SeqMgrAwait, e.spec.Name, aw.id)
-			return aw, nil
-		}
-		if err := m.blockLocked(); err != nil {
-			return nil, err
-		}
-	}
+	return m.awaitOne(OnAwait(entryName, m.onAwait))
 }
 
 // AwaitCall blocks until the specific accepted-and-started call is ready to
-// terminate and awaits it.
+// terminate and awaits it: a Select over an await guard on its element. If
+// the element meanwhile holds another call, that call is awaited and
+// AwaitCall reports ErrBadState.
 func (m *Mgr) AwaitCall(a *Accepted) (*Awaited, error) {
-	e, err := m.resolveIntercepted(a.Entry, a.Slot)
-	if err != nil {
+	aw, err := m.awaitOne(OnAwait(a.Entry, m.onAwait).Slot(a.Slot))
+	if err == nil && aw.id != a.id {
+		return nil, fmt.Errorf("await %s.%s[%d]: slot reused by another call: %w",
+			m.obj.name, a.Entry, a.Slot, ErrBadState)
+	}
+	return aw, err
+}
+
+func (m *Mgr) awaitOne(g Guard) (*Awaited, error) {
+	if err := m.selectOne(g); err != nil {
 		return nil, err
 	}
-	o := m.obj
-	m.watchEntry(e)
-	for {
-		o.seqPoint(SeqMgrScan, e.spec.Name, 0)
-		m.dirty.Store(0)
-		o.mu.Lock()
-		if o.closed {
-			o.mu.Unlock()
-			return nil, ErrClosed
-		}
-		o.drainIntakeLocked()
-		if s := e.slots[a.Slot]; s.state == slotReady {
-			aw := m.commitAwaitLocked(e, s)
-			o.mu.Unlock()
-			o.seqPoint(SeqMgrAwait, e.spec.Name, aw.id)
-			if aw.id != a.id {
-				return nil, fmt.Errorf("await %s.%s[%d]: slot reused by another call: %w",
-					o.name, a.Entry, a.Slot, ErrBadState)
-			}
-			return aw, nil
-		}
-		if err := m.blockLocked(); err != nil {
-			return nil, err
-		}
-	}
+	aw := m.gotAw
+	m.gotAw = nil
+	return aw, nil
 }
 
 // Finish endorses an awaited call's termination ("finish P[i](...)"): the
@@ -668,80 +620,22 @@ func (m *Mgr) Execute(a *Accepted, hidden ...Value) (*Awaited, error) {
 	o := m.obj
 	o.seqPoint(SeqMgrExecute, a.Entry, a.id)
 	o.mu.Lock()
-	cr := a.call
-	if !liveHandle(a.s, cr, a.id, slotAccepted) {
+	regular, err := o.startParamsLocked("execute", a, hidden)
+	if err != nil {
 		o.mu.Unlock()
-		return nil, fmt.Errorf("execute %s.%s: call not in accepted state: %w", o.name, a.Entry, ErrBadState)
+		return nil, err
 	}
+	cr, s := a.call, a.s
 	e := cr.entry
-	if len(a.Params) != e.ipParams {
-		o.mu.Unlock()
-		return nil, fmt.Errorf("execute %s.%s: manager supplies %d params, intercepts clause says %d: %w",
-			o.name, a.Entry, len(a.Params), e.ipParams, ErrBadArity)
-	}
-	if len(hidden) != e.spec.HiddenParams {
-		o.mu.Unlock()
-		return nil, fmt.Errorf("execute %s.%s: %d hidden params, declared %d: %w",
-			o.name, a.Entry, len(hidden), e.spec.HiddenParams, ErrBadArity)
-	}
-	regular := cr.params
-	if e.ipParams > 0 {
-		regular = make([]Value, 0, e.spec.Params)
-		regular = append(regular, a.Params...)
-		regular = append(regular, cr.params[e.ipParams:]...)
-	}
-	s := a.s
-	s.state = slotStarted
-	cr.hiddenParams = hidden
-	e.active++
-	o.record(e.spec.Name, s.index, cr.id, trace.Started)
-	cr.inv = Invocation{obj: o, call: cr, params: regular, hidden: hidden}
+	o.markStartedLocked(cr, regular, hidden)
 	o.mu.Unlock()
 
-	inv := &cr.inv
-	o.seqPoint(SeqBodyBegin, e.spec.Name, cr.id)
-	err := runSafely(o, cr, e.spec.Body, inv)
-	if err == nil {
-		if !inv.returned && e.spec.Results > 0 {
-			err = fmt.Errorf("body %s.%s returned no results (declared %d): %w",
-				o.name, e.spec.Name, e.spec.Results, ErrBadArity)
-		}
-		if inv.returned && len(inv.results) != e.spec.Results {
-			err = fmt.Errorf("body %s.%s returned %d results, declared %d: %w",
-				o.name, e.spec.Name, len(inv.results), e.spec.Results, ErrBadArity)
-		}
-		if err == nil && len(inv.hiddenRes) != e.spec.HiddenResults {
-			err = fmt.Errorf("body %s.%s returned %d hidden results, declared %d: %w",
-				o.name, e.spec.Name, len(inv.hiddenRes), e.spec.HiddenResults, ErrBadArity)
-		}
-	}
-
-	o.seqPoint(SeqBodyEnd, e.spec.Name, cr.id)
-
-	o.mu.Lock()
-	cr.bodyResults = inv.results
-	cr.hiddenResults = inv.hiddenRes
-	cr.bodyErr = err
+	o.runBodyThenLock(cr)
 	o.record(e.spec.Name, s.index, cr.id, trace.Ready)
 	o.record(e.spec.Name, s.index, cr.id, trace.Awaited)
 	aw := &Awaited{m: m, call: cr, s: s, id: cr.id, Entry: e.spec.Name, Slot: s.index}
 	cr.fillAwaited(aw, e.ipResults)
-	e.active--
-	switch {
-	case cr.bodyErr != nil:
-		o.deliverLocked(cr, nil, cr.bodyErr)
-	case o.poisoned:
-		// The poison sweep skipped this running call; fail it like runBody
-		// would (the object is terminally dead).
-		o.deliverLocked(cr, nil, o.poisonErr)
-	case o.closed:
-		o.deliverLocked(cr, nil, ErrClosed)
-	default:
-		o.deliverLocked(cr, cr.bodyResults, nil)
-	}
-	o.record(e.spec.Name, s.index, cr.id, trace.Finished)
-	o.freeSlotLocked(s)
-	o.attachWaitingLocked(e)
+	o.terminateLocked(cr)
 	o.mu.Unlock()
 	return aw, nil
 }

@@ -461,9 +461,9 @@ func (o *Object) submitIntake(e *entry, params []Value) (*callRecord, bool) {
 
 // drainIntakeLocked folds every mailbox arrival into its entry's wait
 // queue and attaches what fits. Called with o.mu held — by the manager at
-// the top of each blocking primitive and scan (one drain serves the whole
-// batch), and by any path that must observe the complete pending set
-// (withdraw, stats, the watchdog, close, poison).
+// the top of each scan (one drain serves the whole batch), and by any path
+// that must observe the complete pending set (withdraw, stats, the
+// watchdog, close, poison).
 func (o *Object) drainIntakeLocked() {
 	o.intakeMu.Lock()
 	batch := o.intake
@@ -633,12 +633,8 @@ func (o *Object) findFreeSlotLocked(e *entry) *slot {
 // allocation-free.
 func (o *Object) startBodyLocked(cr *callRecord, regular, hidden []Value) {
 	e := cr.entry
-	cr.slot.state = slotStarted
-	cr.hiddenParams = hidden
-	e.active++
-	o.record(e.spec.Name, cr.slotIndex(), cr.id, trace.Started)
+	o.markStartedLocked(cr, regular, hidden)
 	o.bodyWG.Add(1)
-	cr.inv = Invocation{obj: o, call: cr, params: regular, hidden: hidden}
 	if err := o.pool.Go(cr.runFn); err != nil {
 		// Pool closed: the object is shutting down; fail the call.
 		o.bodyWG.Done()
@@ -649,34 +645,22 @@ func (o *Object) startBodyLocked(cr *callRecord, regular, hidden []Value) {
 	}
 }
 
+// markStartedLocked moves an attached or accepted call to started and binds
+// the parameter vectors its body sees to the record's embedded Invocation.
+func (o *Object) markStartedLocked(cr *callRecord, regular, hidden []Value) {
+	e := cr.entry
+	cr.slot.state = slotStarted
+	cr.hiddenParams = hidden
+	e.active++
+	o.record(e.spec.Name, cr.slotIndex(), cr.id, trace.Started)
+	cr.inv = Invocation{obj: o, call: cr, params: regular, hidden: hidden}
+}
+
 // runBody executes a body on a pool process and routes its termination.
 func (o *Object) runBody(cr *callRecord) {
 	defer o.bodyWG.Done()
-	inv := &cr.inv
 	e := cr.entry
-	o.seqPoint(SeqBodyBegin, e.spec.Name, cr.id)
-	err := runSafely(o, cr, e.spec.Body, inv)
-	if err == nil {
-		if !inv.returned && e.spec.Results > 0 {
-			err = fmt.Errorf("body %s.%s returned no results (declared %d): %w",
-				o.name, e.spec.Name, e.spec.Results, ErrBadArity)
-		}
-		if inv.returned && len(inv.results) != e.spec.Results {
-			err = fmt.Errorf("body %s.%s returned %d results, declared %d: %w",
-				o.name, e.spec.Name, len(inv.results), e.spec.Results, ErrBadArity)
-		}
-		if err == nil && len(inv.hiddenRes) != e.spec.HiddenResults {
-			err = fmt.Errorf("body %s.%s returned %d hidden results, declared %d: %w",
-				o.name, e.spec.Name, len(inv.hiddenRes), e.spec.HiddenResults, ErrBadArity)
-		}
-	}
-
-	o.seqPoint(SeqBodyEnd, e.spec.Name, cr.id)
-
-	o.mu.Lock()
-	cr.bodyResults = inv.results
-	cr.hiddenResults = inv.hiddenRes
-	cr.bodyErr = err
+	o.runBodyThenLock(cr)
 	if e.intercepted && !o.closed && !o.poisoned {
 		// Wait for the manager's endorsement of termination (§2.3).
 		cr.slot.state = slotReady
@@ -687,23 +671,67 @@ func (o *Object) runBody(cr *callRecord) {
 		return
 	}
 	// Non-intercepted entry (or closing/poisoned object): terminate directly.
+	o.terminateLocked(cr)
+	o.mu.Unlock()
+	o.wakeManager(nil, e, nil)
+}
+
+// terminateLocked delivers a run body's outcome without a manager's finish
+// — a non-intercepted entry, Execute, or a body that ends on a closing or
+// poisoned object — and frees its element for the next waiting call.
+func (o *Object) terminateLocked(cr *callRecord) {
+	e := cr.entry
 	e.active--
-	if err != nil {
-		o.deliverLocked(cr, nil, err)
-	} else if o.poisoned && e.intercepted {
+	switch {
+	case cr.bodyErr != nil:
+		o.deliverLocked(cr, nil, cr.bodyErr)
+	case o.poisoned && e.intercepted:
 		// The dead manager cannot endorse the result (§2.3's await/finish
 		// will never run), so the caller gets the poison error.
 		o.deliverLocked(cr, nil, o.poisonErr)
-	} else if o.closed && e.intercepted {
+	case o.closed && e.intercepted:
 		o.deliverLocked(cr, nil, ErrClosed)
-	} else {
+	default:
 		o.deliverLocked(cr, cr.bodyResults, nil)
 	}
 	o.record(e.spec.Name, cr.slotIndex(), cr.id, trace.Finished)
 	o.freeSlotLocked(cr.slot)
 	o.attachWaitingLocked(e)
-	o.mu.Unlock()
-	o.wakeManager(nil, e, nil)
+}
+
+// runBodyThenLock runs cr's body on the calling process (a pool process, or
+// the role holder under Execute), checks the returned arities, and stores
+// the outcome in the record. It returns with o.mu held.
+func (o *Object) runBodyThenLock(cr *callRecord) {
+	inv := &cr.inv
+	e := cr.entry
+	o.seqPoint(SeqBodyBegin, e.spec.Name, cr.id)
+	err := runSafely(o, cr, e.spec.Body, inv)
+	if err == nil {
+		err = o.resultArityErr(e, inv)
+	}
+	o.seqPoint(SeqBodyEnd, e.spec.Name, cr.id)
+	o.mu.Lock()
+	cr.bodyResults = inv.results
+	cr.hiddenResults = inv.hiddenRes
+	cr.bodyErr = err
+}
+
+// resultArityErr checks a returned body's results against the entry's
+// declared result and hidden-result counts.
+func (o *Object) resultArityErr(e *entry, inv *Invocation) error {
+	switch {
+	case !inv.returned && e.spec.Results > 0:
+		return fmt.Errorf("body %s.%s returned no results (declared %d): %w",
+			o.name, e.spec.Name, e.spec.Results, ErrBadArity)
+	case inv.returned && len(inv.results) != e.spec.Results:
+		return fmt.Errorf("body %s.%s returned %d results, declared %d: %w",
+			o.name, e.spec.Name, len(inv.results), e.spec.Results, ErrBadArity)
+	case len(inv.hiddenRes) != e.spec.HiddenResults:
+		return fmt.Errorf("body %s.%s returned %d hidden results, declared %d: %w",
+			o.name, e.spec.Name, len(inv.hiddenRes), e.spec.HiddenResults, ErrBadArity)
+	}
+	return nil
 }
 
 func runSafely(o *Object, cr *callRecord, body Body, inv *Invocation) (err error) {

@@ -15,7 +15,8 @@ const (
 	// SeqAwaitResult: a caller is about to block for its call's outcome.
 	SeqAwaitResult
 	// SeqMgrScan: the manager is about to scan for an eligible alternative
-	// (top of a Select/Accept/Await iteration).
+	// (top of a Select iteration, which the standalone primitives are too).
+	// It carries no entry.
 	SeqMgrScan
 	// SeqMgrAccept: the manager committed an accept.
 	SeqMgrAccept

@@ -60,7 +60,12 @@ type Config struct {
 }
 
 // New creates a disk-head scheduler.
-func New(cfg Config) (*Scheduler, error) {
+func New(cfg Config) (*Scheduler, error) { return newScheduler(cfg) }
+
+// newScheduler is New with extra object options: the package's tests pass
+// a trace recorder to read the service order, and a sequencer to hold the
+// head until a request set is pending.
+func newScheduler(cfg Config, opts ...alps.Option) (*Scheduler, error) {
 	if cfg.QueueMax == 0 {
 		cfg.QueueMax = 16
 	}
@@ -149,13 +154,13 @@ func New(cfg Config) (*Scheduler, error) {
 		)
 	}
 
-	obj, err := alps.New("DiskHead",
+	obj, err := alps.New("DiskHead", append([]alps.Option{
 		alps.WithEntry(alps.EntrySpec{
 			Name: "Seek", Params: 1, Results: 1, Array: cfg.QueueMax,
 			HiddenParams: 1, Body: seek,
 		}),
 		alps.WithManager(manager, alps.InterceptPR("Seek", 1, 0)),
-	)
+	}, opts...)...)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,14 @@
 package diskhead
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	alps "repro"
+	"repro/internal/core"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -65,6 +69,11 @@ func TestSSTFOrdering(t *testing.T) {
 	}
 }
 
+// TestSSTFBeatsFIFOOnRandomLoad: with all 64 requests pending before the
+// head serves any, the online SSTF schedule travels no further than FIFO.
+// A sequencer holds the manager at its first scan until the object counts
+// 64 pending Seeks; without the hold they could trickle in one by one and
+// the online order would degenerate towards FIFO.
 func TestSSTFBeatsFIFOOnRandomLoad(t *testing.T) {
 	// With many pending requests, SSTF's mean travel must be well below
 	// FIFO's on the same request set.
@@ -82,11 +91,15 @@ func TestSSTFBeatsFIFOOnRandomLoad(t *testing.T) {
 		t.Fatalf("greedy SSTF %d not clearly better than FIFO %d on random load", greedy, fifo)
 	}
 
-	s, err := New(Config{QueueMax: 64, Start: 500})
+	hold := make(holdScans)
+	s, err := newScheduler(Config{QueueMax: 64, Start: 500},
+		alps.WithObjectOptions(alps.ObjectOptions{Sequencer: hold}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release() // runs before Close: a failed wait must not leave the head held
 	var wg sync.WaitGroup
 	for _, track := range tracks {
 		wg.Add(1)
@@ -97,10 +110,38 @@ func TestSSTFBeatsFIFOOnRandomLoad(t *testing.T) {
 			}
 		}(track)
 	}
+	waitSeeks(t, s, func(st alps.EntryStats) bool { return st.Pending == len(tracks) })
+	release()
 	wg.Wait()
 	_, total := s.Stats()
 	if total > fifo {
 		t.Fatalf("online SSTF travel %d exceeds FIFO %d", total, fifo)
+	}
+}
+
+// holdScans is a sequencer that holds every manager scan until it is
+// closed.
+type holdScans chan struct{}
+
+func (h holdScans) Point(p alps.SeqPoint, _, _ string, _ uint64) {
+	if p == core.SeqMgrScan {
+		<-h
+	}
+}
+
+// waitSeeks waits until the Seek entry's counters satisfy cond.
+func waitSeeks(t *testing.T, s *Scheduler, cond func(alps.EntryStats) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, _ := s.Object().EntryStats("Seek")
+		if cond(st) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("Seek entry stuck at %+v", st)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
@@ -188,37 +229,42 @@ func TestSCANSweepsInOneDirection(t *testing.T) {
 	}
 }
 
-// TestFCFSServesInArrivalOrder staggers arrivals and checks FCFS order.
+// TestFCFSServesInArrivalOrder: each Seek is submitted once the object has
+// counted the one before it, and the service order is read from the
+// object's trace — the Accepted events, whose call ids map back to the
+// tracks in arrival order — not from the order the callers return in.
 func TestFCFSServesInArrivalOrder(t *testing.T) {
-	s, err := New(Config{QueueMax: 16, Start: 0, Policy: FCFS, TrackCost: 200 * time.Microsecond})
+	rec := alps.NewTrace(0)
+	s, err := newScheduler(Config{QueueMax: 16, Start: 0, Policy: FCFS, TrackCost: 200 * time.Microsecond},
+		alps.WithTrace(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var mu sync.Mutex
-	var served []int
 	var wg sync.WaitGroup
 	tracks := []int{900, 10, 800, 20, 700}
-	for _, tr := range tracks {
+	for i, tr := range tracks {
 		wg.Add(1)
 		go func(tr int) {
 			defer wg.Done()
 			if err := s.Seek(tr); err != nil {
 				t.Errorf("Seek: %v", err)
-				return
 			}
-			mu.Lock()
-			served = append(served, tr)
-			mu.Unlock()
 		}(tr)
-		time.Sleep(2 * time.Millisecond) // define arrival order
+		waitSeeks(t, s, func(st alps.EntryStats) bool { return st.Calls == uint64(i+1) })
 	}
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	for i, tr := range served {
-		if tr != tracks[i] {
-			t.Fatalf("FCFS order %v, want %v", served, tracks)
+	track := map[uint64]int{} // call id -> track
+	var served []int
+	for _, e := range rec.Events() {
+		switch e.Kind {
+		case trace.Arrived:
+			track[e.CallID] = tracks[len(track)]
+		case trace.Accepted:
+			served = append(served, track[e.CallID])
 		}
+	}
+	if !slices.Equal(served, tracks) {
+		t.Fatalf("FCFS order %v, want %v", served, tracks)
 	}
 }

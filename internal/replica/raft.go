@@ -186,19 +186,15 @@ func (r *Replica) maybeAdvanceCommit() {
 		r.mu.Unlock()
 		return
 	}
-	matches := make([]uint64, 0, len(r.peers)+1)
-	matches = append(matches, r.lastIndex())
+	var buf [smallGroup]uint64
+	matches := append(buf[:0], r.lastIndex())
 	for _, p := range r.peers {
 		p.mu.Lock()
 		matches = append(matches, p.matchIndex)
 		p.mu.Unlock()
 	}
 	// quorum-th highest match index is replicated on a majority.
-	for i := 1; i < len(matches); i++ {
-		for j := i; j > 0 && matches[j] > matches[j-1]; j-- {
-			matches[j], matches[j-1] = matches[j-1], matches[j]
-		}
-	}
+	sortDescending(matches)
 	n := matches[(len(matches)-1)/2]
 	if n > r.commitIndex {
 		if t, ok := r.termAt(n); ok && t == r.term {
@@ -207,6 +203,21 @@ func (r *Replica) maybeAdvanceCommit() {
 		}
 	}
 	r.mu.Unlock()
+}
+
+// smallGroup is the group size up to which the leader's quorum counts
+// (maybeAdvanceCommit, advanceReads) sort in a stack array; a larger group
+// spills to the heap.
+const smallGroup = 8
+
+// sortDescending sorts xs from highest to lowest; an insertion sort, since
+// xs holds one value per group member.
+func sortDescending(xs []uint64) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && xs[j] > xs[j-1]; j-- {
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
 }
 
 // --- peer: one replication target ---

@@ -590,19 +590,16 @@ func (r *Replica) advanceReads() {
 		r.mu.Unlock()
 		return
 	}
-	confs := make([]uint64, 0, len(r.peers))
+	var buf [smallGroup]uint64
+	confs := buf[:0]
 	for _, p := range r.peers {
 		p.mu.Lock()
 		confs = append(confs, p.confirmed)
 		p.mu.Unlock()
 	}
-	// Descending insertion sort; with self as a free ack, the quorum-th
-	// member's round is the (need-1)-th highest peer ack.
-	for i := 1; i < len(confs); i++ {
-		for j := i; j > 0 && confs[j] > confs[j-1]; j-- {
-			confs[j], confs[j-1] = confs[j-1], confs[j]
-		}
-	}
+	// With self as a free ack, the quorum-th member's round is the
+	// (need-1)-th highest peer ack.
+	sortDescending(confs)
 	need := (len(r.peers)+1)/2 + 1
 	acked := confs[need-2]
 	kept := r.reads[:0]
