@@ -121,6 +121,52 @@ func TestAllocsFullProtocol(t *testing.T) {
 	}
 }
 
+func TestAllocsLoopActionBlocks(t *testing.T) {
+	// A Loop whose action blocks in a standalone primitive: every call
+	// switches between the Loop's guard set (watching P and Q) and
+	// AwaitCall's (watching P). prepare keeps the set published before the
+	// last one too, so the switch back allocates no watch set either.
+	// Measures 4 allocs per call: the params slice, the Accepted and
+	// Awaited handles, the results slice. It measured 9 when each switch
+	// allocated a watch set and each body had a pool process of its own.
+	o, err := New("X",
+		WithEntry(EntrySpec{Name: "P", Params: 1, Results: 1, Array: 2, Body: echoBody}),
+		WithEntry(EntrySpec{Name: "Q", Params: 1, Results: 1, Body: echoBody}),
+		WithManager(func(m *Mgr) {
+			_ = m.Loop(
+				OnAccept("P", func(a *Accepted) {
+					if m.Start(a) != nil {
+						return
+					}
+					if aw, err := m.AwaitCall(a); err == nil {
+						_ = m.Finish(aw)
+					}
+				}),
+				OnAccept("Q", func(a *Accepted) { _, _ = m.Execute(a) }),
+			)
+		}, Intercept("P"), Intercept("Q")),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, o)
+	for i := 0; i < 64; i++ {
+		if _, err := o.Call("P", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if _, err := o.Call("P", 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Loop action blocking in AwaitCall: %.1f allocs/op", avg)
+	const limit = 5.0
+	if avg > limit {
+		t.Errorf("Loop action blocking in AwaitCall: %.1f allocs/op, want <= %.0f", avg, limit)
+	}
+}
+
 func TestAllocsUnmanagedCall(t *testing.T) {
 	o, err := New("X",
 		WithEntry(EntrySpec{Name: "P", Params: 1, Results: 1,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -222,10 +223,16 @@ func (e *entry) pending() int {
 	return len(e.waitq) + len(e.attached)
 }
 
+// callResult is what a call's caller receives on resultCh: the outcome, or
+// (err == errRunBody) its started body to run (startBodyLocked).
 type callResult struct {
 	results []Value
 	err     error
 }
+
+// errRunBody marks the callResult a caller-run start posts in place of an
+// outcome. It never reaches a caller's return values.
+var errRunBody = errors.New("alps: started body posted to its caller")
 
 // callRecord tracks one invocation through its lifecycle.
 //
@@ -251,7 +258,10 @@ type callResult struct {
 //     recycle time: deliverLocked sends at most once per lifecycle
 //     (delivered flag, under the lock), the caller always performs the
 //     matching receive before releasing its reference, and a successful
-//     withdraw marks delivered before any send can happen.
+//     withdraw marks delivered before any send can happen. A caller-run
+//     start's posting is the one other send; the caller takes it off
+//     before it runs the body, so the outcome, sent after the body, always
+//     finds the channel empty.
 type callRecord struct {
 	id        uint64
 	entry     *entry

@@ -345,16 +345,23 @@ func (m *Mgr) prepare(guards []Guard) error {
 	m.sweepSubs()
 	ws := watchAllSet
 	if !watchAll {
-		// Keep the published set when it watches the same entries (a
-		// manager alternating Accept and Await on one entry), so switching
-		// between two guard sets allocates nothing.
-		ws = m.lastWatch
-		if ws == nil || ws.all || !slices.Equal(ws.entries, m.watchScratch) {
+		// Reuse the published set, or the one before it, when it watches
+		// the same entries, so a manager switching between two guard sets
+		// allocates nothing: Accept and Await on one entry, or a Loop whose
+		// action blocks in a primitive.
+		switch {
+		case m.lastWatch.watches(m.watchScratch):
+			ws = m.lastWatch
+		case m.prevWatch.watches(m.watchScratch):
+			ws = m.prevWatch
+		default:
 			ws = &watchSet{entries: slices.Clone(m.watchScratch)}
 		}
 	}
 	m.watch.Store(ws)
-	m.lastWatch = ws
+	if ws != m.lastWatch {
+		m.prevWatch, m.lastWatch = m.lastWatch, ws
+	}
 	m.lastFirst, m.lastLen, m.lastPrep = &guards[0], len(guards), m.prepSeq
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/channel"
@@ -93,6 +94,15 @@ type Mgr struct {
 	onAwait  func(*Awaited)
 	gotA     *Accepted
 	gotAw    *Awaited
+
+	// prevWatch is the watch set published before lastWatch (prepare).
+	prevWatch *watchSet
+
+	// own is the call of the caller holding the role (serve), nil on the
+	// manager goroutine; ownPosted says an action has started it, so its
+	// body is posted to the holder (startBodyLocked). Role holder only.
+	own       *callRecord
+	ownPosted bool
 }
 
 // watchSet is an immutable set of entries a blocked manager can react to.
@@ -105,6 +115,11 @@ type watchSet struct {
 
 // watchAllSet is the shared "wake me for everything" set.
 var watchAllSet = &watchSet{all: true}
+
+// watches reports whether ws is a set of exactly these entries.
+func (ws *watchSet) watches(entries []*entry) bool {
+	return ws != nil && !ws.all && slices.Equal(ws.entries, entries)
+}
 
 type subRec struct {
 	unsub func()
@@ -227,20 +242,27 @@ const serveAfter = 1
 // step while its own call is undelivered, and otherwise by the manager
 // goroutine (resume). So it never serves other callers' traffic unbounded.
 // It reports whether it woke the manager goroutine.
+//
+// A holder whose call an action has started stops the same way: the start
+// posted the body to it (resultCh), and it runs the body once it has
+// returned the role.
 func (m *Mgr) serve(ctx context.Context, cr *callRecord) (resumed bool) {
 	held := true
+	m.own = cr
 	defer func() {
 		if held { // a guard or action panicked (or exited its goroutine) mid-step
 			m.reraise = recover()
 			m.abandonScan()
+			m.own, m.ownPosted = nil, false
 			resumed = m.resume(roleHeld)
 		}
 	}()
-	left := -1 // selections left once the own call is delivered
+	left := -1 // selections left once the own call is delivered or posted
 	for {
 		i, err := m.loopStep(m.lent)
 		if err != nil || (i >= 0 && left == 0) {
 			held = false
+			m.own, m.ownPosted = nil, false
 			return m.resume(roleHeld)
 		}
 		if i >= 0 {
@@ -252,6 +274,7 @@ func (m *Mgr) serve(ctx context.Context, cr *callRecord) (resumed bool) {
 			continue
 		}
 		held = false
+		m.own, m.ownPosted = nil, false
 		m.obj.mu.Unlock()
 		m.role.Store(roleParked)
 		if m.dirty.Load() == 0 {
@@ -261,14 +284,24 @@ func (m *Mgr) serve(ctx context.Context, cr *callRecord) (resumed bool) {
 			return m.resume(roleParked)
 		}
 		held = true
+		m.own = cr
 	}
 }
 
 // blockLocked is called with o.mu held after a scan found nothing eligible.
 // It publishes idle, releases the lock, re-checks dirty (closing the race
 // with wakers that missed the idle flag) and blocks until a poke or close.
+//
+// A holder whose action started its own call is the process its body was
+// posted to, and the block may be waiting for that body: it first hands
+// the body to a fresh process, as the pool would have.
 func (m *Mgr) blockLocked() error {
 	o := m.obj
+	if m.ownPosted {
+		m.ownPosted = false
+		<-m.own.resultCh // the posting: the body has not run
+		go m.own.runFn()
+	}
 	m.idle.Store(1)
 	o.mu.Unlock()
 	if m.dirty.Load() != 0 {
@@ -476,7 +509,9 @@ func (m *Mgr) Start(a *Accepted, hidden ...Value) error {
 	if err != nil {
 		return err
 	}
-	o.startBodyLocked(a.call, regular, hidden)
+	if o.startBodyLocked(a.call, regular, hidden) && a.call == m.own {
+		m.ownPosted = true
+	}
 	return nil
 }
 

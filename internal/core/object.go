@@ -41,6 +41,10 @@ type Object struct {
 	gate    bool // priority gate: yield to the manager after state changes
 	oneProc bool // GOMAXPROCS was 1 at New: its Loop lends nothing
 
+	// callerRun: a started body runs on the caller waiting for it, not on a
+	// pool process (sched.ModeSpawn, the default; see startBodyLocked).
+	callerRun bool
+
 	mgrFn      func(*Mgr)
 	mgr        atomic.Pointer[Mgr] // current incarnation; swapped on restart
 	mgrDone    chan struct{}
@@ -147,7 +151,8 @@ func WithPriorityGate(on bool) Option {
 // WithPool selects the lightweight-process provisioning mode (paper §3).
 // workers is M for sched.ModePooled and is ignored otherwise: ModeOneToOne
 // always pre-creates one process per hidden-array element. The default is
-// sched.ModeSpawn (a fresh process per started call).
+// sched.ModeSpawn, a process per started call: the caller's own, which
+// waits for the call anyway, so no process is created (startBodyLocked).
 func WithPool(mode sched.Mode, workers int) Option {
 	return func(c *config) { c.poolMode = mode; c.poolWorkers = workers }
 }
@@ -172,18 +177,19 @@ func New(name string, opts ...Option) (*Object, error) {
 	}
 
 	o := &Object{
-		name:     name,
-		entries:  make(map[string]*entry, len(cfg.entries)),
-		closeCh:  make(chan struct{}),
-		rec:      cfg.rec,
-		gate:     cfg.gate && cfg.mgrFn != nil,
-		oneProc:  runtime.GOMAXPROCS(0) == 1,
-		mgrFn:    cfg.mgrFn,
-		initFn:   cfg.initFn,
-		poolMode: cfg.poolMode,
-		sup:      cfg.sup,
-		seq:      cfg.sup.Sequencer,
-		journal:  cfg.sup.Journal,
+		name:      name,
+		entries:   make(map[string]*entry, len(cfg.entries)),
+		closeCh:   make(chan struct{}),
+		rec:       cfg.rec,
+		gate:      cfg.gate && cfg.mgrFn != nil,
+		oneProc:   runtime.GOMAXPROCS(0) == 1,
+		callerRun: cfg.poolMode == sched.ModeSpawn,
+		mgrFn:     cfg.mgrFn,
+		initFn:    cfg.initFn,
+		poolMode:  cfg.poolMode,
+		sup:       cfg.sup,
+		seq:       cfg.sup.Sequencer,
+		journal:   cfg.sup.Journal,
 	}
 	o.wdEnabled = cfg.sup.Watchdog.Threshold > 0
 	o.lifeCtx, o.lifeCancel = context.WithCancel(context.Background())
@@ -331,7 +337,8 @@ func (o *Object) Call(name string, params ...Value) ([]Value, error) {
 
 // CallCtx is Call with a context. Cancellation is honoured while the call is
 // waiting to be attached or accepted; once the manager has accepted the
-// call, it runs to completion and the results are discarded.
+// call, it runs to completion and the results are discarded. In the default
+// pool mode its body runs on the calling goroutine (startBodyLocked).
 func (o *Object) CallCtx(ctx context.Context, name string, params ...Value) ([]Value, error) {
 	if t := o.sup.DefaultCallTimeout; t > 0 {
 		if _, has := ctx.Deadline(); !has {
@@ -353,12 +360,11 @@ func (o *Object) CallCtx(ctx context.Context, name string, params ...Value) ([]V
 func (o *Object) awaitResult(ctx context.Context, cr *callRecord) ([]Value, error) {
 	o.seqPoint(SeqAwaitResult, cr.entry.spec.Name, cr.id)
 	if ctx.Done() == nil {
-		res := <-cr.resultCh
-		return o.settle(cr, res)
+		return o.settle(cr, o.receive(cr, <-cr.resultCh))
 	}
 	select {
 	case res := <-cr.resultCh:
-		return o.settle(cr, res)
+		return o.settle(cr, o.receive(cr, res))
 	case <-ctx.Done():
 	}
 	// Try to withdraw the call; if it is already accepted we must wait.
@@ -366,8 +372,18 @@ func (o *Object) awaitResult(ctx context.Context, cr *callRecord) ([]Value, erro
 		cr.release(o)
 		return nil, ctx.Err()
 	}
-	res := <-cr.resultCh
-	return o.settle(cr, res)
+	return o.settle(cr, o.receive(cr, <-cr.resultCh))
+}
+
+// receive turns what the caller took off resultCh into the call's outcome:
+// a start that posted the body here (errRunBody) is run on this goroutine
+// first, and the outcome follows on the same channel.
+func (o *Object) receive(cr *callRecord, res callResult) callResult {
+	if res.err != errRunBody {
+		return res
+	}
+	o.runBody(cr, true)
+	return <-cr.resultCh
 }
 
 // settle hands a delivered result to the caller, first holding it until
@@ -507,7 +523,7 @@ func (o *Object) acquireCall(e *entry, params []Value) *callRecord {
 	cr, _ := o.crPool.Get().(*callRecord)
 	if cr == nil {
 		cr = &callRecord{resultCh: make(chan callResult, 1)}
-		cr.runFn = func() { o.runBody(cr) }
+		cr.runFn = func() { o.runBody(cr, false) }
 	}
 	cr.id = o.nextCallID.Add(1)
 	cr.entry = e
@@ -631,18 +647,37 @@ func (o *Object) findFreeSlotLocked(e *entry) *slot {
 // process pool. regular and hidden are the parameter vectors the body sees.
 // The record's embedded Invocation and pre-bound run thunk keep this
 // allocation-free.
-func (o *Object) startBodyLocked(cr *callRecord, regular, hidden []Value) {
+//
+// Under callerRun the body's process is its caller's: every caller of a
+// call waits in awaitResult until the call ends, and a started call cannot
+// be withdrawn, so the start posts the body on resultCh (buffered, empty
+// until the one outcome) and the caller runs it (receive). A caller that
+// submits to an unmanaged entry with a free element finds its own body
+// posted at once and runs it inline; one that holds the manager role runs
+// it once serve has handed the role back (or hands it to a fresh process
+// if it must block first, Mgr.blockLocked). The pool only admits the body.
+// It reports whether it posted the body.
+func (o *Object) startBodyLocked(cr *callRecord, regular, hidden []Value) (posted bool) {
 	e := cr.entry
 	o.markStartedLocked(cr, regular, hidden)
 	o.bodyWG.Add(1)
-	if err := o.pool.Go(cr.runFn); err != nil {
+	run := cr.runFn
+	if o.callerRun {
+		run = nil
+	}
+	if err := o.pool.Go(run); err != nil {
 		// Pool closed: the object is shutting down; fail the call.
 		o.bodyWG.Done()
 		e.active--
 		o.deliverLocked(cr, nil, ErrClosed)
 		o.record(e.spec.Name, cr.slotIndex(), cr.id, trace.Failed)
 		o.freeSlotLocked(cr.slot)
+		return false
 	}
+	if o.callerRun {
+		cr.resultCh <- callResult{err: errRunBody}
+	}
+	return o.callerRun
 }
 
 // markStartedLocked moves an attached or accepted call to started and binds
@@ -656,8 +691,12 @@ func (o *Object) markStartedLocked(cr *callRecord, regular, hidden []Value) {
 	cr.inv = Invocation{obj: o, call: cr, params: regular, hidden: hidden}
 }
 
-// runBody executes a body on a pool process and routes its termination.
-func (o *Object) runBody(cr *callRecord) {
+// runBody executes a body on its caller (onCaller) or another process and
+// routes its termination. A caller that ran its body still waits for the
+// call, so when the manager is parked in Loop it takes the role and runs
+// the selections that await and finish its call (wakeManager, Mgr.serve),
+// as it does at submission.
+func (o *Object) runBody(cr *callRecord, onCaller bool) {
 	defer o.bodyWG.Done()
 	e := cr.entry
 	o.runBodyThenLock(cr)
@@ -667,7 +706,11 @@ func (o *Object) runBody(cr *callRecord) {
 		e.ready = enlist(e.ready, cr.slot)
 		o.record(e.spec.Name, cr.slotIndex(), cr.id, trace.Ready)
 		o.mu.Unlock()
-		o.wakeManager(nil, e, nil)
+		if onCaller {
+			o.wakeManager(context.Background(), e, cr)
+		} else {
+			o.wakeManager(nil, e, nil)
+		}
 		return
 	}
 	// Non-intercepted entry (or closing/poisoned object): terminate directly.
@@ -699,9 +742,9 @@ func (o *Object) terminateLocked(cr *callRecord) {
 	o.attachWaitingLocked(e)
 }
 
-// runBodyThenLock runs cr's body on the calling process (a pool process, or
-// the role holder under Execute), checks the returned arities, and stores
-// the outcome in the record. It returns with o.mu held.
+// runBodyThenLock runs cr's body on the calling process (its caller, a pool
+// process, or the role holder under Execute), checks the returned arities,
+// and stores the outcome in the record. It returns with o.mu held.
 func (o *Object) runBodyThenLock(cr *callRecord) {
 	inv := &cr.inv
 	e := cr.entry
@@ -784,10 +827,10 @@ func (o *Object) freeSlotLocked(s *slot) {
 // published watch set says it could react to a change on e (poke elision,
 // §3: the manager need not be disturbed for entries no guard watches) — and,
 // when the priority gate is on, yields the processor so the high-priority
-// manager runs first. A submitting caller (cr non-nil) that finds the
-// manager parked in Loop takes the manager role instead and runs the next
-// selection steps itself (Mgr.serve); it yields only if it handed work
-// back to the manager goroutine.
+// manager runs first. A caller waiting for cr — at submission, or having
+// run cr's body — that finds the manager parked in Loop takes the manager
+// role instead and runs the next selection steps itself (Mgr.serve); it
+// yields only if it handed work back to the manager goroutine.
 func (o *Object) wakeManager(ctx context.Context, e *entry, cr *callRecord) {
 	m := o.mgr.Load()
 	if m == nil || !m.interested(e) {

@@ -180,9 +180,11 @@ func TestRoleCloseWhileHeld(t *testing.T) {
 
 func TestRoleBlockingActionMakesProgress(t *testing.T) {
 	// The A action blocks twice as the manager: in Accept until a B call
-	// arrives (a caller's poke), and in AwaitCall until A's body, started
-	// on the pool, completes (a body's poke). Both pokes must reach the
-	// holder, not the manager goroutine parked in Loop.
+	// arrives (a caller's poke), and in AwaitCall until A's body completes
+	// (a body's poke). A's body was posted to A's caller, the holder
+	// itself, so the holder hands it to a fresh goroutine before it blocks.
+	// Both pokes must reach the holder, not the manager goroutine parked
+	// in Loop.
 	var onCaller atomic.Bool
 	var o *Object
 	o, err := New("Blocking",

@@ -143,3 +143,52 @@ func TestWakeupsLoopBuffer(t *testing.T) {
 		t.Errorf("buffer: %.3f wake-ups per call, want <= %.2f", w, wakeupCeiling)
 	}
 }
+
+// The two shapes whose bodies used to run on a pool process of their own:
+// 2.9 wake-ups per call for the unmanaged entry (the body's process, then
+// the caller) and 4.8 for Start/Await (the body's process, the manager
+// goroutine for the await, the caller). A started body now runs on the
+// caller that waits for it, and a body that completes with the manager
+// parked finishes its own call, so both read under 0.01.
+
+func TestWakeupsUnmanagedArray(t *testing.T) {
+	o, err := New("X", WithEntry(EntrySpec{Name: "P", Params: 1, Results: 1, Array: 8, Body: echoBody}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, o)
+	w := wakeupsPerCall(t, 20000, func() error {
+		_, err := o.Call("P", 1)
+		return err
+	})
+	t.Logf("unmanaged entry, Array 8: %.3f wake-ups per call", w)
+	if w > wakeupCeiling {
+		t.Errorf("unmanaged entry: %.3f wake-ups per call, want <= %.2f", w, wakeupCeiling)
+	}
+}
+
+func TestWakeupsLoopStartAwait(t *testing.T) {
+	o, err := New("X",
+		WithEntry(EntrySpec{Name: "P", Params: 1, Results: 1, Array: 8, Body: echoBody}),
+		WithManager(func(m *Mgr) {
+			_ = m.Loop(
+				OnAccept("P", func(a *Accepted) { _ = m.Start(a) }),
+				OnAwait("P", func(aw *Awaited) { _ = m.Finish(aw) }),
+			)
+		}, Intercept("P")),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mustClose(t, o)
+	w := wakeupsPerCall(t, 20000, func() error {
+		_, err := o.Call("P", 1)
+		return err
+	})
+	t.Logf("Loop(Start, Await), Array 8: %.3f wake-ups per call", w)
+	// A body that runs concurrently with its caller needs one wake-up; this
+	// sequential caller needs none.
+	if w > 1 {
+		t.Errorf("Loop(Start, Await): %.3f wake-ups per call, want <= 1", w)
+	}
+}

@@ -67,6 +67,12 @@ type linkHooks struct {
 	flushGrace time.Duration      // graceful-close flush bound; 0 = flushGrace
 }
 
+// serverLinger is how long a link must take no request, with nothing in
+// flight, before it releases all but one of its parked serve goroutines.
+// The wait keeps a link whose requests merely pause between bursts from
+// ending and restarting its servers at every pause.
+const serverLinger = 10 * time.Millisecond
+
 // A duplicate request waits at most replayWait for the in-flight primary
 // execution of its (client, seq) before answering ErrReplayTimeout: the
 // wire carries no per-call deadline, so the node bounds the wait itself or
@@ -126,6 +132,25 @@ type link struct {
 	// accepted by a remote object's manager are withdrawn.
 	ctx    context.Context
 	cancel context.CancelFunc
+
+	// The serve goroutines (serveLoop). The read loop hands each request to
+	// a parked server and starts one only when none is parked, so a steady
+	// request stream starts no goroutine and grows no stack. A server parks
+	// again after each request. A link that takes no request for
+	// serverLinger with nothing in flight keeps one parked server and
+	// releases the others (trimServers); shutdown releases them all.
+	// Guarded by smu.
+	smu       sync.Mutex
+	idle      []chan *frame // parked servers' hand-off channels, LIFO
+	servers   int           // live servers, parked or serving
+	sclosed   bool          // shut down: servers exit instead of parking
+	sstarted  uint64        // servers ever started
+	served    uint64        // requests dispatched
+	busy      int           // servers running a request (serverFree)
+	backlog   []*frame      // requests waiting for a free server to park
+	trimmer   *time.Timer   // runs trimServers; nil until first armed
+	trimArmed bool
+	trimAt    uint64 // served when trimmer was armed
 }
 
 func newLink(conn net.Conn, res objectResolver, hooks linkHooks) *link {
@@ -181,11 +206,22 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 // returned to the caller and the link survives; a WRITE failure tears the
 // whole link down — the combiner that hits it reports it, senders whose
 // frames it was carrying observe it through l.done.
-func (l *link) send(f *frame) error {
+func (l *link) send(f *frame) error { return l.sendFrame(f, false) }
+
+// sendFrame is send; a serve goroutine sending its response (srv) counts
+// itself free exactly once on the way (serverFree): as soon as its frame
+// is queued behind an active combiner — before that combiner can write it
+// — or else once it has written the queue itself or failed. So a response
+// reaches the peer only after its server is free or while that server is
+// the one combiner, and a free server has no I/O left before it parks.
+func (l *link) sendFrame(f *frame, srv bool) error {
 	buf := wire.GetBuf()
 	b, err := wire.AppendFrame(*buf, f, l.table)
 	if err != nil {
 		wire.PutBuf(buf)
+		if srv {
+			l.serverFree()
+		}
 		return err
 	}
 	*buf = b
@@ -197,6 +233,9 @@ func (l *link) send(f *frame) error {
 	if l.closedLocked() {
 		l.wmu.Unlock()
 		wire.PutBuf(buf)
+		if srv {
+			l.serverFree()
+		}
 		return l.closeReason()
 	}
 	l.wbuf = append(l.wbuf, b...)
@@ -205,12 +244,18 @@ func (l *link) send(f *frame) error {
 	}
 	if l.writing {
 		// An active combiner will carry these bytes in its next batch.
+		if srv {
+			l.serverFree()
+		}
 		l.wmu.Unlock()
 		wire.PutBuf(buf)
 		return nil
 	}
 	err = l.drainLocked()
 	wire.PutBuf(buf)
+	if srv {
+		l.serverFree()
+	}
 	return err
 }
 
@@ -458,8 +503,9 @@ func (l *link) proxyFor(ref ChanRef) *channel.Chan {
 // decodes and dispatches frames until the stream dies. Dispatch never
 // blocks on a slow consumer — responses land in buffered per-call channels
 // (extra sends dropped), channel messages go into unbounded ALPS channels,
-// and requests and list queries run on their own goroutines — so one slow
-// waiter cannot stall delivery for the calls pipelined behind it.
+// each request goes to a serve goroutine of its own (dispatch) and list
+// queries to a goroutine of their own — so one slow waiter cannot stall
+// delivery for the calls pipelined behind it.
 func (l *link) readLoop() {
 	defer l.wg.Done()
 	br := bufio.NewReaderSize(l.conn, readBufSize)
@@ -499,15 +545,7 @@ func (l *link) readLoop() {
 		case frameRequest:
 			req := f
 			f = getFrame()
-			// One detached goroutine per request (the paper's light-weight
-			// process per call, parked until the manager finishes it): the
-			// drain gate (hooks begin/end) already accounts in-flight work
-			// for Node.Close, and link teardown must not wait out a
-			// long-running body.
-			go func() {
-				l.serveRequest(req)
-				putFrame(req)
-			}()
+			l.dispatch(req)
 		case frameResponse, frameListResp:
 			// Deliver while holding l.mu: call/list delete their pending
 			// entry under the same lock before recycling the channel, so a
@@ -547,11 +585,168 @@ func (l *link) readLoop() {
 	}
 }
 
-// sendResponse delivers a result-carrying response, downgrading to an
+// dispatch hands a request to a parked server, queues it for a server that
+// has queued its response and is on its way to park — one request for each
+// such server, so queued requests never wait for one another — or, when
+// every server is running a request, starts a server for it. Each request
+// being served has a goroutine of its own (the paper's light-weight process
+// per call), reused from call to call. A response reaches the peer only
+// once its server is free, or while that server writes the queue, so a
+// peer with n calls in flight makes a link start at most n+1 servers.
+// Servers are detached: the drain gate (hooks begin/end) already accounts
+// in-flight work for Node.Close, and link teardown must not wait out a
+// long-running body.
+func (l *link) dispatch(req *frame) {
+	l.smu.Lock()
+	l.served++
+	if n := len(l.idle); n > 0 {
+		ch := l.idle[n-1]
+		l.idle[n-1] = nil
+		l.idle = l.idle[:n-1]
+		l.busy++
+		l.smu.Unlock()
+		ch <- req // buffered and empty: its server is parked on it
+		return
+	}
+	if l.servers-l.busy > len(l.backlog) { // free servers not yet parked
+		l.backlog = append(l.backlog, req)
+		l.smu.Unlock()
+		return
+	}
+	l.servers++
+	l.busy++
+	l.sstarted++
+	l.smu.Unlock()
+	go l.serveLoop(req)
+}
+
+// serveLoop is one server: it serves f, then the backlog and every request
+// the read loop hands it while it is parked, until it is released (a nil
+// frame) or finds the link shut down. The last server to go idle on a link
+// with nothing in flight arms the trim (trimServers) if other servers are
+// parked.
+func (l *link) serveLoop(f *frame) {
+	var ch chan *frame
+	for f != nil {
+		l.serve(f)
+		l.smu.Lock()
+		if n := len(l.backlog); n > 0 {
+			f = l.backlog[0]
+			copy(l.backlog, l.backlog[1:])
+			l.backlog[n-1] = nil
+			l.backlog = l.backlog[:n-1]
+			l.busy++
+			l.smu.Unlock()
+			continue
+		}
+		if l.sclosed {
+			l.servers--
+			l.smu.Unlock()
+			return
+		}
+		if ch == nil {
+			ch = make(chan *frame, 1)
+		}
+		l.idle = append(l.idle, ch)
+		if l.servers == len(l.idle) && len(l.idle) > 1 && !l.trimArmed {
+			l.armTrimLocked()
+		}
+		l.smu.Unlock()
+		f = <-ch
+	}
+}
+
+// serve runs one request through the drain gate and sends its response;
+// the server counts itself free on the way (sendFrame, serverFree).
+func (l *link) serve(f *frame) {
+	resp := frame{Kind: frameResponse, ID: f.ID}
+	gated := l.hooks.begin == nil || l.hooks.begin()
+	owed := true
+	if gated {
+		owed = l.serveRequest(f, &resp)
+	} else {
+		// The node is draining: refuse new work so Close can finish.
+		if m := l.hooks.metrics; m != nil {
+			m.DrainDrops.Inc()
+		}
+		resp.Err, resp.ErrKind = encodeErr(fmt.Errorf("node draining: %w", core.ErrClosed))
+	}
+	putFrame(f)
+	if owed {
+		l.sendResponse(&resp)
+	} else {
+		l.serverFree()
+	}
+	if gated && l.hooks.end != nil {
+		l.hooks.end()
+	}
+}
+
+// serverFree counts a serve goroutine as no longer running a request: a
+// request the read loop takes from now on waits for it (backlog) rather
+// than starting another server.
+func (l *link) serverFree() {
+	l.smu.Lock()
+	l.busy--
+	l.smu.Unlock()
+}
+
+// armTrimLocked schedules trimServers serverLinger from now.
+func (l *link) armTrimLocked() {
+	l.trimArmed, l.trimAt = true, l.served
+	if l.trimmer == nil {
+		l.trimmer = time.AfterFunc(serverLinger, l.trimServers)
+	} else {
+		l.trimmer.Reset(serverLinger)
+	}
+}
+
+// trimServers releases every parked server but the most recently parked
+// one if the link has taken no request since the trim was armed and has
+// nothing in flight. A link that took requests but is idle again waits
+// another serverLinger; a busy one is armed again by its next idle moment.
+func (l *link) trimServers() {
+	l.smu.Lock()
+	defer l.smu.Unlock()
+	l.trimArmed = false
+	if l.sclosed || l.servers != len(l.idle) || len(l.idle) < 2 {
+		return
+	}
+	if l.served != l.trimAt {
+		l.armTrimLocked()
+		return
+	}
+	keep := len(l.idle) - 1
+	for _, ch := range l.idle[:keep] {
+		ch <- nil
+	}
+	l.idle[0] = l.idle[keep]
+	clear(l.idle[1:])
+	l.idle = l.idle[:1]
+	l.servers = 1
+}
+
+// releaseServers makes every parked server exit, and every busy one once
+// it is done and the backlog is empty: the link is shut down.
+func (l *link) releaseServers() {
+	l.smu.Lock()
+	l.sclosed = true
+	if l.trimmer != nil {
+		l.trimmer.Stop()
+	}
+	for _, ch := range l.idle {
+		ch <- nil
+	}
+	l.servers -= len(l.idle)
+	l.idle = nil
+	l.smu.Unlock()
+}
+
+// sendResponse delivers a served request's response, downgrading to an
 // error response if the results themselves fail to encode — the client
 // must never be left waiting on a response that died locally.
 func (l *link) sendResponse(r *frame) {
-	err := l.send(r)
+	err := l.sendFrame(r, true)
 	if err == nil || errors.Is(err, ErrLinkClosed) {
 		return
 	}
@@ -560,24 +755,12 @@ func (l *link) sendResponse(r *frame) {
 	_ = l.send(&fallback)
 }
 
-// serveRequest executes one incoming request. The frame is only borrowed:
-// everything the body needs is copied into locals before the blocking
-// call, since the caller recycles f as soon as serveRequest returns.
-func (l *link) serveRequest(f *frame) {
-	resp := frame{Kind: frameResponse, ID: f.ID}
-	if l.hooks.begin != nil && !l.hooks.begin() {
-		// The node is draining: refuse new work so Close can finish.
-		if m := l.hooks.metrics; m != nil {
-			m.DrainDrops.Inc()
-		}
-		resp.Err, resp.ErrKind = encodeErr(fmt.Errorf("node draining: %w", core.ErrClosed))
-		_ = l.send(&resp)
-		return
-	}
-	if l.hooks.end != nil {
-		defer l.hooks.end()
-	}
-
+// serveRequest executes one incoming request inside the drain gate and
+// fills resp with its response; it reports false when none is owed (the
+// link died while a duplicate waited). The frame is only borrowed:
+// everything the call needs is copied into locals before the blocking
+// call, since serve recycles f as soon as serveRequest returns.
+func (l *link) serveRequest(f, resp *frame) bool {
 	var obj Callable
 	ok := false
 	if l.res != nil {
@@ -585,8 +768,7 @@ func (l *link) serveRequest(f *frame) {
 	}
 	if !ok {
 		resp.Err, resp.ErrKind = encodeErr(fmt.Errorf("object %q: %w", f.Object, ErrUnknownObject))
-		_ = l.send(&resp)
-		return
+		return true
 	}
 
 	// At-most-once: the first arrival of a (client, seq) executes; a
@@ -603,12 +785,11 @@ func (l *link) serveRequest(f *frame) {
 		var primary bool
 		entry, primary = l.hooks.dedup.begin(dedupKey{f.Client, f.Seq})
 		if !primary {
-			l.replayDuplicate(f.ID, f.Object, f.Entry, f.Client, f.Seq, entry)
-			return
+			return l.replayDuplicate(f.Object, f.Entry, f.Client, f.Seq, entry, resp)
 		}
 	}
 
-	id, objName, entryName := f.ID, f.Object, f.Entry
+	objName, entryName := f.Object, f.Entry
 	client, seq := f.Client, f.Seq
 	params := l.resolveParams(f.Params)
 	ctx := l.ctx
@@ -618,9 +799,9 @@ func (l *link) serveRequest(f *frame) {
 		// is tied to the node's lifetime, not the connection's.
 		ctx = l.hooks.serveCtx
 	}
-	// The body runs inline: serveRequest already has its own goroutine, so
-	// the gob-era hand-off through an inner goroutine and result channel
-	// is gone — one goroutine and one channel fewer per request.
+	// The call runs on this server's goroutine, and so does a body the
+	// object starts for it in the default pool mode: core runs a started
+	// body on the caller that waits for it.
 	var results []any
 	var err error
 	if session {
@@ -628,7 +809,8 @@ func (l *link) serveRequest(f *frame) {
 	} else {
 		results, err = obj.CallCtx(ctx, entryName, params...)
 	}
-	r := frame{Kind: frameResponse, ID: id, Results: results}
+	r := resp
+	r.Results = results
 	if err != nil {
 		r.Results = nil
 		r.Err, r.ErrKind = encodeErr(err)
@@ -674,18 +856,17 @@ func (l *link) serveRequest(f *frame) {
 			r.Err, r.ErrKind = encodeErr(fmt.Errorf("rpc: %s.%s executed but not durable: %w", objName, entryName, aerr))
 		}
 	}
-	l.sendResponse(&r)
+	return true
 }
 
 // replayDuplicate answers a retry of a (client, seq) whose primary
 // execution is recorded or still in flight: it waits — bounded by
-// replayWait — for the primary's completion and replays its response. The
-// wait is bounded because the wire carries no per-call deadline; without
-// the bound a primary stuck in a guard that never fires would pin this
-// goroutine forever (and, before the bound existed, did). Callers own the
-// drain gate.
-func (l *link) replayDuplicate(id uint64, objName, entryName, client string, seq uint64, entry *dedupEntry) {
-	resp := frame{Kind: frameResponse, ID: id}
+// replayWait — for the primary's completion and fills resp with its
+// response. The wait is bounded because the wire carries no per-call
+// deadline; without the bound a primary stuck in a guard that never fires
+// would pin this goroutine forever (and, before the bound existed, did).
+// It reports false when the link died first: no response is owed.
+func (l *link) replayDuplicate(objName, entryName, client string, seq uint64, entry *dedupEntry, resp *frame) bool {
 	if m := l.hooks.metrics; m != nil {
 		m.DedupHits.Inc()
 	}
@@ -699,12 +880,11 @@ func (l *link) replayDuplicate(id uint64, objName, entryName, client string, seq
 		if st := l.hooks.durable; st != nil && entry.lsn != 0 {
 			if err := st.WaitSynced(entry.lsn); err != nil {
 				resp.Err, resp.ErrKind = encodeErr(fmt.Errorf("rpc: replay %s.%s: durability: %w", objName, entryName, err))
-				_ = l.send(&resp)
-				return
+				return true
 			}
 		}
 		resp.Results, resp.Err, resp.ErrKind = entry.results, entry.errMsg, entry.errKind
-		l.sendResponse(&resp)
+		return true
 	case <-timeout.C:
 		if m := l.hooks.metrics; m != nil {
 			m.ReplayTimeouts.Inc()
@@ -712,8 +892,9 @@ func (l *link) replayDuplicate(id uint64, objName, entryName, client string, seq
 		resp.Err, resp.ErrKind = encodeErr(fmt.Errorf(
 			"rpc: duplicate of %s.%s (client %s seq %d) still in flight after %v: %w",
 			objName, entryName, client, seq, l.hooks.replayWait, ErrReplayTimeout))
-		_ = l.send(&resp)
+		return true
 	case <-l.done:
+		return false
 	}
 }
 
@@ -753,6 +934,7 @@ func (l *link) shutdown(reason error) {
 	l.mu.Unlock()
 
 	close(l.done)
+	l.releaseServers()
 	// Release senders blocked on backpressure. The lock pairs the
 	// broadcast with their closedLocked re-check: a sender between its
 	// check and its Wait still holds wmu, so it cannot miss the wakeup.

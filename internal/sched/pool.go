@@ -5,7 +5,9 @@
 // started entry procedure:
 //
 //   - create a process dynamically at call time (expensive on 1988 OSes;
-//     cheap for goroutines — kept as ModeSpawn for comparison),
+//     cheap for goroutines — kept as ModeSpawn for comparison; an object
+//     in this mode, its default, uses the process its caller already has
+//     and only admits the task here, Go(nil)),
 //   - pre-create one process per hidden-procedure-array element when the
 //     object is created (ModeOneToOne: "the mapping between the procedures
 //     and processes is one-to-one"),
@@ -69,8 +71,8 @@ type Stats struct {
 	Workers          int    // configured worker count (0 for ModeSpawn)
 	ProcessesCreated uint64 // total processes ever created
 	MaxResident      int    // peak simultaneously-live processes
-	TasksExecuted    uint64
-	MaxQueueLen      int // peak tasks waiting for a worker
+	TasksExecuted    uint64 // tasks run, including those run by their submitter (Go(nil))
+	MaxQueueLen      int    // peak tasks waiting for a worker
 }
 
 // Pool runs tasks on lightweight processes according to its Mode. Submission
@@ -138,11 +140,21 @@ func (p *Pool) Mode() Mode { return p.mode }
 
 // Go submits a task. It never blocks the caller; the task runs on a pool
 // process as soon as one is available.
+//
+// A nil f is a task its submitter runs on a process it already has: an
+// object's body run by the caller that waits for it. Go only admits such a
+// task — ErrClosed after Close, otherwise one more TasksExecuted — and
+// creates no process for it; Wait and Close do not wait for it.
 func (p *Pool) Go(f func()) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return ErrClosed
+	}
+	if f == nil {
+		p.mu.Unlock()
+		p.executed.Add(1)
+		return nil
 	}
 	p.taskWG.Add(1)
 	if p.mode == ModeSpawn {

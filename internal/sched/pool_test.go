@@ -147,6 +147,42 @@ func TestSpawnCreatesProcessPerTask(t *testing.T) {
 	}
 }
 
+// TestStatsCountSubmitterRunTasks pins what the counters mean once tasks
+// run on their submitters (Go(nil), an object's caller-run bodies):
+// TasksExecuted counts every task, ProcessesCreated and MaxResident only
+// the processes the pool itself provided. Go(nil) still fails after Close.
+func TestStatsCountSubmitterRunTasks(t *testing.T) {
+	for _, mode := range []Mode{ModeSpawn, ModeOneToOne, ModePooled} {
+		p, err := New(mode, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const own, pooled = 30, 5
+		for i := 0; i < own; i++ {
+			if err := p.Go(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < pooled; i++ {
+			if err := p.Go(func() {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Wait()
+		workers := uint64(2)
+		if mode == ModeSpawn {
+			workers = pooled // one process per pool-run task
+		}
+		if s := p.Stats(); s.TasksExecuted != own+pooled || s.ProcessesCreated != workers {
+			t.Errorf("%v: Stats = %+v; want %d executed, %d created", mode, s, own+pooled, workers)
+		}
+		p.Close()
+		if err := p.Go(nil); !errors.Is(err, ErrClosed) {
+			t.Errorf("%v: Go(nil) after Close = %v, want ErrClosed", mode, err)
+		}
+	}
+}
+
 func TestCloseWaitsForTasks(t *testing.T) {
 	for _, mode := range []Mode{ModeSpawn, ModeOneToOne, ModePooled} {
 		t.Run(mode.String(), func(t *testing.T) {

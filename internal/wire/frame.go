@@ -106,20 +106,22 @@ func AppendFrame(dst []byte, f *Frame, t *TypeTable) ([]byte, error) {
 
 // The decoder's short-string cache (docs/WIRE.md §3): every decoded string
 // of 1..shortString bytes — header identifiers and tagString values alike —
-// is looked up in a direct-mapped table of strCacheSlots slots, indexed by
-// an FNV-1a hash of its bytes. A miss overwrites its slot. A table holds at
-// most strCacheSlots strings of at most shortString bytes, whatever the
-// cardinality of the stream.
+// is looked up in a 2-way set-associative table of strCacheSets sets,
+// indexed by an FNV-1a hash of its bytes. A set keeps its two most recently
+// used strings, so two hot strings that hash to one set (a client ID and an
+// entry name, say) both stay cached; a miss evicts the less recently used.
+// A table holds at most 2×strCacheSets strings of at most shortString
+// bytes, whatever the cardinality of the stream.
 const (
-	strCacheSlots = 64
-	shortString   = 32
+	strCacheSets = 64
+	shortString  = 32
 )
 
-// strCache is one table of the short-string cache. A slot keeps its string
-// and, once a tagString value has asked for it, the same string boxed: a
-// cached value then costs no allocation, and a string field never pays for
-// a box.
-type strCache [strCacheSlots]cachedStr
+// strCache is one table of the short-string cache; each set lists its
+// most recently used slot first. A slot keeps its string and, once a
+// tagString value has asked for it, the same string boxed: a cached value
+// then costs no allocation, and a string field never pays for a box.
+type strCache [strCacheSets][2]cachedStr
 
 type cachedStr struct {
 	s   string
@@ -175,24 +177,29 @@ func (d *Decoder) BytesRead() uint64 {
 // cacheable reports whether the short-string cache serves raw.
 func cacheable(raw []byte) bool { return len(raw) > 0 && len(raw) <= shortString }
 
-// strSlot indexes raw's slot in the short-string cache (FNV-1a).
-func strSlot(raw []byte) uint32 {
+// strSet indexes raw's set in the short-string cache (FNV-1a).
+func strSet(raw []byte) uint32 {
 	h := uint32(2166136261)
 	for _, c := range raw {
 		h = (h ^ uint32(c)) * 16777619
 	}
-	return h % strCacheSlots
+	return h % strCacheSets
 }
 
-// lookup returns the slot of raw, a cacheable byte string, refilling it with
-// a copy of raw on a miss. Strings are immutable, so frames may share one;
-// the copy never aliases the arena.
+// lookup returns the slot of raw, a cacheable byte string, moving it to the
+// front of its set; a miss refills the set's less recently used slot with a
+// copy of raw. Strings are immutable, so frames may share one; the copy
+// never aliases the arena. The comparisons do not allocate.
 func (c *strCache) lookup(raw []byte) *cachedStr {
-	e := &c[strSlot(raw)]
-	if e.s != string(raw) { // the comparison does not allocate
-		*e = cachedStr{s: string(raw)}
+	set := &c[strSet(raw)]
+	if set[0].s == string(raw) {
+		return &set[0]
 	}
-	return e
+	if set[1].s != string(raw) {
+		set[1] = cachedStr{s: string(raw)}
+	}
+	set[0], set[1] = set[1], set[0]
+	return &set[0]
 }
 
 // str returns raw as a string: from the cache when short, a copy otherwise.

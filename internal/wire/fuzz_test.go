@@ -110,16 +110,17 @@ func FuzzWireDecode(f *testing.F) {
 	// Length mutation: inflate the first frame's length prefix.
 	f.Add(append([]byte{0xff, 0xff, 0xff, 0x7f}, full[:16]...))
 	f.Add([]byte{})
-	// The string cache's edges, across frames: two strings sharing a slot,
-	// strings at and one past the length bound, and a []byte beside a
+	// The string cache's edges, across frames: three strings sharing a
+	// set, strings at and one past the length bound, and a []byte beside a
 	// string of the same content.
-	a, b := slotMates()
+	mates := setMates(3)
+	a, b, c := mates[0], mates[1], mates[2]
 	at, over := strings.Repeat("x", shortString), strings.Repeat("y", shortString+1)
 	var cache []byte
 	for _, fr := range []Frame{
-		{Kind: KindRequest, ID: 1, Object: a, Entry: b, Client: a, Params: []any{a, b, "", at}},
-		{Kind: KindRequest, ID: 2, Object: b, Entry: a, Client: b, Params: []any{b, a, over, at}},
-		{Kind: KindResponse, ID: 2, Results: []any{[]byte(a), a, map[string]any{a: b, at: over}}},
+		{Kind: KindRequest, ID: 1, Object: a, Entry: b, Client: c, Params: []any{a, b, c, "", at}},
+		{Kind: KindRequest, ID: 2, Object: c, Entry: a, Client: b, Params: []any{b, c, a, over, at}},
+		{Kind: KindResponse, ID: 2, Results: []any{[]byte(a), a, map[string]any{a: b, c: a, at: over}}},
 	} {
 		var err error
 		if cache, err = AppendFrame(cache, &fr, tab); err != nil {

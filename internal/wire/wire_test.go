@@ -310,34 +310,34 @@ func TestStringsAreCopies(t *testing.T) {
 	}
 }
 
-// slotMates returns two distinct short strings that share a slot of the
+// setMates returns n distinct short strings that share a set of the
 // decoder's string cache.
-func slotMates() (string, string) {
-	first := map[uint32]string{}
+func setMates(n int) []string {
+	bySet := map[uint32][]string{}
 	for i := 0; ; i++ {
 		s := fmt.Sprintf("key-%d", i)
-		slot := strSlot([]byte(s))
-		if mate, ok := first[slot]; ok {
-			return mate, s
+		set := strSet([]byte(s))
+		if bySet[set] = append(bySet[set], s); len(bySet[set]) == n {
+			return bySet[set]
 		}
-		first[slot] = s
 	}
 }
 
 // TestStringCache pins the decoder's short-string cache (docs/WIRE.md §3) at
-// its edges. Two strings that share a slot evict each other and still decode
-// intact. A string of shortString bytes is shared across frames; one byte
-// more is copied per frame. The empty string never takes a slot. A []byte
-// beside a string of the same content still aliases the arena, and the
-// string does not.
+// its edges. Three strings that share a set evict each other and still
+// decode intact. A string of shortString bytes is shared across frames; one
+// byte more is copied per frame. The empty string never takes a slot. A
+// []byte beside a string of the same content still aliases the arena, and
+// the string does not.
 func TestStringCache(t *testing.T) {
 	tab := NewTypeTable()
-	a, b := slotMates()
+	mates := setMates(3)
+	a, b, c := mates[0], mates[1], mates[2]
 	at, over := strings.Repeat("x", shortString), strings.Repeat("y", shortString+1)
 	frames := []*Frame{
-		{Kind: KindRequest, ID: 1, Object: a, Entry: b, Client: a, Params: []any{a, b, ""}},
-		{Kind: KindRequest, ID: 2, Object: b, Entry: a, Params: []any{b, a, at, over}},
-		{Kind: KindResponse, ID: 2, Results: []any{at, over, a, []any{b, map[string]any{a: b, b: a}}}},
+		{Kind: KindRequest, ID: 1, Object: a, Entry: b, Client: c, Params: []any{a, b, c, ""}},
+		{Kind: KindRequest, ID: 2, Object: c, Entry: a, Client: b, Params: []any{b, c, a, at, over}},
+		{Kind: KindResponse, ID: 2, Results: []any{at, over, a, []any{b, c, map[string]any{a: b, b: c, c: a}}}},
 		{Kind: KindChanSend, Chan: "same", Params: []any{[]byte("same"), "same"}},
 	}
 	var stream bytes.Buffer
@@ -357,15 +357,17 @@ func TestStringCache(t *testing.T) {
 		}
 	}
 
-	if p, q := unsafe.StringData(got[1].Params[2].(string)), unsafe.StringData(got[2].Results[0].(string)); p != q {
+	if p, q := unsafe.StringData(got[1].Params[3].(string)), unsafe.StringData(got[2].Results[0].(string)); p != q {
 		t.Errorf("a %d-byte string was copied per frame, want it cached", shortString)
 	}
-	if p, q := unsafe.StringData(got[1].Params[3].(string)), unsafe.StringData(got[2].Results[1].(string)); p == q {
+	if p, q := unsafe.StringData(got[1].Params[4].(string)), unsafe.StringData(got[2].Results[1].(string)); p == q {
 		t.Errorf("a %d-byte string was cached, want a copy per frame", shortString+1)
 	}
-	for i, e := range d.strs {
-		if e.s == "" && e.box != nil {
-			t.Errorf("slot %d holds the empty string", i)
+	for i, set := range d.strs {
+		for _, e := range set {
+			if e.s == "" && e.box != nil {
+				t.Errorf("set %d holds the empty string", i)
+			}
 		}
 	}
 
@@ -385,7 +387,7 @@ func TestStringCache(t *testing.T) {
 // carry.
 func TestHeaderNamesSurvivePayloadChurn(t *testing.T) {
 	tab := NewTypeTable()
-	const n = 8 * strCacheSlots
+	const n = 16 * strCacheSets
 	var stream bytes.Buffer
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("key-%d", i)
