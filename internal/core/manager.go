@@ -293,14 +293,16 @@ func (m *Mgr) serve(ctx context.Context, cr *callRecord) (resumed bool) {
 // with wakers that missed the idle flag) and blocks until a poke or close.
 //
 // A holder whose action started its own call is the process its body was
-// posted to, and the block may be waiting for that body: it first hands
-// the body to a fresh process, as the pool would have.
+// posted to, and the block may be waiting for that body: it first submits
+// the body to the pool, which runs it on a process of its own.
 func (m *Mgr) blockLocked() error {
 	o := m.obj
 	if m.ownPosted {
 		m.ownPosted = false
 		<-m.own.resultCh // the posting: the body has not run
-		go m.own.runFn()
+		if o.pool.Go(m.own.runFn) != nil {
+			o.failStartLocked(m.own)
+		}
 	}
 	m.idle.Store(1)
 	o.mu.Unlock()

@@ -376,13 +376,22 @@ func (o *Object) awaitResult(ctx context.Context, cr *callRecord) ([]Value, erro
 }
 
 // receive turns what the caller took off resultCh into the call's outcome:
-// a start that posted the body here (errRunBody) is run on this goroutine
-// first, and the outcome follows on the same channel.
+// a start that posted the body here (errRunBody) is submitted to the pool,
+// Go(nil), and run on this goroutine first, and the outcome follows on the
+// same channel.
 func (o *Object) receive(cr *callRecord, res callResult) callResult {
 	if res.err != errRunBody {
 		return res
 	}
-	o.runBody(cr, true)
+	if o.pool.Go(nil) == nil {
+		o.runBody(cr, true)
+	} else {
+		e := cr.entry
+		o.mu.Lock()
+		o.failStartLocked(cr)
+		o.mu.Unlock()
+		o.wakeManager(nil, e, nil)
+	}
 	return <-cr.resultCh
 }
 
@@ -651,33 +660,34 @@ func (o *Object) findFreeSlotLocked(e *entry) *slot {
 // Under callerRun the body's process is its caller's: every caller of a
 // call waits in awaitResult until the call ends, and a started call cannot
 // be withdrawn, so the start posts the body on resultCh (buffered, empty
-// until the one outcome) and the caller runs it (receive). A caller that
-// submits to an unmanaged entry with a free element finds its own body
-// posted at once and runs it inline; one that holds the manager role runs
-// it once serve has handed the role back (or hands it to a fresh process
-// if it must block first, Mgr.blockLocked). The pool only admits the body.
+// until the one outcome) and the caller submits it to the pool and runs it
+// (receive). A caller that submits to an unmanaged entry with a free
+// element finds its own body posted at once and runs it inline; one that
+// holds the manager role runs it once serve has handed the role back (or
+// hands it to a pool process if it must block first, Mgr.blockLocked).
 // It reports whether it posted the body.
 func (o *Object) startBodyLocked(cr *callRecord, regular, hidden []Value) (posted bool) {
-	e := cr.entry
 	o.markStartedLocked(cr, regular, hidden)
 	o.bodyWG.Add(1)
-	run := cr.runFn
-	if o.callerRun {
-		run = nil
-	}
-	if err := o.pool.Go(run); err != nil {
-		// Pool closed: the object is shutting down; fail the call.
-		o.bodyWG.Done()
-		e.active--
-		o.deliverLocked(cr, nil, ErrClosed)
-		o.record(e.spec.Name, cr.slotIndex(), cr.id, trace.Failed)
-		o.freeSlotLocked(cr.slot)
-		return false
-	}
 	if o.callerRun {
 		cr.resultCh <- callResult{err: errRunBody}
+		return true
 	}
-	return o.callerRun
+	if o.pool.Go(cr.runFn) != nil {
+		o.failStartLocked(cr)
+	}
+	return false
+}
+
+// failStartLocked fails a started call whose body the pool refused: the
+// pool is closed, so the object is shutting down.
+func (o *Object) failStartLocked(cr *callRecord) {
+	e := cr.entry
+	o.bodyWG.Done()
+	e.active--
+	o.deliverLocked(cr, nil, ErrClosed)
+	o.record(e.spec.Name, cr.slotIndex(), cr.id, trace.Failed)
+	o.freeSlotLocked(cr.slot)
 }
 
 // markStartedLocked moves an attached or accepted call to started and binds

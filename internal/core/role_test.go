@@ -182,9 +182,9 @@ func TestRoleBlockingActionMakesProgress(t *testing.T) {
 	// The A action blocks twice as the manager: in Accept until a B call
 	// arrives (a caller's poke), and in AwaitCall until A's body completes
 	// (a body's poke). A's body was posted to A's caller, the holder
-	// itself, so the holder hands it to a fresh goroutine before it blocks.
-	// Both pokes must reach the holder, not the manager goroutine parked
-	// in Loop.
+	// itself, so the holder hands it to a pool process before it blocks:
+	// the one process the object's pool creates. Both pokes must reach the
+	// holder, not the manager goroutine parked in Loop.
 	var onCaller atomic.Bool
 	var o *Object
 	o, err := New("Blocking",
@@ -227,6 +227,11 @@ func TestRoleBlockingActionMakesProgress(t *testing.T) {
 	}
 	if !onCaller.Load() {
 		t.Fatal("A's action did not run on a role-holding caller")
+	}
+	waitFor(t, func() bool { return o.PoolStats().TasksExecuted == 1 })
+	if st := o.PoolStats(); st.ProcessesCreated != 1 || st.MaxResident != 1 {
+		t.Fatalf("pool created %d processes (max resident %d), want the one A's body was handed to",
+			st.ProcessesCreated, st.MaxResident)
 	}
 	waitParked(t, o)
 }

@@ -67,11 +67,11 @@ type linkHooks struct {
 	flushGrace time.Duration      // graceful-close flush bound; 0 = flushGrace
 }
 
-// serverLinger is how long a link must take no request, with nothing in
-// flight, before it releases all but one of its parked serve goroutines.
-// The wait keeps a link whose requests merely pause between bursts from
-// ending and restarting its servers at every pause.
-const serverLinger = 10 * time.Millisecond
+// serverLinger is how long parked servers must go unused before all but
+// one of them leave (reap). Immediate release at the first moment a link
+// has nothing in flight would end and restart servers at every pause of a
+// busy stream; see WIRE.md.
+const serverLinger = 100 * time.Millisecond
 
 // A duplicate request waits at most replayWait for the in-flight primary
 // execution of its (client, seq) before answering ErrReplayTimeout: the
@@ -136,21 +136,17 @@ type link struct {
 	// The serve goroutines (serveLoop). The read loop hands each request to
 	// a parked server and starts one only when none is parked, so a steady
 	// request stream starts no goroutine and grows no stack. A server parks
-	// again after each request. A link that takes no request for
-	// serverLinger with nothing in flight keeps one parked server and
-	// releases the others (trimServers); shutdown releases them all.
+	// again after each request; servers that no request reached for
+	// serverLinger leave but one (reap), and shutdown releases them all.
 	// Guarded by smu.
-	smu       sync.Mutex
-	idle      []chan *frame // parked servers' hand-off channels, LIFO
-	servers   int           // live servers, parked or serving
-	sclosed   bool          // shut down: servers exit instead of parking
-	sstarted  uint64        // servers ever started
-	served    uint64        // requests dispatched
-	busy      int           // servers running a request (serverFree)
-	backlog   []*frame      // requests waiting for a free server to park
-	trimmer   *time.Timer   // runs trimServers; nil until first armed
-	trimArmed bool
-	trimAt    uint64 // served when trimmer was armed
+	smu      sync.Mutex
+	idle     []chan *frame // parked servers' hand-off channels, LIFO
+	servers  int           // live servers, parked or serving
+	sclosed  bool          // shut down: servers leave instead of parking
+	sstarted uint64        // servers ever started
+	reaper   *time.Timer   // runs reap; nil until first armed
+	reaping  bool          // reaper armed
+	unused   int           // servers parked since the reap was armed, none reached since
 }
 
 func newLink(conn net.Conn, res objectResolver, hooks linkHooks) *link {
@@ -206,22 +202,20 @@ func (w *sliceWriter) Write(p []byte) (int, error) {
 // returned to the caller and the link survives; a WRITE failure tears the
 // whole link down — the combiner that hits it reports it, senders whose
 // frames it was carrying observe it through l.done.
-func (l *link) send(f *frame) error { return l.sendFrame(f, false) }
+func (l *link) send(f *frame) error { return l.sendFrame(f, nil) }
 
-// sendFrame is send; a serve goroutine sending its response (srv) counts
-// itself free exactly once on the way (serverFree): as soon as its frame
-// is queued behind an active combiner — before that combiner can write it
-// — or else once it has written the queue itself or failed. So a response
-// reaches the peer only after its server is free or while that server is
-// the one combiner, and a free server has no I/O left before it parks.
-func (l *link) sendFrame(f *frame, srv bool) error {
+// sendFrame is send; a serve goroutine sending its response (srv) parks on
+// the way (park): as soon as its frame is queued behind an active combiner
+// — before that combiner can write it — or else once it has written the
+// queue itself or found the link closed. So a response reaches the peer
+// only after its server parked or while that server is the one combiner,
+// and a parked server has no I/O left. A frame that fails to encode parks
+// nothing: its server still owes a response.
+func (l *link) sendFrame(f *frame, srv *server) error {
 	buf := wire.GetBuf()
 	b, err := wire.AppendFrame(*buf, f, l.table)
 	if err != nil {
 		wire.PutBuf(buf)
-		if srv {
-			l.serverFree()
-		}
 		return err
 	}
 	*buf = b
@@ -233,8 +227,8 @@ func (l *link) sendFrame(f *frame, srv bool) error {
 	if l.closedLocked() {
 		l.wmu.Unlock()
 		wire.PutBuf(buf)
-		if srv {
-			l.serverFree()
+		if srv != nil {
+			l.park(srv)
 		}
 		return l.closeReason()
 	}
@@ -244,8 +238,8 @@ func (l *link) sendFrame(f *frame, srv bool) error {
 	}
 	if l.writing {
 		// An active combiner will carry these bytes in its next batch.
-		if srv {
-			l.serverFree()
+		if srv != nil {
+			l.park(srv)
 		}
 		l.wmu.Unlock()
 		wire.PutBuf(buf)
@@ -253,8 +247,8 @@ func (l *link) sendFrame(f *frame, srv bool) error {
 	}
 	err = l.drainLocked()
 	wire.PutBuf(buf)
-	if srv {
-		l.serverFree()
+	if srv != nil {
+		l.park(srv)
 	}
 	return err
 }
@@ -585,80 +579,61 @@ func (l *link) readLoop() {
 	}
 }
 
-// dispatch hands a request to a parked server, queues it for a server that
-// has queued its response and is on its way to park — one request for each
-// such server, so queued requests never wait for one another — or, when
-// every server is running a request, starts a server for it. Each request
-// being served has a goroutine of its own (the paper's light-weight process
-// per call), reused from call to call. A response reaches the peer only
-// once its server is free, or while that server writes the queue, so a
-// peer with n calls in flight makes a link start at most n+1 servers.
-// Servers are detached: the drain gate (hooks begin/end) already accounts
-// in-flight work for Node.Close, and link teardown must not wait out a
-// long-running body.
+// dispatch hands a request to the most recently parked server of the link,
+// or starts a server for it when none is parked. Each request being served
+// has a goroutine of its own (the paper's light-weight process per call),
+// reused from call to call. A server parks as soon as its response is
+// queued behind the combiner or written (park), so a response reaches the
+// peer only after its server parked or while that server is the one
+// combiner, and a peer with n calls in flight makes a link start at most
+// n+1 servers. Servers are detached: the drain gate (hooks begin/end)
+// already accounts in-flight work for Node.Close, and link teardown must
+// not wait out a long-running body.
 func (l *link) dispatch(req *frame) {
 	l.smu.Lock()
-	l.served++
-	if n := len(l.idle); n > 0 {
-		ch := l.idle[n-1]
-		l.idle[n-1] = nil
-		l.idle = l.idle[:n-1]
-		l.busy++
+	n := len(l.idle)
+	if n == 0 {
+		l.servers++
+		l.sstarted++
+		l.unused = 0
 		l.smu.Unlock()
-		ch <- req // buffered and empty: its server is parked on it
+		go l.serveLoop(req)
 		return
 	}
-	if l.servers-l.busy > len(l.backlog) { // free servers not yet parked
-		l.backlog = append(l.backlog, req)
-		l.smu.Unlock()
-		return
-	}
-	l.servers++
-	l.busy++
-	l.sstarted++
+	next := l.idle[n-1]
+	l.idle[n-1] = nil
+	l.idle = l.idle[:n-1]
+	l.unused = min(l.unused, n-1)
 	l.smu.Unlock()
-	go l.serveLoop(req)
+	next <- req // buffered and empty: its server takes it once parked
 }
 
-// serveLoop is one server: it serves f, then the backlog and every request
-// the read loop hands it while it is parked, until it is released (a nil
-// frame) or finds the link shut down. The last server to go idle on a link
-// with nothing in flight arms the trim (trimServers) if other servers are
-// parked.
+// A server is a serve goroutine's state across the requests it serves.
+type server struct {
+	next   chan *frame // its next request, handed over while it is parked
+	parked bool        // done with its request (park)
+	stay   bool        // parked rather than leaving: it takes a next request
+}
+
+// serveLoop is one server: it serves f and every request the read loop
+// hands it while it is parked, until the link is shut down or releases it
+// (a nil request).
 func (l *link) serveLoop(f *frame) {
-	var ch chan *frame
+	srv := server{next: make(chan *frame, 1)}
 	for f != nil {
-		l.serve(f)
-		l.smu.Lock()
-		if n := len(l.backlog); n > 0 {
-			f = l.backlog[0]
-			copy(l.backlog, l.backlog[1:])
-			l.backlog[n-1] = nil
-			l.backlog = l.backlog[:n-1]
-			l.busy++
-			l.smu.Unlock()
-			continue
-		}
-		if l.sclosed {
-			l.servers--
-			l.smu.Unlock()
+		l.serve(f, &srv)
+		if !srv.stay {
 			return
 		}
-		if ch == nil {
-			ch = make(chan *frame, 1)
-		}
-		l.idle = append(l.idle, ch)
-		if l.servers == len(l.idle) && len(l.idle) > 1 && !l.trimArmed {
-			l.armTrimLocked()
-		}
-		l.smu.Unlock()
-		f = <-ch
+		srv.parked, srv.stay = false, false
+		f = <-srv.next
 	}
 }
 
 // serve runs one request through the drain gate and sends its response;
-// the server counts itself free on the way (sendFrame, serverFree).
-func (l *link) serve(f *frame) {
+// the server parks on the way (sendFrame) or, with no response owed, once
+// the call is done.
+func (l *link) serve(f *frame, srv *server) {
 	resp := frame{Kind: frameResponse, ID: f.ID}
 	gated := l.hooks.begin == nil || l.hooks.begin()
 	owed := true
@@ -673,86 +648,96 @@ func (l *link) serve(f *frame) {
 	}
 	putFrame(f)
 	if owed {
-		l.sendResponse(&resp)
-	} else {
-		l.serverFree()
+		l.sendResponse(&resp, srv)
+	}
+	if !srv.parked {
+		l.park(srv)
 	}
 	if gated && l.hooks.end != nil {
 		l.hooks.end()
 	}
 }
 
-// serverFree counts a serve goroutine as no longer running a request: a
-// request the read loop takes from now on waits for it (backlog) rather
-// than starting another server.
-func (l *link) serverFree() {
+// park ends srv's request: srv parks for the read loop's next request, or
+// leaves once the link is shut down. A second parked server arms the reap.
+func (l *link) park(srv *server) {
+	srv.parked = true
 	l.smu.Lock()
-	l.busy--
+	if srv.stay = !l.sclosed; srv.stay {
+		l.idle = append(l.idle, srv.next)
+		if len(l.idle) > 1 && !l.reaping {
+			l.armReapLocked()
+		}
+	} else {
+		l.servers--
+	}
 	l.smu.Unlock()
 }
 
-// armTrimLocked schedules trimServers serverLinger from now.
-func (l *link) armTrimLocked() {
-	l.trimArmed, l.trimAt = true, l.served
-	if l.trimmer == nil {
-		l.trimmer = time.AfterFunc(serverLinger, l.trimServers)
+// armReapLocked schedules reap serverLinger from now; the servers parked
+// now are the candidates.
+func (l *link) armReapLocked() {
+	l.reaping, l.unused = true, len(l.idle)
+	if l.reaper == nil {
+		l.reaper = time.AfterFunc(serverLinger, l.reap)
 	} else {
-		l.trimmer.Reset(serverLinger)
+		l.reaper.Reset(serverLinger)
 	}
 }
 
-// trimServers releases every parked server but the most recently parked
-// one if the link has taken no request since the trim was armed and has
-// nothing in flight. A link that took requests but is idle again waits
-// another serverLinger; a busy one is armed again by its next idle moment.
-func (l *link) trimServers() {
+// reap makes the servers that stayed parked since the reap was armed leave
+// but one: the bottom unused of the LIFO, which no request reached. So a
+// link keeps one parked server once it has nothing in flight, and a busy
+// one gives back what a past burst left. It re-arms while two are parked.
+func (l *link) reap() {
 	l.smu.Lock()
 	defer l.smu.Unlock()
-	l.trimArmed = false
-	if l.sclosed || l.servers != len(l.idle) || len(l.idle) < 2 {
+	l.reaping = false
+	if l.sclosed {
 		return
 	}
-	if l.served != l.trimAt {
-		l.armTrimLocked()
-		return
+	if l.unused > 1 {
+		l.releaseLocked(l.unused - 1)
 	}
-	keep := len(l.idle) - 1
-	for _, ch := range l.idle[:keep] {
-		ch <- nil
+	if len(l.idle) > 1 {
+		l.armReapLocked()
 	}
-	l.idle[0] = l.idle[keep]
-	clear(l.idle[1:])
-	l.idle = l.idle[:1]
-	l.servers = 1
 }
 
-// releaseServers makes every parked server exit, and every busy one once
-// it is done and the backlog is empty: the link is shut down.
+// releaseLocked makes the k servers parked longest leave.
+func (l *link) releaseLocked(k int) {
+	for _, next := range l.idle[:k] {
+		next <- nil
+	}
+	n := copy(l.idle, l.idle[k:])
+	clear(l.idle[n:])
+	l.idle = l.idle[:n]
+	l.servers -= k
+}
+
+// releaseServers makes every parked server leave, and every other one at
+// its next park: the link is shut down.
 func (l *link) releaseServers() {
 	l.smu.Lock()
 	l.sclosed = true
-	if l.trimmer != nil {
-		l.trimmer.Stop()
+	if l.reaper != nil {
+		l.reaper.Stop()
 	}
-	for _, ch := range l.idle {
-		ch <- nil
-	}
-	l.servers -= len(l.idle)
-	l.idle = nil
+	l.releaseLocked(len(l.idle))
 	l.smu.Unlock()
 }
 
 // sendResponse delivers a served request's response, downgrading to an
 // error response if the results themselves fail to encode — the client
 // must never be left waiting on a response that died locally.
-func (l *link) sendResponse(r *frame) {
-	err := l.sendFrame(r, true)
-	if err == nil || errors.Is(err, ErrLinkClosed) {
+func (l *link) sendResponse(r *frame, srv *server) {
+	err := l.sendFrame(r, srv)
+	if err == nil || srv.parked {
 		return
 	}
 	fallback := frame{Kind: frameResponse, ID: r.ID}
 	fallback.Err, fallback.ErrKind = encodeErr(fmt.Errorf("rpc: encoding response: %v", err))
-	_ = l.send(&fallback)
+	_ = l.sendFrame(&fallback, srv)
 }
 
 // serveRequest executes one incoming request inside the drain gate and

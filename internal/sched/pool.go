@@ -7,7 +7,8 @@
 //   - create a process dynamically at call time (expensive on 1988 OSes;
 //     cheap for goroutines — kept as ModeSpawn for comparison; an object
 //     in this mode, its default, uses the process its caller already has
-//     and only admits the task here, Go(nil)),
+//     and only admits the task here, Go(nil); a body whose caller must
+//     block before it can run it gets a process here after all),
 //   - pre-create one process per hidden-procedure-array element when the
 //     object is created (ModeOneToOne: "the mapping between the procedures
 //     and processes is one-to-one"),
